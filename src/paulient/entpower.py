@@ -14,8 +14,11 @@ oracle).  For fixed x bits all z values are handled at once:
     K_(x,z)[a1,a2] = (-i)^(x.z) sum_y (-1)^(z.y) sum_b
                       conj(u[y, a1, b]) u[y^x, a2, b]
 
-so one Walsh-Hadamard transform over y yields the whole z axis; the
-quadrupled space is never materialized.
+The inner sums over b for every pair (a1 <= a2) and every (y, v) come from
+one batched matrix product; then, for each block of x values, the entries
+at v = y^x are gathered, one walsh_hadamard_transform over y yields the
+whole z axis, and |.|^2 is reduced over the pairs.  The quadrupled space
+is never materialized.
 """
 
 from __future__ import annotations
@@ -29,19 +32,14 @@ from .errors import NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, is_unitary, linear_entanglement_unitary
 from .paulis import (
     PauliString,
+    _parity_signs,
     pauli_mul_matrix,
     pauli_to_dense,
     pauli_trace_table,
+    walsh_hadamard_transform,
 )
 
 DEFAULT_EXACT_LIMIT = 8
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 
 @dataclass(frozen=True)
@@ -52,79 +50,27 @@ class PauliPowerEstimate:
     sem: float
 
 
-def _fwht_last_inplace(work: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly along the last axis, radix-4
-    with preallocated scratch to keep memory traffic low."""
-    n = work.shape[-1]
-    lead = work.shape[:-1]
-    half = np.empty(work.size // 2, dtype=work.dtype)
-    h = 1
-    while 4 * h <= n:
-        view = work.reshape(*lead, n // (4 * h), 4, h)
-        s0, s1 = view[..., 0, :], view[..., 1, :]
-        s2, s3 = view[..., 2, :], view[..., 3, :]
-        q = half.reshape(2, *s0.shape)
-        t1, t2 = q[0], q[1]
-        np.subtract(s0, s1, out=t1)
-        np.subtract(s2, s3, out=t2)
-        np.add(s0, s1, out=s0)
-        np.add(s2, s3, out=s2)
-        np.add(t1, t2, out=s1)
-        np.subtract(t1, t2, out=t1)
-        np.subtract(s0, s2, out=t2)
-        np.add(s0, s2, out=s0)
-        s2[...] = t2
-        s3[...] = t1
-        h *= 4
-    if h < n:  # odd log2: one radix-2 pass
-        view = work.reshape(*lead, n // (2 * h), 2, h)
-        v0, v1 = view[..., 0, :], view[..., 1, :]
-        tmp = half.reshape(v0.shape)
-        np.subtract(v0, v1, out=tmp)
-        np.add(v0, v1, out=v0)
-        v1[...] = tmp
-    return work
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _g_table_kernel(wp, weights, g):  # pragma: no cover - exercised via wrapper
-        n_pairs, d, _ = wp.shape
-        tmp = np.empty(d, np.complex128)
-        for x in range(d):
-            for p in range(n_pairs):
-                block = wp[p]
-                for y in range(d):
-                    tmp[y] = block[y, y ^ x]
-                h = 1
-                while h < d:
-                    for i in range(0, d, 2 * h):
-                        for j in range(i, i + h):
-                            top = tmp[j]
-                            bot = tmp[j + h]
-                            tmp[j] = top + bot
-                            tmp[j + h] = top - bot
-                    h *= 2
-                w = weights[p]
-                for z in range(d):
-                    g[x, z] += w * (tmp[z].real ** 2 + tmp[z].imag ** 2)
-
-
 def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     """g[x, z] = Tr((Tr_B(U^dag P(x,z) U))^2) for every phase-0 string.
 
-    Per x, all z at once: with u reshaped to u[y, k, t] (k = kept block,
-    t = traced block, tracing the larger side since the partial trace of the
-    evolved Pauli has the same square-trace from either block),
+    With u reshaped to u[y, k, t] (k = kept block, t = traced block, tracing
+    the larger side since the partial trace of the evolved Pauli has the same
+    square-trace from either block), one batched matrix product gives the
+    pair correlations
 
-        S_x[y, k1, k2] = sum_t conj(u[y, k1, t]) u[y^x, k2, t],
-        g(x, z) = sum_{k1,k2} |FWHT_y(S_x[., k1, k2])[z]|^2 .
+        W[p, y, v] = sum_t conj(u[y, k1, t]) u[v, k2, t],   p = (k1 <= k2).
+
+    Then for a block of x values, all z at once: gather
+    S_x[p, y] = W[p, y, y^x], apply walsh_hadamard_transform along y, and
+    reduce
+
+        g(x, z) = sum_p weight_p |WHT_y(S_x[p, .])[z]|^2 .
+
+    A block holds about 2^14 gathered entries: memory beyond W stays small,
+    and a small system takes all x in one pass.
 
     The |.|^2 form follows from S_x[y, k2, k1] = conj(S_x[y^x, k1, k2]), which
     also means only k1 <= k2 pairs are needed (weight 2 off the diagonal).
-    The pair correlations W[p, y, v] = sum_t conj(u[y, k1, t]) u[v, k2, t]
-    come from one batched matrix product; the x-dependence is a pure gather.
     """
     d = bp.d
     if bp.d_a <= bp.d_b:
@@ -137,15 +83,14 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     weights = np.where(ka == kc, 1.0, 2.0)
     byk = u3.transpose(1, 0, 2)  # [keep, y, traced]
     wp = np.matmul(byk[ka].conj(), byk[kc].transpose(0, 2, 1))  # [pair, y, v]
-    if _HAVE_NUMBA:
-        g = np.zeros((d, d))
-        _g_table_kernel(np.ascontiguousarray(wp), weights, g)
-        return g
     ys = np.arange(d)
-    xor_grid = ys[:, None] ^ ys[None, :]  # [x, y]
-    v = wp[np.arange(len(ka))[:, None, None], ys[None, None, :], xor_grid[None, :, :]]
-    _fwht_last_inplace(v)  # y -> z, giving v[pair, x, z]
-    return np.tensordot(weights, np.abs(v) ** 2, axes=1)  # g[x, z]
+    block = max(1, (1 << 14) // (len(ka) * d))  # x values per gather: ~2^14 entries
+    g = np.empty((d, d))
+    for x0 in range(0, d, block):
+        xs = np.arange(x0, min(x0 + block, d))
+        s = walsh_hadamard_transform(wp[:, ys, ys ^ xs[:, None]])  # [pair, x, y -> z]
+        g[xs] = np.tensordot(weights, s.real**2 + s.imag**2, axes=1)
+    return g
 
 
 def _exact_value(u: np.ndarray, bp: Bipartition) -> float:
@@ -241,8 +186,7 @@ def q_projector_basis(n_qubits: int) -> np.ndarray:
     for x in range(d):
         for z in range(d):
             psi = np.zeros(d * d, dtype=complex)
-            signs = 1.0 - 2.0 * (np.bitwise_count(ys & z) & 1)
-            psi[ys * d + (ys ^ x)] = signs / np.sqrt(d)
+            psi[ys * d + (ys ^ x)] = _parity_signs(ys & z) / np.sqrt(d)
             basis[k] = np.kron(psi, psi)
             k += 1
     return basis

@@ -40,6 +40,10 @@ from .operators import Bipartition, is_unitary, realign
 from .paulis import (
     CliffordTableau,
     PauliString,
+    _f2_inverse,
+    _f2_nullspace,
+    _phase_power,
+    _symp_inner,
     clifford_from_generator_images,
     clifford_to_dense,
     pauli_multiply,
@@ -161,51 +165,8 @@ def _needs_sign_flip(m: np.ndarray, tol: float = 1e-8) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# F2 linear algebra
+# Symplectic bases
 # ---------------------------------------------------------------------------
-
-
-def _f2_nullspace(mat: np.ndarray) -> list[np.ndarray]:
-    """Basis of {v : v @ mat = 0 (mod 2)} for a symmetric uint8 matrix."""
-    m = mat.copy() % 2
-    n = m.shape[0]
-    trans = np.eye(n, dtype=np.uint8)
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if m[r, col]), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            m[[row, pivot]] = m[[pivot, row]]
-            trans[[row, pivot]] = trans[[pivot, row]]
-        for r in range(n):
-            if r != row and m[r, col]:
-                m[r] ^= m[row]
-                trans[r] ^= trans[row]
-        row += 1
-    return [trans[r] for r in range(n) if not m[r].any()]
-
-
-def _f2_inverse(mat: np.ndarray) -> np.ndarray:
-    m = mat.copy() % 2
-    n = m.shape[0]
-    inv = np.eye(n, dtype=np.uint8)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r, col]), None)
-        if pivot is None:
-            raise FactorizationDegeneracy("singular F2 system in Clifford assembly")
-        if pivot != col:
-            m[[col, pivot]] = m[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        for r in range(n):
-            if r != col and m[r, col]:
-                m[r] ^= m[col]
-                inv[r] ^= inv[col]
-    return inv
-
-
-def _symp_form(u: np.ndarray, v: np.ndarray, n: int) -> int:
-    return int((u[:n] @ v[n:] + u[n:] @ v[:n]) % 2)
 
 
 def _symplectic_pairs(vectors: list[np.ndarray], n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -214,7 +175,7 @@ def _symplectic_pairs(vectors: list[np.ndarray], n: int) -> list[tuple[np.ndarra
     pairs = []
     while vecs:
         f = vecs.pop(0)
-        j = next((k for k, v in enumerate(vecs) if _symp_form(f, v, n)), None)
+        j = next((k for k, v in enumerate(vecs) if _symp_inner(f, v, n)), None)
         if j is None:
             raise FactorizationDegeneracy("commutation form degenerate on subgroup")
         g = vecs.pop(j)
@@ -222,9 +183,9 @@ def _symplectic_pairs(vectors: list[np.ndarray], n: int) -> list[tuple[np.ndarra
         reduced = []
         for v in vecs:
             vv = v.copy()
-            if _symp_form(vv, g, n):
+            if _symp_inner(vv, g, n):
                 vv ^= f
-            if _symp_form(vv, f, n):
+            if _symp_inner(vv, f, n):
                 vv ^= g
             reduced.append(vv)
         vecs = reduced
@@ -438,8 +399,8 @@ def factorize(
         for k in np.flatnonzero(coeffs):
             acc_s, cs = pauli_multiply(acc_s, sources[k])
             acc_t, ct = pauli_multiply(acc_t, targets[k])
-            kappa_s = (kappa_s + _iexp(cs)) % 4
-            kappa_t = (kappa_t + _iexp(ct)) % 4
+            kappa_s = (kappa_s + _phase_power(cs)) % 4
+            kappa_t = (kappa_t + _phase_power(ct)) % 4
         if acc_s != gen.canonical():
             raise FactorizationDegeneracy("source decomposition failed")
         rel = (kappa_t - kappa_s) % 4
@@ -472,10 +433,6 @@ def factorize(
             f"reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL}"
         )
     return fac
-
-
-def _iexp(c: complex) -> int:
-    return int(np.argmin(np.abs(np.array([1, 1j, -1, -1j]) - c)))
 
 
 def verify_factorization(u: np.ndarray, fac: LocalCliffordFactorization) -> float:

@@ -28,11 +28,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidGeneratorImages, NotHermitian, SizeLimitExceeded
+from .errors import (
+    FactorizationDegeneracy,
+    InvalidGeneratorImages,
+    NotHermitian,
+    SizeLimitExceeded,
+)
 
 DEFAULT_DENSE_LIMIT = 12
 
 _I4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+_I4_POWER = {complex(v): k for k, v in enumerate(_I4)}
 
 SINGLE_QUBIT_PAULIS = {
     "I": np.eye(2, dtype=complex),
@@ -165,40 +171,39 @@ def pauli_commutes(p: PauliString, q: PauliString) -> bool:
     return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
 
 
+def _pauli_entries(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of the dense string, a signed permutation:
+    P[rows[c], cols[c]] = values[c] with cols = 0..d-1 and rows = cols ^ x."""
+    d = 1 << p.n_qubits
+    cols = np.arange(d)
+    pref = _I4[(p.phase_exp + (p.x & p.z).bit_count()) % 4]
+    return cols ^ p.x, cols, pref * _parity_signs(cols & p.z)
+
+
 def pauli_to_dense(p: PauliString, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense 2^N x 2^N matrix of a Pauli string (site 1 = most significant)."""
     if p.n_qubits > dense_limit:
         raise SizeLimitExceeded(f"{p.n_qubits} qubits exceeds dense limit {dense_limit}")
-    d = 1 << p.n_qubits
-    cols = np.arange(d)
-    rows = cols ^ p.x
-    pref = _I4[(p.phase_exp + (p.x & p.z).bit_count()) % 4]
-    signs = _parity_signs(cols & p.z)
-    m = np.zeros((d, d), dtype=complex)
-    m[rows, cols] = pref * signs
+    rows, cols, values = _pauli_entries(p)
+    m = np.zeros((cols.size, cols.size), dtype=complex)
+    m[rows, cols] = values
     return m
 
 
 def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """P @ vec in O(d), without building the dense matrix."""
-    d = 1 << p.n_qubits
-    if vec.shape[0] != d:
+    if vec.shape[0] != 1 << p.n_qubits:
         raise ValueError("dimension mismatch")
-    ys = np.arange(d)
-    src = ys ^ p.x
-    pref = _I4[(p.phase_exp + (p.x & p.z).bit_count()) % 4]
-    return pref * _parity_signs(src & p.z) * vec[src]
+    rows, _, values = _pauli_entries(p)
+    return values[rows] * vec[rows]
 
 
 def pauli_mul_matrix(p: PauliString, m: np.ndarray) -> np.ndarray:
     """P @ m in O(d^2): a signed row permutation of m."""
-    d = 1 << p.n_qubits
-    if m.shape[0] != d:
+    if m.shape[0] != 1 << p.n_qubits:
         raise ValueError("dimension mismatch")
-    ys = np.arange(d)
-    src = ys ^ p.x
-    pref = _I4[(p.phase_exp + (p.x & p.z).bit_count()) % 4]
-    return (pref * _parity_signs(src & p.z))[:, None] * m[src, :]
+    rows, _, values = _pauli_entries(p)
+    return values[rows][:, None] * m[rows, :]
 
 
 def _parity_signs(values: np.ndarray) -> np.ndarray:
@@ -234,29 +239,32 @@ def random_pauli(n_qubits: int, rng: np.random.Generator) -> PauliString:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _hadamard_matrix(n: int) -> np.ndarray:
+    """H[z, y] = (-1)^(z.y) for 0 <= y, z < n; read-only, shared by callers."""
+    ys = np.arange(n)
+    h = _parity_signs(ys[:, None] & ys[None, :])
+    h.flags.writeable = False
+    return h
+
+
 def walsh_hadamard_transform(arr: np.ndarray, axis: int = -1) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along one power-of-two axis:
-    out[z] = sum_y (-1)^(z.y) arr[y]."""
+    out[z] = sum_y (-1)^(z.y) arr[y].
+
+    For an axis of length n = 2^k, H_n = H_a (x) H_b with a = 2^floor(k/2)
+    and b = n / a, so the axis is reshaped to (a, b) and transformed by two
+    small matrix products, H_a @ block @ H_b.
+    """
     arr = np.asarray(arr)
     n = arr.shape[axis]
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError("axis length must be a power of two")
-    work = np.moveaxis(arr, axis, -1).copy()
+    a = 1 << ((n.bit_length() - 1) // 2)
+    work = np.moveaxis(arr, axis, -1)
     lead = work.shape[:-1]
-    h = 1
-    while h < n:
-        view = work.reshape(*lead, n // (2 * h), 2, h)
-        top = view[..., 0, :] + view[..., 1, :]
-        bot = view[..., 0, :] - view[..., 1, :]
-        view[..., 0, :] = top
-        view[..., 1, :] = bot
-        h *= 2
-    return np.moveaxis(work, -1, axis)
-
-
-@lru_cache(maxsize=8)
-def _popcount_mod4_table(d: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(d)).astype(np.int64) % 4
+    out = _hadamard_matrix(a) @ work.reshape(*lead, a, n // a) @ _hadamard_matrix(n // a)
+    return np.moveaxis(out.reshape(*lead, n), -1, axis)
 
 
 def _phase_grid(d: int) -> np.ndarray:
@@ -388,7 +396,11 @@ class CliffordTableau:
 
 
 def _phase_power(c: complex) -> int:
-    return int(np.argmin(np.abs(_I4 - c)))
+    """The k in {0, 1, 2, 3} with c == i^k exactly."""
+    try:
+        return _I4_POWER[complex(c)]
+    except KeyError:
+        raise ValueError(f"{c!r} is not a power of i") from None
 
 
 def clifford_from_generator_images(
@@ -441,6 +453,45 @@ def _f2_independent(vectors: list[np.ndarray], expected: int) -> list[np.ndarray
     if len(kept) != expected:
         raise AssertionError("unexpected rank in symplectic complement")
     return kept
+
+
+def _f2_nullspace(mat: np.ndarray) -> list[np.ndarray]:
+    """Basis of {v : v @ mat = 0 (mod 2)} for a symmetric uint8 matrix."""
+    m = mat.copy() % 2
+    n = m.shape[0]
+    trans = np.eye(n, dtype=np.uint8)
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, n) if m[r, col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            m[[row, pivot]] = m[[pivot, row]]
+            trans[[row, pivot]] = trans[[pivot, row]]
+        for r in range(n):
+            if r != row and m[r, col]:
+                m[r] ^= m[row]
+                trans[r] ^= trans[row]
+        row += 1
+    return [trans[r] for r in range(n) if not m[r].any()]
+
+
+def _f2_inverse(mat: np.ndarray) -> np.ndarray:
+    m = mat.copy() % 2
+    n = m.shape[0]
+    inv = np.eye(n, dtype=np.uint8)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r, col]), None)
+        if pivot is None:
+            raise FactorizationDegeneracy("singular F2 system in Clifford assembly")
+        if pivot != col:
+            m[[col, pivot]] = m[[pivot, col]]
+            inv[[col, pivot]] = inv[[pivot, col]]
+        for r in range(n):
+            if r != col and m[r, col]:
+                m[r] ^= m[col]
+                inv[r] ^= inv[col]
+    return inv
 
 
 def random_clifford(n_qubits: int, rng: np.random.Generator) -> CliffordTableau:

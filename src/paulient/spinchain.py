@@ -17,7 +17,7 @@ import numpy as np
 from .entpower import pauli_entangling_power
 from .errors import NotHermitian, SizeLimitExceeded
 from .operators import Bipartition, operator_entanglement
-from .paulis import SINGLE_QUBIT_PAULIS
+from .paulis import PauliString, _pauli_entries
 
 DEFAULT_DT = 0.2
 DEFAULT_SEM_THRESHOLD = 2e-2
@@ -51,41 +51,26 @@ class TFIMModel:
 SpinChainModel = XYZModel | TFIMModel
 
 
-def _site_ops(n: int, name: str) -> list[np.ndarray]:
-    s = SINGLE_QUBIT_PAULIS[name]
-    eye = np.eye(2, dtype=complex)
-    ops = []
-    for i in range(n):
-        m = np.array([[1.0 + 0.0j]])
-        for j in range(n):
-            m = np.kron(m, s if j == i else eye)
-        ops.append(m)
-    return ops
-
-
 def build_hamiltonian(model: SpinChainModel) -> np.ndarray:
     n = model.n_sites
     if n > DENSE_SITE_LIMIT:
         raise SizeLimitExceeded(f"{n} sites exceeds dense limit {DENSE_SITE_LIMIT}")
+    if not isinstance(model, (XYZModel, TFIMModel)):
+        raise TypeError(f"unknown model type {type(model)!r}")
+    terms = []  # (coeff, x bits, z bits) of phase-0 Pauli strings
+    for i in range(n):
+        site = 1 << (n - 1 - i)
+        bond = site ^ (1 << (n - 1 - (i + 1) % n))  # XOR: a one-site ring's bond is I
+        if isinstance(model, XYZModel):
+            terms += [(model.j_x, bond, 0), (model.j_y, bond, bond),
+                      (model.j_z, 0, bond), (model.h, 0, site)]
+        else:
+            terms += [(-model.j, 0, bond), (-model.h, 0, site), (-model.g, site, 0)]
     d = 1 << n
     ham = np.zeros((d, d), dtype=complex)
-    if isinstance(model, XYZModel):
-        xs, ys, zs = _site_ops(n, "X"), _site_ops(n, "Y"), _site_ops(n, "Z")
-        for i in range(n):
-            ni = (i + 1) % n
-            ham += model.j_x * xs[i] @ xs[ni]
-            ham += model.j_y * ys[i] @ ys[ni]
-            ham += model.j_z * zs[i] @ zs[ni]
-            ham += model.h * zs[i]
-    elif isinstance(model, TFIMModel):
-        xs, zs = _site_ops(n, "X"), _site_ops(n, "Z")
-        for i in range(n):
-            ni = (i + 1) % n
-            ham -= model.j * zs[i] @ zs[ni]
-            ham -= model.h * zs[i]
-            ham -= model.g * xs[i]
-    else:
-        raise TypeError(f"unknown model type {type(model)!r}")
+    for coeff, x, z in terms:
+        rows, cols, values = _pauli_entries(PauliString(n, x, z))
+        ham[rows, cols] += coeff * values
     return ham
 
 

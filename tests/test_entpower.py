@@ -16,7 +16,7 @@ from paulient.entpower import (
 )
 from paulient.errors import NotUnitary, SizeLimitExceeded
 from paulient.operators import Bipartition, haar_random_unitary, random_local_unitary
-from paulient.paulis import clifford_to_dense, random_clifford
+from paulient.paulis import clifford_to_dense, random_clifford, walsh_hadamard_transform
 
 from conftest import dense_pauli, oracle_pauli_power
 
@@ -51,7 +51,7 @@ class TestExactMode:
             assert pauli_entangling_power(v, bp).value < 1e-12
 
     def test_matches_brute_force_oracle(self, rng):
-        for n_a, n_b in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+        for n_a, n_b in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]:
             bp = Bipartition(n_a, n_b)
             u = haar_random_unitary(bp.d, rng)
             est = pauli_entangling_power(u, bp)
@@ -71,26 +71,18 @@ class TestExactMode:
         with pytest.raises(SizeLimitExceeded):
             pauli_entangling_power(u, BP11, exact_limit=1)
 
-    def test_numpy_fallback_kernel(self, rng, monkeypatch):
-        import paulient.entpower as ep
-
-        for n_a, n_b in [(1, 1), (1, 2), (2, 2)]:
-            bp = Bipartition(n_a, n_b)
-            u = haar_random_unitary(bp.d, rng)
-            fast = pauli_entangling_power(u, bp).value
-            monkeypatch.setattr(ep, "_HAVE_NUMBA", False)
-            slow = pauli_entangling_power(u, bp).value
-            monkeypatch.undo()
-            assert abs(fast - slow) < 1e-13
-
-    def test_radix4_butterfly_matches_reference(self, rng):
-        from paulient.entpower import _fwht_last_inplace
-        from paulient.paulis import walsh_hadamard_transform
-
-        for n in (2, 4, 8, 32, 128, 256):
-            a = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-            assert np.allclose(_fwht_last_inplace(a.copy()),
-                               walsh_hadamard_transform(a, axis=-1))
+    def test_walsh_hadamard_matches_dense_matrix(self, rng):
+        h = np.array([[1.0]])
+        for k in range(10):  # lengths 1..512, odd and even log2
+            n = 1 << k
+            for axis in (0, -1):
+                shape = (n, 3) if axis == 0 else (3, n)
+                real = rng.standard_normal(shape)
+                for a in (real, real + 1j * rng.standard_normal(shape)):
+                    want = h @ a if axis == 0 else a @ h.T
+                    assert np.allclose(walsh_hadamard_transform(a, axis=axis), want,
+                                       rtol=0.0, atol=1e-12 * n)
+            h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 class TestSampledMode:

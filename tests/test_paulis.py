@@ -7,6 +7,7 @@ from paulient.errors import InvalidGeneratorImages, SizeLimitExceeded
 from paulient.paulis import (
     CliffordTableau,
     PauliString,
+    _phase_power,
     apply_pauli,
     clifford_from_generator_images,
     clifford_to_dense,
@@ -79,6 +80,12 @@ class TestMultiplication:
     def test_qubit_mismatch(self):
         with pytest.raises(ValueError):
             pauli_multiply(P("X"), P("XX"))
+
+    def test_phase_power_is_exact(self):
+        for k, c in enumerate((1, 1j, -1, -1j)):
+            assert _phase_power(c) == k
+        with pytest.raises(ValueError):
+            _phase_power(0.7 + 0.7j)
 
 
 class TestCommutation:

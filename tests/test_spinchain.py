@@ -42,6 +42,19 @@ class TestHamiltonians:
             assert np.linalg.norm(h - h.conj().T) < 1e-10
             assert np.linalg.norm(h @ shift - shift @ h) < 1e-10
 
+    def test_xyz_all_couplings_match_dense_sum(self):
+        model = XYZModel(n_sites=4, j_x=0.75, j_y=-0.25, j_z=1.3, h=0.5)
+        expected = np.zeros((16, 16), dtype=complex)
+        for i in range(4):
+            for letter, coeff in (("X", model.j_x), ("Y", model.j_y), ("Z", model.j_z)):
+                bond = ["I"] * 4
+                bond[i] = bond[(i + 1) % 4] = letter
+                expected += coeff * dense_pauli("".join(bond))
+            field = ["I"] * 4
+            field[i] = "Z"
+            expected += model.h * dense_pauli("".join(field))
+        assert np.allclose(build_hamiltonian(model), expected, rtol=0.0, atol=1e-14)
+
     def test_site_limit(self):
         with pytest.raises(SizeLimitExceeded):
             build_hamiltonian(XYZModel(n_sites=13))
