@@ -7,9 +7,10 @@ below the threshold, and the time series stops under the usual
 1.96 sigma / sqrt(N_t) rule.
 
 This is far outside the test budget on a laptop CPU (each Pauli sample costs
-two 2048x2048 matrix products, and a full sweep point needs on the order of
-10^4 samples); run it on a beefy machine or chunk the sweep values.  Not part
-of the acceptance gate.
+one 2048x2048 matrix product, U^dag (P U) with P U a signed row permutation,
+plus one Gram product r r^dag of the 1024x4096 operator realigned across the
+5|6 cut; a full sweep point needs on the order of 10^4 samples); run it on
+a beefy machine or chunk the sweep values.  Not part of the acceptance gate.
 
 Example:
     python scripts/run_n11_sampled.py --model xyz --sweep Jz=0:0.5:1 \

@@ -14,11 +14,12 @@ oracle).  For fixed x bits all z values are handled at once:
     K_(x,z)[a1,a2] = (-i)^(x.z) sum_y (-1)^(z.y) sum_b
                       conj(u[y, a1, b]) u[y^x, a2, b]
 
-The inner sums over b for every pair (a1 <= a2) and every (y, v) come from
-one batched matrix product; then, for each block of x values, the entries
-at v = y^x are gathered, one walsh_hadamard_transform over y yields the
-whole z axis, and |.|^2 is reduced over the pairs.  The quadrupled space
-is never materialized.
+The pairs (a1 <= a2) are taken a block at a time.  For each block, one
+batched matrix product gives the inner sums over b for every (y, v); the
+entries at v = y^x are gathered for every x at once; one
+walsh_hadamard_transform over y yields the whole z axis; and |.|^2,
+weighted over the block's pairs, is added to the running g-table.  Neither
+the quadrupled space nor the full pair-correlation array is materialized.
 """
 
 from __future__ import annotations
@@ -53,24 +54,27 @@ class PauliPowerEstimate:
 def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     """g[x, z] = Tr((Tr_B(U^dag P(x,z) U))^2) for every phase-0 string.
 
-    With u reshaped to u[y, k, t] (k = kept block, t = traced block, tracing
-    the larger side since the partial trace of the evolved Pauli has the same
-    square-trace from either block), one batched matrix product gives the
-    pair correlations
+    With u reshaped to u[y, k, t] (k = kept block, t = traced block), the
+    larger side is traced, so "Tr_B" above means the larger block.  Single
+    entries depend on that choice, but sum_P g_P^2, and so P_E, is the same
+    from either block.  Per block of pairs, one batched matrix product gives
+    the pair correlations
 
         W[p, y, v] = sum_t conj(u[y, k1, t]) u[v, k2, t],   p = (k1 <= k2).
 
-    Then for a block of x values, all z at once: gather
-    S_x[p, y] = W[p, y, y^x], apply walsh_hadamard_transform along y, and
-    reduce
+    The pairs are taken in blocks of max(1, 2^18 // d^2), so a block's W,
+    its gather and its transform each hold about 2^18 complex entries and
+    the full W is never resident.  For each block, all x and z at once:
+    gather S[p, y, x] = W[p, y, y^x] with one flat index y*d + (y^x), apply
+    walsh_hadamard_transform along y, and accumulate
 
-        g(x, z) = sum_p weight_p |WHT_y(S_x[p, .])[z]|^2 .
+        g(x, z) = sum_p weight_p |WHT_y(S[p, ., x])[z]|^2
 
-    A block holds about 2^14 gathered entries: memory beyond W stays small,
-    and a small system takes all x in one pass.
+    into a [z, x] table, which is transposed once at the end.
 
-    The |.|^2 form follows from S_x[y, k2, k1] = conj(S_x[y^x, k1, k2]), which
-    also means only k1 <= k2 pairs are needed (weight 2 off the diagonal).
+    The |.|^2 form follows from S[(k2, k1), y, x] = conj(S[(k1, k2), y^x, x]),
+    which also means only k1 <= k2 pairs are needed (weight 2 off the
+    diagonal).
     """
     d = bp.d
     if bp.d_a <= bp.d_b:
@@ -82,15 +86,18 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     ka, kc = np.triu_indices(dk)
     weights = np.where(ka == kc, 1.0, 2.0)
     byk = u3.transpose(1, 0, 2)  # [keep, y, traced]
-    wp = np.matmul(byk[ka].conj(), byk[kc].transpose(0, 2, 1))  # [pair, y, v]
     ys = np.arange(d)
-    block = max(1, (1 << 14) // (len(ka) * d))  # x values per gather: ~2^14 entries
-    g = np.empty((d, d))
-    for x0 in range(0, d, block):
-        xs = np.arange(x0, min(x0 + block, d))
-        s = walsh_hadamard_transform(wp[:, ys, ys ^ xs[:, None]])  # [pair, x, y -> z]
-        g[xs] = np.tensordot(weights, s.real**2 + s.imag**2, axes=1)
-    return g
+    flat = ys[:, None] * d + (ys[:, None] ^ ys[None, :])  # [y, x] -> (y, y^x)
+    block = max(1, (1 << 18) // (d * d))  # pairs per block: ~2^18 entries of W
+    acc = np.zeros((d, 2 * d))  # [z, x] with re^2 and im^2 interleaved
+    for p0 in range(0, len(ka), block):
+        pa, pc = ka[p0:p0 + block], kc[p0:p0 + block]
+        wp = np.matmul(byk[pa].conj(), byk[pc].transpose(0, 2, 1))  # [pair, y, v]
+        s = np.take(wp.reshape(len(pa), d * d), flat, axis=1)  # [pair, y, x]
+        sq = walsh_hadamard_transform(s, axis=1).view(np.float64)  # [pair, z, x re/im]
+        sq *= sq
+        acc += (weights[p0:p0 + block] @ sq.reshape(len(pa), -1)).reshape(d, 2 * d)
+    return (acc[:, 0::2] + acc[:, 1::2]).T
 
 
 def _exact_value(u: np.ndarray, bp: Bipartition) -> float:
@@ -120,7 +127,9 @@ def pauli_entangling_power(
     mode="exact" enumerates all 4^N strings (N <= exact_limit); the sum is
     accumulated in a fixed order with compensated summation.  mode="sampled"
     draws i.i.d. uniform strings and stops once the standard error of the
-    mean drops below sem_target (or after a fixed n_samples).
+    mean drops below sem_target (or after a fixed n_samples).  It needs
+    n_samples >= 1 when given, max_samples >= 1, and min_samples >= 2, since
+    the standard error needs two samples.
     """
     if u.shape[0] != bp.d:
         raise ValueError("operator dimension does not match the bipartition")
@@ -137,6 +146,12 @@ def pauli_entangling_power(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("sampled mode needs an rng")
+    if n_samples is not None and n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be at least 1, got {max_samples}")
+    if min_samples < 2:
+        raise ValueError(f"min_samples must be at least 2, got {min_samples}")
     udag = u.conj().T
     count = 0
     mean = 0.0

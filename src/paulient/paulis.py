@@ -22,6 +22,7 @@ Encoding conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -253,18 +254,36 @@ def walsh_hadamard_transform(arr: np.ndarray, axis: int = -1) -> np.ndarray:
     out[z] = sum_y (-1)^(z.y) arr[y].
 
     For an axis of length n = 2^k, H_n = H_a (x) H_b with a = 2^floor(k/2)
-    and b = n / a, so the axis is reshaped to (a, b) and transformed by two
-    small matrix products, H_a @ block @ H_b.
+    and b = n / a, so the axis is split into (a, b) and transformed by two
+    small matrix products.  The path follows the axis position:
+
+    * trailing axis: the axis is reshaped to an (a, b) block and the result
+      is H_a @ block @ H_b, batched over the leading axes;
+    * any other axis: the input is made contiguous (complex input is viewed
+      as float64 pairs, so both products are real), and with pre and post
+      the sizes before and after the axis, H_a is applied to the
+      (pre, a, b*post) reshape and then H_b to the (pre*a, b, post) reshape.
+      Each product is a plain GEMM over a wide trailing dimension, with no
+      transpose of the data.
     """
     arr = np.asarray(arr)
     n = arr.shape[axis]
     if n < 1 or n & (n - 1):
         raise ValueError("axis length must be a power of two")
     a = 1 << ((n.bit_length() - 1) // 2)
-    work = np.moveaxis(arr, axis, -1)
-    lead = work.shape[:-1]
-    out = _hadamard_matrix(a) @ work.reshape(*lead, a, n // a) @ _hadamard_matrix(n // a)
-    return np.moveaxis(out.reshape(*lead, n), -1, axis)
+    b = n // a
+    axis %= arr.ndim
+    if axis == arr.ndim - 1:
+        lead = arr.shape[:-1]
+        out = _hadamard_matrix(a) @ arr.reshape(*lead, a, b) @ _hadamard_matrix(b)
+        return out.reshape(arr.shape)
+    work = np.ascontiguousarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
+    reals = work.view(np.float64)  # complex entries become (re, im) pairs
+    pre = math.prod(reals.shape[:axis])
+    post = math.prod(reals.shape[axis + 1:])
+    out = _hadamard_matrix(a) @ reals.reshape(pre, a, b * post)
+    out = _hadamard_matrix(b) @ out.reshape(pre * a, b, post)
+    return out.reshape(reals.shape).view(work.dtype)
 
 
 def _phase_grid(d: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from paulient.entpower import (
+    _pauli_g_table,
     haar_typical_expansion,
     haar_typical_value,
     local_pauli_magic_bound,
@@ -57,6 +59,39 @@ class TestExactMode:
             est = pauli_entangling_power(u, bp)
             assert abs(est.value - oracle_pauli_power(u, n_a, n_b)) < 1e-12
 
+    def test_g_table_across_pair_blocks_matches_partial_trace(self):
+        # At N = 7 the smaller block has 8 states: 36 pairs in blocks of
+        # 2^18 // 128^2 = 16, so the last block is partial.  4|3 keeps B and
+        # takes the transpose branch.  The table traces the larger block, so
+        # the oracle does too.
+        rng = np.random.default_rng(77)
+        n, d = 7, 128
+        u = haar_random_unitary(d, rng)
+        entries = [(0, 0), (0, 1 + int(rng.integers(d - 1))),
+                   (1 + int(rng.integers(d - 1)), 0), (d - 1, d - 1)]
+        entries += [tuple(int(v) for v in rng.integers(0, d, size=2)) for _ in range(36)]
+        for n_a in (3, 4):
+            da, db = 2**n_a, 2 ** (n - n_a)
+            table = _pauli_g_table(u, Bipartition(n_a, n - n_a))
+            for x, z in entries:
+                label = "".join("IZXY"[2 * ((x >> s) & 1) + ((z >> s) & 1)]
+                                for s in range(n - 1, -1, -1))
+                evolved = (u.conj().T @ dense_pauli(label) @ u).reshape(da, db, da, db)
+                k = np.einsum("ibjb->ij" if da <= db else "aiaj->ij", evolved)
+                want = np.trace(k @ k).real
+                assert abs(table[x, z] - want) <= 1e-10 * want, (n_a, x, z)
+
+    def test_exact_peak_memory_at_eight_qubits(self, rng):
+        # the pair-correlation array alone would be 136 MiB at 4|4
+        u = haar_random_unitary(256, rng)
+        tracemalloc.start()
+        try:
+            pauli_entangling_power(u, Bipartition(4, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_range(self, rng):
         for _ in range(20):
             v = pauli_entangling_power(haar_random_unitary(8, rng), Bipartition(1, 2)).value
@@ -75,11 +110,15 @@ class TestExactMode:
         h = np.array([[1.0]])
         for k in range(10):  # lengths 1..512, odd and even log2
             n = 1 << k
-            for axis in (0, -1):
-                shape = (n, 3) if axis == 0 else (3, n)
+            # leading, trailing and middle axes; the last case is a
+            # non-contiguous (transposed) view with the axis in the middle
+            for shape, axis, view in [((n, 3), 0, False), ((3, n), -1, False),
+                                      ((2, n, 3), 1, False), ((3, n, 2), 1, True)]:
                 real = rng.standard_normal(shape)
                 for a in (real, real + 1j * rng.standard_normal(shape)):
-                    want = h @ a if axis == 0 else a @ h.T
+                    if view:
+                        a = a.transpose(2, 1, 0)
+                    want = np.moveaxis(np.tensordot(h, a, axes=(1, axis)), 0, axis)
                     assert np.allclose(walsh_hadamard_transform(a, axis=axis), want,
                                        rtol=0.0, atol=1e-12 * n)
             h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
@@ -120,6 +159,13 @@ class TestSampledMode:
     def test_rng_required(self, rng):
         with pytest.raises(ValueError):
             pauli_entangling_power(haar_random_unitary(4, rng), BP11, mode="sampled")
+
+    def test_unusable_sample_counts_rejected(self, rng):
+        u = haar_random_unitary(4, rng)
+        for bad in (dict(n_samples=0), dict(max_samples=0), dict(min_samples=1)):
+            with pytest.raises(ValueError):
+                pauli_entangling_power(u, BP11, mode="sampled",
+                                       rng=np.random.default_rng(1), **bad)
 
 
 class TestQProjector:

@@ -90,6 +90,19 @@ class TestCli:
         assert strip_wall_time(out1.read_text()) == strip_wall_time(out2.read_text())
         assert "seed: 5" in out1.read_text()
 
+    def test_pe_sample_rejects_unusable_counts(self, tmp_path, rng, capsys):
+        u = haar_random_unitary(8, rng)
+        mfile = tmp_path / "u.txt"
+        save_matrix(str(mfile), u)
+        args = ["pe-sample", "--matrix", str(mfile), "--na", "1", "--nb", "2",
+                "--seed", "5"]
+        for bad in (["--count", "0"], ["--min-samples", "1"]):
+            out = tmp_path / "rows.csv"
+            assert main(args + bad + ["--out", str(out)]) == 1
+            assert not out.exists()
+            assert main(args + bad) == 1
+            assert capsys.readouterr().out == ""
+
     def test_thm1_check_true(self, tmp_path, rng):
         c = clifford_to_dense(random_clifford(2, rng))
         mfile = tmp_path / "c.txt"
