@@ -35,7 +35,8 @@ from .mpu import pauli_power_mpu
 from .operators import Bipartition, haar_random_unitary
 from .selftest import run_selftest
 from .serialize import load_matrix, load_mpu, tableau_to_text
-from .spinchain import run_sweep_experiment
+from .spinchain import run_sweep_experiment, write_sweep_csv
+from .stats import RunningMean
 
 
 def _digest(command: str, cfg: dict) -> str:
@@ -128,18 +129,21 @@ def _cmd_haar_mc(cfg: dict) -> int:
     d, da = cfg["d"], cfg["da"]
     na, nb = int(np.log2(da)), int(np.log2(d // da))
     bp = Bipartition(na, nb)
+    if cfg["n_unitaries"] < 2:
+        raise ValueError(f"haar-mc needs at least 2 unitaries for a standard error, "
+                         f"got {cfg['n_unitaries']}")
     rng = np.random.default_rng(cfg["seed"])
     start = time.perf_counter()
-    vals = [pauli_entangling_power(haar_random_unitary(d, rng), bp).value
-            for _ in range(cfg["n_unitaries"])]
+    acc = RunningMean()
+    for _ in range(cfg["n_unitaries"]):
+        acc.push(pauli_entangling_power(haar_random_unitary(d, rng), bp).value)
     wall = time.perf_counter() - start
-    mean = float(np.mean(vals))
-    sem = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
+    mean, sem = acc.mean, acc.half_width()
     closed = haar_typical_value(d, da)
     _write_csv(cfg.get("out"), _header("haar-mc", cfg),
                ["n_unitaries", "mc_mean", "mc_sem", "closed_form", "z_score",
                 "wall_time_s"],
-               [[len(vals), mean, sem, closed, (mean - closed) / sem, wall]])
+               [[acc.n, mean, sem, closed, (mean - closed) / sem, wall]])
     return 0
 
 
@@ -235,11 +239,11 @@ def _cmd_spinchain_run(cfg: dict) -> int:
     workers = cfg.get("workers") or os.cpu_count() or 1
     rows = run_sweep_experiment(
         cfg["model"], values, cfg["n"], mode=cfg["mode"],
-        output_path=cfg.get("out"), dt=cfg["dt"], sem_threshold=cfg["threshold"],
+        dt=cfg["dt"], sem_threshold=cfg["threshold"],
         n_min=cfg["n_min"], max_steps=cfg["max_steps"], seed=cfg.get("seed"),
         pe_sem_target=cfg["pe_sem_target"], workers=workers,
-        header_lines=_header("spinchain-run", cfg),
     )
+    write_sweep_csv(cfg.get("out"), rows, _header("spinchain-run", cfg))
     bad = [r for r in rows if not r.converged]
     if bad:
         sys.stderr.write(

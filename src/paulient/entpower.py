@@ -24,6 +24,7 @@ the quadrupled space nor the full pair-correlation array is materialized.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +34,14 @@ from .errors import NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, is_unitary, linear_entanglement_unitary
 from .paulis import (
     PauliString,
+    _operator_pauli_probs,
     _parity_signs,
     pauli_mul_matrix,
     pauli_to_dense,
-    pauli_trace_table,
+    random_pauli,
     walsh_hadamard_transform,
 )
+from .stats import run_until_converged
 
 DEFAULT_EXACT_LIMIT = 8
 
@@ -126,8 +129,10 @@ def pauli_entangling_power(
 
     mode="exact" enumerates all 4^N strings (N <= exact_limit); the sum is
     accumulated in a fixed order with compensated summation.  mode="sampled"
-    draws i.i.d. uniform strings and stops once the standard error of the
-    mean drops below sem_target (or after a fixed n_samples).  It needs
+    draws i.i.d. uniform strings into stats.run_until_converged with z = 1:
+    it stops once at least min_samples are in and the standard error of the
+    mean is below sem_target, or at max_samples (or after exactly n_samples
+    when given, whatever the standard error).  It needs
     n_samples >= 1 when given, max_samples >= 1, and min_samples >= 2, since
     the standard error needs two samples.
     """
@@ -153,23 +158,13 @@ def pauli_entangling_power(
     if min_samples < 2:
         raise ValueError(f"min_samples must be at least 2, got {min_samples}")
     udag = u.conj().T
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    target = n_samples if n_samples is not None else max_samples
-    while count < target:
-        p = PauliString.from_index(bp.n_qubits, int(rng.integers(0, 4**bp.n_qubits)))
-        val = _sample_once(u, udag, p, bp)
-        count += 1
-        delta = val - mean
-        mean += delta / count
-        m2 += delta * (val - mean)
-        if n_samples is None and count >= min_samples:
-            sem = math.sqrt(m2 / (count - 1)) / math.sqrt(count)
-            if sem < sem_target:
-                break
-    sem = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else float("inf")
-    return PauliPowerEstimate(value=mean, mode="sampled", n_samples=count, sem=sem)
+    draws = (_sample_once(u, udag, random_pauli(bp.n_qubits, rng), bp)
+             for _ in itertools.count())
+    # with a fixed count the rule can only fire at the cap itself
+    n_min, cap = (min_samples, max_samples) if n_samples is None else (n_samples, n_samples)
+    acc, _ = run_until_converged(draws, sem_target, 1.0, n_min, cap)
+    return PauliPowerEstimate(value=acc.mean, mode="sampled", n_samples=acc.n,
+                              sem=acc.half_width())
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +300,7 @@ def local_pauli_magic_bound(u: np.ndarray, bp: Bipartition) -> tuple[float, floa
             ps = PauliString.from_index(n_side, k)
             full = PauliString(n, ps.x << shift, ps.z << shift, 0)
             evolved = u @ pauli_mul_matrix(full, udag)
-            probs = np.abs(pauli_trace_table(evolved).ravel() / bp.d) ** 2
+            probs = _operator_pauli_probs(evolved)
             vals.append(1.0 - float(np.sum(probs**2)))
         return math.fsum(vals) / len(vals)
 

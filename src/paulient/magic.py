@@ -20,7 +20,12 @@ from scipy.optimize import minimize
 
 from .errors import NotUnitary
 from .operators import Bipartition, is_unitary
-from .paulis import PauliString, pauli_expectation_table, pauli_to_dense, pauli_trace_table
+from .paulis import (
+    PauliString,
+    _operator_pauli_probs,
+    pauli_expectation_table,
+    pauli_to_dense,
+)
 
 NORM_TOL = 1e-10
 
@@ -53,14 +58,6 @@ def stabilizer_renyi_entropy(psi: np.ndarray, alpha: float = 2.0) -> float:
         nz = xi[xi > 1e-300]
         return float(-np.sum(nz * np.log2(nz)) - np.log2(d))
     return float(np.log2(np.sum(xi**alpha)) / (1.0 - alpha) - np.log2(d))
-
-
-def _operator_pauli_probs(op: np.ndarray) -> np.ndarray:
-    """Xi_P' = |Tr(op P')/d|^2 over all phase-0 strings; sums to 1 for
-    unitary op."""
-    d = op.shape[0]
-    table = pauli_trace_table(op) / d
-    return np.abs(table.ravel()) ** 2
 
 
 def operator_stabilizer_entropy(op: np.ndarray, alpha: float | str = "linear") -> float:

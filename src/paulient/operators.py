@@ -43,13 +43,6 @@ class Bipartition:
         return 1 << self.n_b
 
 
-def n_qubits_of(matrix: np.ndarray) -> int:
-    d = matrix.shape[0]
-    if matrix.ndim != 2 or matrix.shape[1] != d or d & (d - 1) or d < 2:
-        raise ValueError("expected a square matrix of power-of-two dimension")
-    return d.bit_length() - 1
-
-
 def is_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     d = matrix.shape[0]
     return bool(

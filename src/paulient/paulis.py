@@ -309,6 +309,14 @@ def pauli_trace_table(op: np.ndarray) -> np.ndarray:
     return table
 
 
+def _operator_pauli_probs(op: np.ndarray) -> np.ndarray:
+    """Xi_P = |Tr(op P)/d|^2 over all phase-0 strings, flattened; sums to 1
+    for unitary op."""
+    d = op.shape[0]
+    table = pauli_trace_table(op) / d
+    return np.abs(table.ravel()) ** 2
+
+
 def pauli_expectation_table(psi: np.ndarray) -> np.ndarray:
     """table[x, z] = <psi| P(x, z) |psi> for every phase-0 string."""
     psi = np.asarray(psi, dtype=complex)

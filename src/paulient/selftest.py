@@ -104,7 +104,7 @@ def check_coherence_identity() -> None:
         m = magic.operator_stabilizer_entropy(u, "linear")
         c2 = magic.operator_coherence_2(u)
         assert abs(m - c2) < 1e-14, "2-coherence identity"
-        assert abs(magic._operator_pauli_probs(u).sum() - 1.0) < 1e-10
+        assert abs(paulis._operator_pauli_probs(u).sum() - 1.0) < 1e-10
         psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi /= np.linalg.norm(psi)
         assert abs(magic._state_pauli_probs(psi).sum() - 1.0) < 1e-10

@@ -2,14 +2,21 @@
 transverse-field Ising dynamics, time series of the Pauli-entangling power
 and the operator entanglement of the evolution, and long-time averages with
 a standard-error stopping rule.
+
+One rule stops every long-time average: stats.run_until_converged with
+z = 1.96, reached through long_time_average.  A sweep point feeds it the
+pairs (P_E(U_t), E_lin(U_t)) at t = k dt, one timestep at a time, and stops
+once both half-widths are below the threshold.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import itertools
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,6 +25,7 @@ from .entpower import pauli_entangling_power
 from .errors import NotHermitian, SizeLimitExceeded
 from .operators import Bipartition, operator_entanglement
 from .paulis import PauliString, _pauli_entries
+from .stats import run_until_converged
 
 DEFAULT_DT = 0.2
 DEFAULT_SEM_THRESHOLD = 2e-2
@@ -98,74 +106,54 @@ def evolve_unitary(ham: np.ndarray, t: float) -> np.ndarray:
 class TimeSeries:
     dt: float
     times: np.ndarray
-    values: np.ndarray
-    sems: np.ndarray  # per-sample uncertainty (0 for exactly evaluated points)
+    values: np.ndarray  # one row per timestep for array-valued series
     n_steps: int
-    running_sem: float  # final 1.96 sigma / sqrt(N_t)
+    running_sem: float | np.ndarray  # final 1.96 sigma / sqrt(N_t), per entry
     converged: bool
 
 
-class _RunningStats:
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, value: float) -> None:
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (value - self.mean)
-
-    def half_width(self) -> float:
-        """1.96 sigma / sqrt(N) with the sample standard deviation."""
-        if self.n < 2:
-            return math.inf
-        return 1.96 * math.sqrt(self._m2 / (self.n - 1)) / math.sqrt(self.n)
-
-
 def long_time_average(
-    series: Iterable[float],
+    series: Iterable,
     dt: float = DEFAULT_DT,
     sem_threshold: float = DEFAULT_SEM_THRESHOLD,
     n_min: int = DEFAULT_N_MIN,
     max_steps: int = 20000,
-) -> tuple[float, TimeSeries]:
+) -> tuple[float | np.ndarray, TimeSeries]:
     """Running time-mean of samples at t = k dt, stopped at the first
     N_t >= n_min with 1.96 sigma / sqrt(N_t) below the threshold.
 
-    If the series ends (or max_steps is hit) before the rule fires, the
-    partial mean is returned with converged=False.
+    The samples are scalars or equal-shape arrays; for arrays the mean is
+    taken per entry and the rule waits for every entry.  The series is read
+    lazily, so no sample past the stopping point is computed.  If the series
+    ends (or max_steps is hit) before the rule fires, the partial mean is
+    returned with converged=False.  max_steps < 1 raises ValueError.
     """
-    stats = _RunningStats()
-    values: list[float] = []
-    converged = False
-    for value in series:
-        stats.push(float(value))
-        values.append(float(value))
-        if stats.n >= n_min and stats.half_width() < sem_threshold:
-            converged = True
-            break
-        if stats.n >= max_steps:
-            break
-    arr = np.asarray(values)
+    values: list = []
+
+    def recorded():
+        for value in series:
+            value = float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+            values.append(value)
+            yield value
+
+    acc, converged = run_until_converged(recorded(), sem_threshold, 1.96, n_min, max_steps)
     ts = TimeSeries(
         dt=dt,
         times=dt * np.arange(len(values)),
-        values=arr,
-        sems=np.zeros(len(values)),
-        n_steps=stats.n,
-        running_sem=stats.half_width(),
+        values=np.asarray(values),
+        n_steps=acc.n,
+        running_sem=acc.half_width(1.96),
         converged=converged,
     )
-    return stats.mean, ts
+    return acc.mean, ts
 
 
 # ---------------------------------------------------------------------------
 # Sweep experiments
 # ---------------------------------------------------------------------------
 
-SWEEP_COLUMNS = ("sweep_value", "n_sites", "mean_PE", "mean_E", "n_steps", "total_samples")
+SWEEP_COLUMNS = ("sweep_value", "n_sites", "mean_PE", "mean_E", "n_steps", "total_samples",
+                 "converged", "pe_half_width", "e_half_width")
 
 
 @dataclass
@@ -177,6 +165,8 @@ class SweepRow:
     n_steps: int
     total_samples: int
     converged: bool
+    pe_half_width: float  # final 1.96 sigma / sqrt(N_t) of the P_E series
+    e_half_width: float  # the same for the E_lin series
 
 
 def _model_for(family: str, n_sites: int, sweep_value: float,
@@ -203,38 +193,31 @@ def _sweep_point(
     pe_sem_target: float,
 ) -> SweepRow:
     model = _model_for(family, n_sites, sweep_value, fixed)
-    prop = HamiltonianPropagator(build_hamiltonian(model))
     bp = Bipartition(n_sites // 2, n_sites - n_sites // 2)
     rng = np.random.default_rng(seed)
-    pe_stats, el_stats = _RunningStats(), _RunningStats()
-    total_samples = 0
-    converged = False
-    for k in range(max_steps):
-        u_t = prop.unitary_at(k * dt)
-        if mode == "exact":
-            est = pauli_entangling_power(u_t, bp, mode="exact")
-        else:
-            est = pauli_entangling_power(
-                u_t, bp, mode="sampled", rng=rng, sem_target=pe_sem_target
-            )
-        total_samples += est.n_samples
-        pe_stats.push(est.value)
-        el_stats.push(operator_entanglement(u_t, bp, "linear"))
-        if (
-            pe_stats.n >= n_min
-            and pe_stats.half_width() < sem_threshold
-            and el_stats.half_width() < sem_threshold
-        ):
-            converged = True
-            break
+    samples: list[int] = []  # Pauli strings evaluated per timestep
+
+    def steps():
+        # built on the first step, so a rejected step cap costs no eigh
+        prop = HamiltonianPropagator(build_hamiltonian(model))
+        for k in itertools.count():
+            u_t = prop.unitary_at(k * dt)
+            est = pauli_entangling_power(u_t, bp, mode=mode, rng=rng, sem_target=pe_sem_target)
+            samples.append(est.n_samples)
+            yield est.value, operator_entanglement(u_t, bp, "linear")
+
+    (mean_pe, mean_e), ts = long_time_average(steps(), dt, sem_threshold, n_min, max_steps)
+    pe_half_width, e_half_width = ts.running_sem
     return SweepRow(
         sweep_value=sweep_value,
         n_sites=n_sites,
-        mean_pe=pe_stats.mean,
-        mean_e=el_stats.mean,
-        n_steps=pe_stats.n,
-        total_samples=total_samples,
-        converged=converged,
+        mean_pe=float(mean_pe),
+        mean_e=float(mean_e),
+        n_steps=ts.n_steps,
+        total_samples=sum(samples),
+        converged=ts.converged,
+        pe_half_width=float(pe_half_width),
+        e_half_width=float(e_half_width),
     )
 
 
@@ -261,7 +244,10 @@ def run_sweep_experiment(
     results do not depend on the worker count; rows are emitted in sweep
     order.  mode="exact" enumerates all Pauli strings per timestep (use for
     n_sites <= 8); mode="sampled" draws strings per timestep until the
-    estimator's standard error is below pe_sem_target.
+    estimator's standard error is below pe_sem_target.  Each point runs
+    long_time_average on its (P_E, E_lin) pairs: it stops once n_min steps
+    are in and both 1.96 sigma / sqrt(N_t) are below sem_threshold, or at
+    max_steps with converged=False.  max_steps < 1 raises ValueError.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -286,14 +272,18 @@ def _sweep_point_star(args) -> SweepRow:
     return _sweep_point(*args)
 
 
-def write_sweep_csv(path: str, rows: list[SweepRow], header_lines: Sequence[str] = ()) -> None:
-    with open(path, "w", newline="") as fh:
+def write_sweep_csv(path: str | None, rows: list[SweepRow],
+                    header_lines: Sequence[str] = ()) -> None:
+    """Sweep rows as CSV under `# ` header lines; to stdout when path is None."""
+    with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         for r in rows:
             writer.writerow([
                 f"{r.sweep_value:.12g}", r.n_sites, f"{r.mean_pe:.12g}",
                 f"{r.mean_e:.12g}", r.n_steps, r.total_samples,
+                "true" if r.converged else "false",
+                f"{r.pe_half_width:.12g}", f"{r.e_half_width:.12g}",
             ])

@@ -61,6 +61,15 @@ class TestCheck:
             ok, witness = check_pauli_product_preserving(u, Bipartition(na, n - na))
             assert not ok and witness is not None
 
+    def test_seven_qubits_decided_on_generators(self, rng):
+        # 2N = 14 generator images decide the 4^7 strings; no size limit
+        bp = Bipartition(3, 4)
+        u, _, _, _ = make_product_preserving(bp, rng)
+        assert check_pauli_product_preserving(u, bp) == (True, None)
+        ok, (p, lam2) = check_pauli_product_preserving(haar_random_unitary(bp.d, rng), bp)
+        assert not ok and lam2 > 1e-3
+        assert bin(p.x).count("1") + bin(p.z).count("1") == 1  # a generator
+
 
 class TestExtractFactors:
     def test_pauli_product(self):

@@ -170,6 +170,17 @@ class TestCli:
         row = out.read_text().splitlines()[-1].split(",")
         assert abs(float(row[4])) < 4.0  # z-score against the closed form
 
+    def test_haar_mc_rejects_too_few_unitaries(self, tmp_path, capsys):
+        for count in ("0", "1"):
+            args = ["haar-mc", "--d", "4", "--da", "2", "--n-unitaries", count,
+                    "--seed", "3"]
+            out = tmp_path / "mc.csv"
+            assert main(args + ["--out", str(out)]) == 1
+            assert not out.exists()
+            assert main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "at least 2" in captured.err
+
     def test_spinchain_run_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0:1:1",
@@ -178,7 +189,31 @@ class TestCli:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
         header = [ln for ln in out1.read_text().splitlines() if not ln.startswith("#")][0]
-        assert header == "sweep_value,n_sites,mean_PE,mean_E,n_steps,total_samples"
+        assert header == ("sweep_value,n_sites,mean_PE,mean_E,n_steps,total_samples,"
+                          "converged,pe_half_width,e_half_width")
+
+    def test_spinchain_run_writes_stdout_without_out(self, tmp_path, capsys):
+        args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0,1",
+                "--n", "3", "--seed", "9", "--workers", "1"]
+        out = tmp_path / "sweep.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args) == 0
+        text = capsys.readouterr().out
+        assert text == out.read_text()
+        lines = text.splitlines()
+        assert lines[0] == "# command: spinchain-run"
+        assert len([ln for ln in lines if not ln.startswith("#")]) == 3
+
+    def test_spinchain_run_rejects_zero_max_steps(self, tmp_path, capsys):
+        args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0",
+                "--n", "3", "--max-steps", "0", "--workers", "1"]
+        out = tmp_path / "sweep.csv"
+        assert main(args + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err
 
     def test_sweep_parameter_validation(self, tmp_path):
         assert main(["spinchain-run", "--model", "tfim", "--sweep", "Jz=0:1:1",

@@ -132,6 +132,38 @@ class TestLongTimeAverage:
         mean, ts = long_time_average(noisy(), max_steps=50)
         assert not ts.converged and ts.n_steps == 50
 
+    def test_series_shorter_than_floor_not_converged(self):
+        mean, ts = long_time_average(iter([0.1, 0.2, 0.3] * 4))
+        assert not ts.converged and ts.n_steps == 12
+        assert abs(mean - 0.2) < 1e-15
+        assert ts.values.shape == (12,)
+
+    def test_pair_series_waits_for_both_entries(self):
+        # the first entry is constant, the second needs more steps
+        rng = np.random.default_rng(3)
+        pairs = [(0.5, float(v)) for v in rng.uniform(size=5000)]
+        mean, ts = long_time_average(iter(pairs))
+        alone, ts_alone = long_time_average(iter(v for _, v in pairs))
+        assert ts.converged and ts.n_steps == ts_alone.n_steps > 25
+        assert mean[0] == 0.5 and mean[1] == alone
+        assert ts.running_sem[0] == 0.0 and ts.running_sem[1] == ts_alone.running_sem
+        assert ts.values.shape == (ts.n_steps, 2)
+
+    def test_step_cap_below_one_rejected(self):
+        drawn = []
+
+        def series():
+            while True:
+                drawn.append(1)
+                yield 1.0
+
+        for cap in (0, -1):
+            with pytest.raises(ValueError):
+                long_time_average(series(), max_steps=cap)
+        assert drawn == []
+        with pytest.raises(ValueError):
+            run_sweep_experiment("xyz", [0.0], 3, mode="exact", max_steps=0)
+
 
 class TestObservables:
     def test_initial_values_exactly_zero(self):
@@ -160,8 +192,33 @@ class TestSweep:
         assert len(rows) == 2 and all(r.converged for r in rows)
         text = out.read_text().splitlines()
         assert text[0] == "# seed: 7"
-        assert text[1] == "sweep_value,n_sites,mean_PE,mean_E,n_steps,total_samples"
+        assert text[1] == ("sweep_value,n_sites,mean_PE,mean_E,n_steps,total_samples,"
+                           "converged,pe_half_width,e_half_width")
         assert len(text) == 4
+        for line, r in zip(text[2:], rows):
+            cells = line.split(",")
+            assert cells[6] == "true"
+            assert float(cells[7]) == pytest.approx(r.pe_half_width, rel=1e-11)
+            assert float(cells[8]) == pytest.approx(r.e_half_width, rel=1e-11)
+            assert max(r.pe_half_width, r.e_half_width) < 2e-2
+
+    def test_exact_row_is_long_time_average_of_direct_series(self):
+        (row,) = run_sweep_experiment("xyz", [1.0], 4, mode="exact", seed=7)
+        prop = HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=4, j_z=1.0)))
+        bp = Bipartition(2, 2)
+        pairs = []
+        for k in range(row.n_steps):
+            u = prop.unitary_at(0.2 * k)
+            pairs.append((pauli_entangling_power(u, bp).value,
+                          operator_entanglement(u, bp, "linear")))
+        (mean_pe, mean_e), ts = long_time_average(iter(pairs))
+        assert row.converged and ts.converged and ts.n_steps == row.n_steps
+        assert (row.mean_pe, row.mean_e) == (mean_pe, mean_e)
+        assert (row.pe_half_width, row.e_half_width) == tuple(ts.running_sem)
+        assert row.total_samples == row.n_steps * 4**4
+        # one step fewer must not have stopped: the row stops at the first firing
+        _, shorter = long_time_average(iter(pairs[:-1]))
+        assert not shorter.converged
 
     def test_integrability_breaking_ordering_small(self):
         # the integrable point has strictly smaller long-time means already
