@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._threads import available_cores
 from .entpower import (
     haar_typical_expansion,
     haar_typical_value,
@@ -231,12 +232,10 @@ def _parse_sweep(expr: str, family: str) -> list[float]:
 
 
 def _cmd_spinchain_run(cfg: dict) -> int:
-    import os
-
     values = _parse_sweep(cfg["sweep"], cfg["model"])
     if cfg["mode"] == "sampled" and cfg.get("seed") is None:
         raise ConfigError("sampled mode requires a seed")
-    workers = cfg.get("workers") or os.cpu_count() or 1
+    workers = cfg.get("workers") or min(available_cores(), len(values))
     rows = run_sweep_experiment(
         cfg["model"], values, cfg["n"], mode=cfg["mode"],
         dt=cfg["dt"], sem_threshold=cfg["threshold"],
@@ -364,7 +363,8 @@ _SCHEMAS: dict[str, tuple] = {
                  help="per-timestep SEM target in sampled mode"),
             dict(flags=["--seed"], type=int, default=None),
             dict(flags=["--workers"], type=int, default=None,
-                 help="parallel sweep points (default: available cores); "
+                 help="parallel sweep points (default: available cores, "
+                      "at most one per sweep value); "
                       "results are independent of the worker count"),
             _COMMON_OUT,
         ],

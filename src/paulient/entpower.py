@@ -16,30 +16,36 @@ oracle).  For fixed x bits all z values are handled at once:
 
 The pairs (a1 <= a2) are taken a block at a time.  For each block, one
 batched matrix product gives the inner sums over b for every (y, v); the
-entries at v = y^x are gathered for every x at once; one
-walsh_hadamard_transform over y yields the whole z axis; and |.|^2,
-weighted over the block's pairs, is added to the running g-table.  Neither
-the quadrupled space nor the full pair-correlation array is materialized.
+entries at v = y^x are gathered for every x at once; one Walsh-Hadamard
+transform over y yields the whole z axis; and |.|^2, weighted over the
+block's pairs, gives the block's share of the g-table.  The shares are added
+in block order.  Neither the quadrupled space nor the full pair-correlation
+array is materialized.  Calls with two or more blocks (never at N <= 5) run
+them on the _threads pool, in buffers the caller allocates once, on as many
+cores as a fixed memory budget allows; the table does not depend on the
+number of threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import queue
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .errors import NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, is_unitary, linear_entanglement_unitary
 from .paulis import (
     PauliString,
     _operator_pauli_probs,
     _parity_signs,
+    _wht_real,
     pauli_mul_matrix,
     pauli_to_dense,
     random_pauli,
-    walsh_hadamard_transform,
 )
 from .stats import run_until_converged
 
@@ -54,6 +60,11 @@ class PauliPowerEstimate:
     sem: float
 
 
+# bytes that one exact call's block buffers and unsummed slots may take
+# together; a pooled call uses fewer threads where more would not fit
+_BLOCK_BUDGET = 20 << 20
+
+
 def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     """g[x, z] = Tr((Tr_B(U^dag P(x,z) U))^2) for every phase-0 string.
 
@@ -65,15 +76,26 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
 
         W[p, y, v] = sum_t conj(u[y, k1, t]) u[v, k2, t],   p = (k1 <= k2).
 
-    The pairs are taken in blocks of max(1, 2^18 // d^2), so a block's W,
-    its gather and its transform each hold about 2^18 complex entries and
-    the full W is never resident.  For each block, all x and z at once:
-    gather S[p, y, x] = W[p, y, y^x] with one flat index y*d + (y^x), apply
-    walsh_hadamard_transform along y, and accumulate
+    The pairs are taken in blocks of max(1, 2^17 // d^2), so a block's W and
+    its gather each hold about 2^17 complex entries and the full W is never
+    resident.  For each block, all x and z at once: gather
+    S[p, y, x] = W[p, y, y^x] with one flat index y*d + (y^x), apply the
+    Walsh-Hadamard transform along y (with W's buffer as its scratch), and
+    form the block's slot
 
-        g(x, z) = sum_p weight_p |WHT_y(S[p, ., x])[z]|^2
+        g_block(x, z) = sum_p weight_p |WHT_y(S[p, ., x])[z]|^2
 
-    into a [z, x] table, which is transposed once at the end.
+    as a [z, x] table.  The slots are added in block order, and the sum is
+    transposed once at the end.
+
+    Calls with two or more blocks run them on the _threads pool.  The
+    calling thread allocates one set of block buffers per thread, and a
+    block borrows a free set while it runs.  The buffer sets and the unsummed
+    slots (at most threads + 2) stay within _BLOCK_BUDGET bytes, which caps
+    the threads by the sizes (three at N = 8, 4|4; one from N = 9), not by
+    the cores.  The block size depends on the sizes alone and the slots are
+    summed in block order, so the table does not depend on the number of
+    threads.
 
     The |.|^2 form follows from S[(k2, k1), y, x] = conj(S[(k1, k2), y^x, x]),
     which also means only k1 <= k2 pairs are needed (weight 2 off the
@@ -81,25 +103,54 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     """
     d = bp.d
     if bp.d_a <= bp.d_b:
-        dk = bp.d_a
-        u3 = u.reshape(d, dk, bp.d_b)  # [y, keep, traced]
+        dk, dt = bp.d_a, bp.d_b
+        u3 = u.reshape(d, dk, dt)  # [y, keep, traced]
     else:
-        dk = bp.d_b
-        u3 = np.ascontiguousarray(u.reshape(d, bp.d_a, dk).transpose(0, 2, 1))
+        dk, dt = bp.d_b, bp.d_a
+        u3 = u.reshape(d, dt, dk).transpose(0, 2, 1)
     ka, kc = np.triu_indices(dk)
     weights = np.where(ka == kc, 1.0, 2.0)
-    byk = u3.transpose(1, 0, 2)  # [keep, y, traced]
+    byk = np.ascontiguousarray(u3.transpose(1, 0, 2), dtype=complex)  # [keep, y, traced]
     ys = np.arange(d)
     flat = ys[:, None] * d + (ys[:, None] ^ ys[None, :])  # [y, x] -> (y, y^x)
-    block = max(1, (1 << 18) // (d * d))  # pairs per block: ~2^18 entries of W
-    acc = np.zeros((d, 2 * d))  # [z, x] with re^2 and im^2 interleaved
-    for p0 in range(0, len(ka), block):
-        pa, pc = ka[p0:p0 + block], kc[p0:p0 + block]
-        wp = np.matmul(byk[pa].conj(), byk[pc].transpose(0, 2, 1))  # [pair, y, v]
-        s = np.take(wp.reshape(len(pa), d * d), flat, axis=1)  # [pair, y, x]
-        sq = walsh_hadamard_transform(s, axis=1).view(np.float64)  # [pair, z, x re/im]
-        sq *= sq
-        acc += (weights[p0:p0 + block] @ sq.reshape(len(pa), -1)).reshape(d, 2 * d)
+    block = max(1, (1 << 17) // (d * d))  # pairs per block: ~2^17 entries of W
+    starts = range(0, len(ka), block)
+    width = min(block, len(ka))
+    set_bytes = 16 * width * d * (2 * dt + 2 * d)  # one set of the buffers below
+    slot_bytes = 16 * d * d  # one [z, x] slot, re^2 and im^2 in float64
+    fit = (_BLOCK_BUDGET - 2 * slot_bytes) // (set_bytes + slot_bytes)
+    threads = _threads.threads_for(min(len(starts), fit))
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    for _ in range(threads):
+        free.put((np.empty((width, d, dt), complex),  # conj(u) rows of k1
+                  np.empty((width, d, dt), complex),  # u rows of k2
+                  np.empty((width, d, d), complex),  # W, then WHT scratch
+                  np.empty((width, d, d), complex)))  # gather, then |WHT|^2
+
+    def block_slot(p0: int) -> np.ndarray:
+        buffers = free.get()
+        try:
+            pa, pc = ka[p0:p0 + block], kc[p0:p0 + block]
+            n = len(pa)
+            lhs, rhs, wp, s = (b[:n] for b in buffers)
+            # the indices are in range; mode="clip" writes straight into out,
+            # where the default mode="raise" goes through a temporary
+            np.take(byk, pa, axis=0, out=lhs, mode="clip")
+            np.conjugate(lhs, out=lhs)
+            np.take(byk, pc, axis=0, out=rhs, mode="clip")
+            np.matmul(lhs, rhs.transpose(0, 2, 1), out=wp)  # [pair, y, v]
+            np.take(wp.reshape(n, d * d), flat, axis=1, out=s, mode="clip")  # [pair, y, x]
+            sq = s.view(np.float64)  # [pair, y -> z, x re/im]
+            _wht_real(sq, 1, scratch=wp.view(np.float64), out=sq)
+            np.multiply(sq, sq, out=sq)
+            return weights[p0:p0 + n] @ sq.reshape(n, -1)
+        finally:
+            free.put(buffers)
+
+    acc = np.zeros(2 * d * d)  # [z, x] with re^2 and im^2 interleaved
+    for slot in _threads.ordered_map(block_slot, starts, threads):
+        acc += slot
+    acc = acc.reshape(d, 2 * d)
     return (acc[:, 0::2] + acc[:, 1::2]).T
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -211,27 +211,8 @@ def _parity_signs(values: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(values) & 1)
 
 
-def pauli_enumerate_or_sample(
-    n_qubits: int,
-    mode: str = "all",
-    rng: np.random.Generator | None = None,
-    count: int | None = None,
-) -> Iterator[PauliString]:
-    """Stream phase-0 Pauli strings: the full group (identity first) or
-    i.i.d. uniform draws (identity included in the support)."""
-    if mode == "all":
-        for k in range(4**n_qubits):
-            yield PauliString.from_index(n_qubits, k)
-    elif mode == "uniform":
-        if rng is None or count is None:
-            raise ValueError("uniform mode needs rng and count")
-        for k in rng.integers(0, 4**n_qubits, size=count):
-            yield PauliString.from_index(n_qubits, int(k))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-
 def random_pauli(n_qubits: int, rng: np.random.Generator) -> PauliString:
+    """One uniform draw from the 4^N phase-0 strings, identity included."""
     return PauliString.from_index(n_qubits, int(rng.integers(0, 4**n_qubits)))
 
 
@@ -247,6 +228,14 @@ def _hadamard_matrix(n: int) -> np.ndarray:
     h = _parity_signs(ys[:, None] & ys[None, :])
     h.flags.writeable = False
     return h
+
+
+def _wht_split(n: int) -> tuple[int, int]:
+    """(a, b) with n = a * b, a = 2^floor(k/2), for an axis of length n = 2^k."""
+    if n < 1 or n & (n - 1):
+        raise ValueError("axis length must be a power of two")
+    a = 1 << ((n.bit_length() - 1) // 2)
+    return a, n // a
 
 
 def walsh_hadamard_transform(arr: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -267,11 +256,7 @@ def walsh_hadamard_transform(arr: np.ndarray, axis: int = -1) -> np.ndarray:
       transpose of the data.
     """
     arr = np.asarray(arr)
-    n = arr.shape[axis]
-    if n < 1 or n & (n - 1):
-        raise ValueError("axis length must be a power of two")
-    a = 1 << ((n.bit_length() - 1) // 2)
-    b = n // a
+    a, b = _wht_split(arr.shape[axis])
     axis %= arr.ndim
     if axis == arr.ndim - 1:
         lead = arr.shape[:-1]
@@ -279,11 +264,23 @@ def walsh_hadamard_transform(arr: np.ndarray, axis: int = -1) -> np.ndarray:
         return out.reshape(arr.shape)
     work = np.ascontiguousarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
     reals = work.view(np.float64)  # complex entries become (re, im) pairs
+    return _wht_real(reals, axis).view(work.dtype)
+
+
+def _wht_real(reals: np.ndarray, axis: int, scratch: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The two-GEMM transform of walsh_hadamard_transform along a non-trailing
+    axis of a contiguous float64 array.  scratch (the size of reals) takes the
+    first product and out the second; out may be reals itself.  Both are
+    allocated when not given."""
+    a, b = _wht_split(reals.shape[axis])
     pre = math.prod(reals.shape[:axis])
     post = math.prod(reals.shape[axis + 1:])
-    out = _hadamard_matrix(a) @ reals.reshape(pre, a, b * post)
-    out = _hadamard_matrix(b) @ out.reshape(pre * a, b, post)
-    return out.reshape(reals.shape).view(work.dtype)
+    first = None if scratch is None else scratch.reshape(pre, a, b * post)
+    first = np.matmul(_hadamard_matrix(a), reals.reshape(pre, a, b * post), out=first)
+    second = None if out is None else out.reshape(pre * a, b, post)
+    second = np.matmul(_hadamard_matrix(b), first.reshape(pre * a, b, post), out=second)
+    return second.reshape(reals.shape)
 
 
 def _phase_grid(d: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _threads
 from .entpower import pauli_entangling_power
 from .errors import NotHermitian, SizeLimitExceeded
 from .operators import Bipartition, operator_entanglement
@@ -247,7 +248,9 @@ def run_sweep_experiment(
     estimator's standard error is below pe_sem_target.  Each point runs
     long_time_average on its (P_E, E_lin) pairs: it stops once n_min steps
     are in and both 1.96 sigma / sqrt(N_t) are below sem_threshold, or at
-    max_steps with converged=False.  max_steps < 1 raises ValueError.
+    max_steps with converged=False.  max_steps < 1 raises ValueError.  With
+    workers > 1, each worker process runs the exact g-table on
+    max(1, cores // workers) threads.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -259,7 +262,9 @@ def run_sweep_experiment(
         for i, v in enumerate(sweep_values)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        share = max(1, _threads.available_cores() // workers)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_threads.set_thread_limit,
+                                 initargs=(share,)) as pool:
             rows = list(pool.map(_sweep_point_star, args))
     else:
         rows = [_sweep_point(*a) for a in args]

@@ -20,7 +20,7 @@ from paulient.errors import NotUnitary, SizeLimitExceeded
 from paulient.operators import Bipartition, haar_random_unitary, random_local_unitary
 from paulient.paulis import clifford_to_dense, random_clifford, walsh_hadamard_transform
 
-from conftest import dense_pauli, oracle_pauli_power
+from conftest import CNOT, dense_pauli, oracle_pauli_power
 
 
 BP11 = Bipartition(1, 1)
@@ -61,9 +61,9 @@ class TestExactMode:
 
     def test_g_table_across_pair_blocks_matches_partial_trace(self):
         # At N = 7 the smaller block has 8 states: 36 pairs in blocks of
-        # 2^18 // 128^2 = 16, so the last block is partial.  4|3 keeps B and
-        # takes the transpose branch.  The table traces the larger block, so
-        # the oracle does too.
+        # 2^17 // 128^2 = 8, so the last block (4 pairs) is ragged.  4|3 keeps
+        # B and takes the transpose branch.  The table traces the larger
+        # block, so the oracle does too.
         rng = np.random.default_rng(77)
         n, d = 7, 128
         u = haar_random_unitary(d, rng)
@@ -80,6 +80,14 @@ class TestExactMode:
                 k = np.einsum("ibjb->ij" if da <= db else "aiaj->ij", evolved)
                 want = np.trace(k @ k).real
                 assert abs(table[x, z] - want) <= 1e-10 * want, (n_a, x, z)
+
+    def test_real_orthogonal_input(self, rng):
+        # a real dtype takes the same complex kernel
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        for u, bp in [(CNOT.real.copy(), BP11), (q, Bipartition(2, 2)), (q, Bipartition(1, 3))]:
+            est = pauli_entangling_power(u, bp)
+            assert est.value == pauli_entangling_power(u.astype(complex), bp).value
+            assert abs(est.value - oracle_pauli_power(u, bp.n_a, bp.n_b)) < 1e-12
 
     def test_exact_peak_memory_at_eight_qubits(self, rng):
         # the pair-correlation array alone would be 136 MiB at 4|4

@@ -13,7 +13,6 @@ from paulient.paulis import (
     clifford_to_dense,
     fix_global_phase,
     pauli_commutes,
-    pauli_enumerate_or_sample,
     pauli_expectation_table,
     pauli_multiply,
     pauli_mul_matrix,
@@ -148,30 +147,13 @@ class TestDense:
             assert np.allclose(pauli_mul_matrix(p, m), dp @ m)
 
 
-class TestEnumerationAndSampling:
-    def test_all_single_qubit(self):
-        strings = list(pauli_enumerate_or_sample(1, "all"))
-        assert len(strings) == 4
-        assert strings[0].is_identity
-        assert {str(s) for s in strings} == {"+I", "+X", "+Z", "+Y"}
-
-    def test_all_count_eight_qubits(self):
-        count = sum(1 for _ in pauli_enumerate_or_sample(8, "all"))
-        assert count == 4**8
-
-    def test_uniform_reproducible(self):
-        a = [s.index for s in pauli_enumerate_or_sample(
-            3, "uniform", rng=np.random.default_rng(5), count=50)]
-        b = [s.index for s in pauli_enumerate_or_sample(
-            3, "uniform", rng=np.random.default_rng(5), count=50)]
-        assert a == b
-
+class TestRandomPauli:
     def test_uniform_frequencies(self):
         rng = np.random.default_rng(7)
         draws = 100_000
         counts = np.zeros(64)
-        for s in pauli_enumerate_or_sample(3, "uniform", rng=rng, count=draws):
-            counts[s.index] += 1
+        for _ in range(draws):
+            counts[random_pauli(3, rng).index] += 1
         expect = draws / 64
         sigma = np.sqrt(draws * (1 / 64) * (1 - 1 / 64))
         assert np.all(np.abs(counts - expect) <= 4 * sigma)
@@ -330,6 +312,12 @@ class TestLabels:
             p = PauliString(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)),
                             int(rng.integers(0, 4)))
             assert PauliString.from_label(str(p)) == p
+
+    def test_from_index_enumerates_group(self):
+        strings = [PauliString.from_index(1, k) for k in range(4)]
+        assert strings[0].is_identity
+        assert {str(s) for s in strings} == {"+I", "+X", "+Z", "+Y"}
+        assert [PauliString.from_index(3, k).index for k in range(64)] == list(range(64))
 
     def test_prefixes(self):
         assert PauliString.from_label("-iY").phase_exp == 3

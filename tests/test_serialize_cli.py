@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from paulient import cli
 from paulient.cli import main
 from paulient.factorization import make_product_preserving
 from paulient.mpu import mpu_zz_chain, pauli_power_mpu
@@ -204,6 +205,17 @@ class TestCli:
         lines = text.splitlines()
         assert lines[0] == "# command: spinchain-run"
         assert len([ln for ln in lines if not ln.startswith("#")]) == 3
+
+    def test_spinchain_run_default_workers(self, monkeypatch, capsys):
+        # one process per available core, at most one per sweep value
+        seen = []
+        monkeypatch.setattr(cli, "run_sweep_experiment",
+                            lambda *a, workers, **kw: seen.append(workers) or [])
+        args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0,0.5,1", "--n", "3"]
+        for cores in (8, 2):
+            monkeypatch.setattr(cli, "available_cores", lambda: cores)
+            assert main(args) == 0
+        assert seen == [3, 2]
 
     def test_spinchain_run_rejects_zero_max_steps(self, tmp_path, capsys):
         args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0",
