@@ -6,10 +6,11 @@ sampling: each timestep draws strings until the estimator's standard error is
 below the threshold, and the time series stops under the usual
 1.96 sigma / sqrt(N_t) rule.
 
-This is far outside the test budget on a laptop CPU (each Pauli sample costs
-one 2048x2048 matrix product, U^dag (P U) with P U a signed row permutation,
-plus one Gram product r r^dag of the 1024x4096 operator realigned across the
-5|6 cut; a full sweep point needs on the order of 10^4 samples); run it on
+This is far outside the test budget on a laptop CPU (each Pauli sample works
+in real arithmetic: the Hermitian U^dag P U takes one 2048x2048 syrk and one
+2048x1024x2048 product, and its Schmidt purity one syrk of the 1024x4096
+real coefficient matrix across the 5|6 cut, about 0.43 s per sample on a
+2-core Xeon; a full sweep point needs on the order of 10^4 samples); run it on
 a beefy machine or chunk the sweep values.  Not part of the acceptance gate.
 
 Example:

@@ -24,6 +24,28 @@ array is materialized.  Calls with two or more blocks (never at N <= 5) run
 them on the _threads pool, in buffers the caller allocates once, on as many
 cores as a fixed memory budget allows; the table does not depend on the
 number of threads.
+
+Sampled mode evaluates E_lin(K) for K = U^dag P U one drawn string at a
+time, in real arithmetic, from two identities that hold because P is a
+Hermitian involution:
+
+    P = 2 Pi_+ - I   gives   K = B^dag B - I,
+
+with B the d/2 rows U[c] + conj(P[c^x, c]) U[c^x] (c with bit top(x) clear;
+sqrt2 U[c] over the rows with P[c, c] = +1 when x = 0), and with
+X = [Re B; Im B] and M = (Re B)^T Im B,
+
+    Re K = X^T X - I,   Im K = M - M^T.
+
+K is Hermitian, so its coefficients C[k, l] = Tr(K E_k (x) F_l) in Hermitian
+orthonormal bases of the two blocks are real: each is one or two entries of
+Re K or Im K, scaled by +-1 or sqrt2.  C is the realigned K up to a unitary
+change of basis on each side, so sum lambda^2 = ||C C^T||_F^2 / d^2 with
+C C^T taken on the smaller side.  With d_A <= d_B that is one syrk and one
+d x d/2 x d product for K and one more syrk for the purity, about
+d^3 + d_A^4 d_B^2 / 2 real multiply-adds, where a complex product U^dag (P U)
+and a complex realigned Gram matrix take about 4 d^3 + 4 d_A^4 d_B^2.  The
+identity gives exactly 0.
 """
 
 from __future__ import annotations
@@ -32,16 +54,18 @@ import itertools
 import math
 import queue
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import _threads
 from .errors import NotUnitary, SizeLimitExceeded
-from .operators import Bipartition, is_unitary, linear_entanglement_unitary
+from .operators import Bipartition, _HermitianPurity, is_unitary
 from .paulis import (
     PauliString,
     _operator_pauli_probs,
     _parity_signs,
+    _pauli_entries,
     _wht_real,
     pauli_mul_matrix,
     pauli_to_dense,
@@ -160,9 +184,46 @@ def _exact_value(u: np.ndarray, bp: Bipartition) -> float:
     return 1.0 - total / float(bp.d) ** 4
 
 
-def _sample_once(u: np.ndarray, udag: np.ndarray, p: PauliString, bp: Bipartition) -> float:
-    evolved = udag @ pauli_mul_matrix(p, u)
-    return linear_entanglement_unitary(evolved, bp)
+def _string_elin(u: np.ndarray, bp: Bipartition) -> Callable[[PauliString], float]:
+    """E_lin(U^dag P U) for phase-0 strings P, by the sampled-mode identities
+    of the module docstring, with the buffers allocated once for every string
+    of one sampled call."""
+    d, half = bp.d, bp.d // 2
+    u = np.ascontiguousarray(u, dtype=complex)
+    purity = _HermitianPurity(bp)
+    parts = np.empty((2, d, d))  # Re K, Im K
+    re_k, im_k = parts
+    re_k_diag = re_k.reshape(-1)[::d + 1]
+    x_rows = im_k  # [Re B; Im B] until Im K overwrites it
+    # B and the partner rows live in the purity scratch, which is free until
+    # the purity call, and so does M once B is spent
+    b_rows, partners = (s.reshape(-1).view(complex).reshape(half, d)
+                        for s in purity.scratch)
+    m_prod = purity.scratch[0].reshape(d, d)
+
+    def value(p: PauliString) -> float:
+        if p.is_identity:
+            return 0.0
+        partner_rows, cols, values = _pauli_entries(p)
+        if p.x:
+            rows = cols[cols & (1 << (p.x.bit_length() - 1)) == 0]
+            # the indices are in range; mode="clip" writes straight into out
+            u.take(rows, axis=0, out=b_rows, mode="clip")
+            u.take(partner_rows[rows], axis=0, out=partners, mode="clip")
+            np.multiply(partners, values[rows].conj()[:, None], out=partners)
+            np.add(b_rows, partners, out=b_rows)
+        else:
+            u.take(cols[values.real > 0], axis=0, out=b_rows, mode="clip")
+            np.multiply(b_rows, math.sqrt(2.0), out=b_rows)
+        np.copyto(x_rows[:half], b_rows.real)
+        np.copyto(x_rows[half:], b_rows.imag)
+        np.matmul(x_rows.T, x_rows, out=re_k)
+        np.subtract(re_k_diag, 1.0, out=re_k_diag)
+        np.matmul(x_rows[:half].T, x_rows[half:], out=m_prod)
+        np.subtract(m_prod, m_prod.T, out=im_k)
+        return 1.0 - purity(parts)
+
+    return value
 
 
 def pauli_entangling_power(
@@ -208,9 +269,8 @@ def pauli_entangling_power(
         raise ValueError(f"max_samples must be at least 1, got {max_samples}")
     if min_samples < 2:
         raise ValueError(f"min_samples must be at least 2, got {min_samples}")
-    udag = u.conj().T
-    draws = (_sample_once(u, udag, random_pauli(bp.n_qubits, rng), bp)
-             for _ in itertools.count())
+    string_elin = _string_elin(u, bp)
+    draws = (string_elin(random_pauli(bp.n_qubits, rng)) for _ in itertools.count())
     # with a fixed count the rule can only fire at the cap itself
     n_min, cap = (min_samples, max_samples) if n_samples is None else (n_samples, n_samples)
     acc, _ = run_until_converged(draws, sem_target, 1.0, n_min, cap)

@@ -6,6 +6,7 @@ All entropies are base-2 (bits).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,77 @@ def _sum_lambda_sq(op: np.ndarray, bp: Bipartition) -> float:
     r = realign(op, bp)
     gram = r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
     return float(np.sum(np.abs(gram) ** 2))
+
+
+def _hermitian_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the Hermitian orthonormal basis of n x n matrices, in the
+    order |a><a|, then (|a><a'| + h.c.)/sqrt2 and then i(|a><a'| - h.c.)/sqrt2
+    for each a < a'; the last n(n-1)/2 elements are the antisymmetric ones."""
+    lo, hi = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    return np.concatenate([diag, lo, lo]), np.concatenate([diag, hi, hi])
+
+
+class _HermitianPurity:
+    """sum lambda^2 of Hermitian d x d operators K across one bipartition, in
+    real arithmetic.
+
+    With E_k and F_l the _hermitian_basis elements of the two blocks, the
+    coefficients C[k, l] = Tr(K E_k (x) F_l) are real, and C is the realigned
+    K up to a unitary change of basis on each side.  So the operator-Schmidt
+    coefficients of K are lambda = sigma(C)^2 / d, and
+    sum lambda^2 = ||C C^T||_F^2 / d^2, with C C^T (or C^T C) taken on the
+    smaller side.  With alpha = K[(a,b), (a',b')] and beta = K[(a,b'), (a',b)]
+    (a <= a', b <= b'), each entry is
+
+        w (Re alpha + Re beta)   neither element antisymmetric,
+        w (Im alpha - Im beta)   only F_l antisymmetric,
+        w (Im alpha + Im beta)   only E_k antisymmetric,
+        w (Re beta - Re alpha)   both antisymmetric,
+
+    with w = 1/sqrt2 for each diagonal element among E_k, F_l.  A call reads
+    parts = [Re K, Im K], a contiguous (2, d, d) float64 array, through two
+    flat gathers built once here, one per term; -Im beta is read as
+    Im conj(beta).  The two scratch arrays are overwritten by a call and free
+    for the caller between calls.
+    """
+
+    def __init__(self, bp: Bipartition):
+        da, db, d = bp.d_a, bp.d_b, bp.d
+        lo_a, hi_a = _hermitian_basis(da)
+        lo_b, hi_b = _hermitian_basis(db)
+        sym_a, sym_b = da * (da + 1) // 2, db * (db + 1) // 2  # the symmetric ones lead
+        # flat index of K[(a,b), (a',b')] = row (a, a') + col (b, b')
+        row, row_t = lo_a * (db * d) + hi_a * db, hi_a * (db * d) + lo_a * db
+        col, col_t = lo_b * d + hi_b, hi_b * d + lo_b
+        self._first = row[:, None] + col  # alpha
+        self._second = row[:, None] + col_t  # beta
+        self._second[:sym_a, sym_b:] = row_t[:sym_a, None] + col[sym_b:]  # conj(beta)
+        # exactly one antisymmetric element: read Im K, the second slot of parts
+        for block in ((slice(sym_a), slice(sym_b, None)), (slice(sym_a, None), slice(sym_b))):
+            self._first[block] += d * d
+            self._second[block] += d * d
+        self._both_anti = (slice(sym_a, None), slice(sym_b, None))
+        self._da, self._db, self._d = da, db, d
+        self.scratch = np.empty((2, da * da, db * db))
+        side = min(da, db) ** 2
+        self._gram = np.empty((side, side))
+
+    def __call__(self, parts: np.ndarray) -> float:
+        coeffs, second = self.scratch
+        flat = parts.reshape(-1)
+        # the indices are in range; mode="clip" writes straight into out
+        flat.take(self._first, out=coeffs, mode="clip")
+        np.negative(coeffs[self._both_anti], out=coeffs[self._both_anti])
+        flat.take(self._second, out=second, mode="clip")
+        coeffs += second
+        coeffs[:self._da] *= math.sqrt(0.5)
+        coeffs[:, :self._db] *= math.sqrt(0.5)
+        if self._da <= self._db:
+            gram = np.matmul(coeffs, coeffs.T, out=self._gram)
+        else:
+            gram = np.matmul(coeffs.T, coeffs, out=self._gram)
+        return float(np.vdot(gram, gram)) / self._d**2
 
 
 def linear_entanglement_unitary(op: np.ndarray, bp: Bipartition) -> float:

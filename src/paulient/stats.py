@@ -49,9 +49,13 @@ def run_until_converged(
     """Push values until n >= n_min and every z sigma / sqrt(n) is below
     threshold (converged), or until n reaches cap or the values run out
     (not converged).  Values are drawn lazily, one at a time, so nothing
-    past the stopping point is computed."""
+    past the stopping point is computed.  A threshold that is not positive
+    (or NaN) could never be met, so it is rejected like a cap below 1, before
+    any value is drawn."""
     if cap < 1:
         raise ValueError(f"the step or sample cap must be at least 1, got {cap}")
+    if not threshold > 0:
+        raise ValueError(f"the stopping threshold must be positive, got {threshold}")
     acc = RunningMean()
     for value in values:
         acc.push(value)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import scipy.linalg
 
 from paulient.entpower import (
     _pauli_g_table,
+    _string_elin,
     haar_typical_expansion,
     haar_typical_value,
     local_pauli_magic_bound,
@@ -18,9 +20,17 @@ from paulient.entpower import (
 )
 from paulient.errors import NotUnitary, SizeLimitExceeded
 from paulient.operators import Bipartition, haar_random_unitary, random_local_unitary
-from paulient.paulis import clifford_to_dense, random_clifford, walsh_hadamard_transform
+from paulient.paulis import (
+    PauliString,
+    clifford_to_dense,
+    random_clifford,
+    random_pauli,
+    walsh_hadamard_transform,
+)
+from paulient.spinchain import HamiltonianPropagator, XYZModel, build_hamiltonian
+from paulient.stats import run_until_converged
 
-from conftest import CNOT, dense_pauli, oracle_pauli_power
+from conftest import CNOT, dense_pauli, oracle_elin, oracle_pauli_power
 
 
 BP11 = Bipartition(1, 1)
@@ -28,6 +38,12 @@ BP11 = Bipartition(1, 1)
 
 def u_xx(theta=np.pi / 8):
     return scipy.linalg.expm(-1j * theta * dense_pauli("XX"))
+
+
+def oracle_string_elin(u, p, n_a, n_b):
+    """E_lin(U^dag P U) from the dense string, reshuffle and SVD."""
+    label = str(p)[1:]  # phase-0 strings print as "+" and the letters
+    return oracle_elin(u.conj().T @ dense_pauli(label) @ u, n_a, n_b)
 
 
 class TestExactMode:
@@ -163,6 +179,47 @@ class TestSampledMode:
                                      sem_target=2e-2)
         assert est.sem < 2e-2 and est.n_samples >= 32
         assert abs(est.value - exact) <= 5 * 2e-2
+
+    def test_string_values_match_oracle(self):
+        rng = np.random.default_rng(606)
+        haar8 = haar_random_unitary(8, rng)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        haar16 = haar_random_unitary(16, rng)
+        # (unitary, split, string indices); index < 2^N means x = 0.  q is
+        # real orthogonal, and haar16.T is a view that is not C-contiguous.
+        cases = [(haar8, (1, 2), range(64)), (haar8, (2, 1), range(64)),
+                 (q, (2, 2), range(256)), (q, (1, 3), range(256)),
+                 (haar16.T, (2, 2), range(256))]
+        for n_a, n_b in [(3, 4), (4, 3), (4, 5), (5, 4)]:
+            n = n_a + n_b
+            count = 12 if n == 7 else 4
+            picks = [int(k) for k in rng.integers(1, 2**n, 2)]  # x = 0, z != 0
+            picks += [int(k) for k in rng.integers(0, 4**n, count)]
+            cases.append((haar_random_unitary(2**n, rng), (n_a, n_b), picks))
+        for u, (n_a, n_b), picks in cases:
+            string_elin = _string_elin(u, Bipartition(n_a, n_b))
+            assert string_elin(PauliString.identity(n_a + n_b)) == 0.0
+            for k in picks:
+                p = PauliString.from_index(n_a + n_b, k)
+                want = oracle_string_elin(u, p, n_a, n_b)
+                assert abs(string_elin(p) - want) <= 1e-12, (n_a, n_b, k)
+
+    def test_estimator_matches_oracle_draws(self):
+        # the same draws in the same order, pushed through the same rule,
+        # whatever the per-string kernel
+        model = XYZModel(n_sites=6, j_z=0.4)
+        u = HamiltonianPropagator(build_hamiltonian(model)).unitary_at(1.0)
+        bp = Bipartition(3, 3)
+        for fixed, sem_target in ((40, 2e-2), (None, 4e-3)):
+            est = pauli_entangling_power(u, bp, mode="sampled", rng=np.random.default_rng(8),
+                                         sem_target=sem_target, n_samples=fixed)
+            rng = np.random.default_rng(8)
+            draws = (oracle_string_elin(u, random_pauli(6, rng), 3, 3)
+                     for _ in itertools.count())
+            n_min, cap = (32, 1_000_000) if fixed is None else (fixed, fixed)
+            acc, _ = run_until_converged(draws, sem_target, 1.0, n_min, cap)
+            assert est.n_samples == acc.n and (fixed is not None or acc.n > 32)
+            assert abs(est.value - acc.mean) <= 1e-12
 
     def test_rng_required(self, rng):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import pytest
 from paulient.errors import NotUnitary
 from paulient.operators import (
     Bipartition,
+    _HermitianPurity,
+    _sum_lambda_sq,
     haar_random_unitary,
     operator_entanglement,
     operator_schmidt_spectrum,
@@ -62,6 +64,21 @@ class TestSchmidtSpectrum:
         for _ in range(100):
             lam = operator_schmidt_spectrum(haar_random_unitary(8, rng), bp)
             assert abs(lam.sum() - 1.0) < 1e-10
+
+
+class TestHermitianPurity:
+    def test_matches_complex_gram(self, rng):
+        for n in range(2, 8):
+            for n_a in range(1, n):
+                bp = Bipartition(n_a, n - n_a)
+                h = rng.standard_normal((bp.d, bp.d)) + 1j * rng.standard_normal((bp.d, bp.d))
+                h = h + h.conj().T
+                purity = _HermitianPurity(bp)
+                want = _sum_lambda_sq(h, bp)
+                assert abs(purity(np.stack([h.real, h.imag])) - want) <= 1e-12 * want
+                # the scratch is free between calls
+                purity.scratch[:] = np.nan
+                assert abs(purity(np.stack([h.real, h.imag])) - want) <= 1e-12 * want
 
 
 class TestEntanglement:

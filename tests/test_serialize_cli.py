@@ -104,6 +104,22 @@ class TestCli:
             assert main(args + bad) == 1
             assert capsys.readouterr().out == ""
 
+    def test_unreachable_thresholds_rejected(self, tmp_path, rng, capsys):
+        u = haar_random_unitary(8, rng)
+        mfile = tmp_path / "u.txt"
+        save_matrix(str(mfile), u)
+        sample = ["pe-sample", "--matrix", str(mfile), "--na", "1", "--nb", "2", "--seed", "5"]
+        chain = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0", "--n", "3",
+                 "--workers", "1"]
+        for args in (sample + ["--sem-target", "0"], sample + ["--sem-target", "nan"],
+                     chain + ["--threshold", "0"], chain + ["--threshold", "-0.5"]):
+            out = tmp_path / "rows.csv"
+            assert main(args + ["--out", str(out)]) == 1
+            assert not out.exists()
+            assert main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "threshold must be positive" in captured.err
+
     def test_thm1_check_true(self, tmp_path, rng):
         c = clifford_to_dense(random_clifford(2, rng))
         mfile = tmp_path / "c.txt"

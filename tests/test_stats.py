@@ -60,3 +60,16 @@ class TestRule:
         for cap in (0, -3):
             with pytest.raises(ValueError):
                 run_until_converged(iter([1.0]), 1.0, 1.0, 2, cap)
+
+    def test_threshold_not_positive_rejected(self):
+        drawn = []
+
+        def values():
+            while True:
+                drawn.append(1.0)
+                yield 1.0
+
+        for threshold in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError):
+                run_until_converged(values(), threshold, 1.0, 2, 10)
+        assert drawn == []
