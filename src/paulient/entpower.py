@@ -252,6 +252,23 @@ def pauli_entangling_power(
         raise ValueError("operator dimension does not match the bipartition")
     if not is_unitary(u):
         raise NotUnitary("Pauli-entangling power needs a unitary")
+    return _pauli_entangling_power(u, bp, mode, rng, sem_target, n_samples, min_samples,
+                                   max_samples, exact_limit)
+
+
+def _pauli_entangling_power(
+    u: np.ndarray,
+    bp: Bipartition,
+    mode: str = "exact",
+    rng: np.random.Generator | None = None,
+    sem_target: float = 2e-2,
+    n_samples: int | None = None,
+    min_samples: int = 32,
+    max_samples: int = 1_000_000,
+    exact_limit: int = DEFAULT_EXACT_LIMIT,
+) -> PauliPowerEstimate:
+    """pauli_entangling_power without its dimension and unitarity checks, for
+    callers whose u is unitary by construction."""
     if mode == "exact":
         if bp.n_qubits > exact_limit:
             raise SizeLimitExceeded(

@@ -291,19 +291,38 @@ def _phase_grid(d: int) -> np.ndarray:
 
 
 def pauli_trace_table(op: np.ndarray) -> np.ndarray:
-    """All Pauli-basis coefficients of a d x d operator at once.
+    """All Pauli-basis coefficients of a d x d operator (or of each in a
+    stack of them, over the last two axes) at once.
 
     Returns table[x, z] = Tr(op @ P(x, z)) for every phase-0 string, computed
     with one Walsh-Hadamard transform per x value:
     Tr(op P) = i^(x.z) sum_y (-1)^(z.y) op[y, y^x].
     """
     op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
+    d = op.shape[-1]
     ys = np.arange(d)
-    gathered = op[ys[None, :], ys[None, :] ^ ys[:, None]]  # [x, y]
-    table = walsh_hadamard_transform(gathered, axis=1)  # y -> z
+    gathered = op[..., ys[None, :], ys[None, :] ^ ys[:, None]]  # [x, y]
+    table = walsh_hadamard_transform(gathered, axis=-1)  # y -> z
     table *= _phase_grid(d)
     return table
+
+
+def operator_from_pauli_table(table: np.ndarray) -> np.ndarray:
+    """sum_(x,z) table[x, z] P(x, z): the adjoint of pauli_trace_table, over
+    the last two axes like it.
+
+    Since Tr(P P') = d delta, operator_from_pauli_table(pauli_trace_table(op)
+    / d) == op.  The steps of pauli_trace_table run in reverse: with the
+    conjugate phases, one Walsh-Hadamard transform per x value gives
+    op[y, y^x] = sum_z (-i)^(x.z) (-1)^(z.y) table[x, z], scattered back.
+    """
+    table = np.asarray(table, dtype=complex)
+    d = table.shape[-1]
+    ys = np.arange(d)
+    op = np.empty(table.shape, dtype=complex)
+    op[..., ys[None, :], ys[None, :] ^ ys[:, None]] = walsh_hadamard_transform(
+        table * _phase_grid(d).conj(), axis=-1)  # [x, z] -> [x, y]
+    return op
 
 
 def _operator_pauli_probs(op: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _threads
-from .entpower import pauli_entangling_power
-from .errors import NotHermitian, SizeLimitExceeded
-from .operators import Bipartition, operator_entanglement
+from .entpower import _pauli_entangling_power
+from .errors import NotHermitian, NotUnitary, SizeLimitExceeded
+from .operators import Bipartition, is_unitary, linear_entanglement_unitary
 from .paulis import PauliString, _pauli_entries
 from .stats import run_until_converged
 
@@ -201,11 +201,15 @@ def _sweep_point(
     def steps():
         # built on the first step, so a rejected step cap costs no eigh
         prop = HamiltonianPropagator(build_hamiltonian(model))
+        # U_t = V diag(phases) V^dag is unitary whenever the modes V are, so
+        # one check here stands for the per-step checks of the public calls
+        if not is_unitary(prop.modes):
+            raise NotUnitary("propagator modes are not unitary within tolerance")
         for k in itertools.count():
             u_t = prop.unitary_at(k * dt)
-            est = pauli_entangling_power(u_t, bp, mode=mode, rng=rng, sem_target=pe_sem_target)
+            est = _pauli_entangling_power(u_t, bp, mode=mode, rng=rng, sem_target=pe_sem_target)
             samples.append(est.n_samples)
-            yield est.value, operator_entanglement(u_t, bp, "linear")
+            yield est.value, linear_entanglement_unitary(u_t, bp)
 
     (mean_pe, mean_e), ts = long_time_average(steps(), dt, sem_threshold, n_min, max_steps)
     pe_half_width, e_half_width = ts.running_sem
@@ -245,7 +249,9 @@ def run_sweep_experiment(
     results do not depend on the worker count; rows are emitted in sweep
     order.  mode="exact" enumerates all Pauli strings per timestep (use for
     n_sites <= 8); mode="sampled" draws strings per timestep until the
-    estimator's standard error is below pe_sem_target.  Each point runs
+    estimator's standard error is below pe_sem_target (which must be
+    positive, checked before any Hamiltonian is built).  Each point checks
+    its propagator's modes for unitarity once (NotUnitary) and runs
     long_time_average on its (P_E, E_lin) pairs: it stops once n_min steps
     are in and both 1.96 sigma / sqrt(N_t) are below sem_threshold, or at
     max_steps with converged=False.  max_steps < 1 raises ValueError.  With
@@ -254,6 +260,8 @@ def run_sweep_experiment(
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and not pe_sem_target > 0:  # also rejects NaN
+        raise ValueError(f"pe_sem_target must be positive, got {pe_sem_target}")
     children = np.random.SeedSequence(seed).spawn(len(sweep_values))
     child_seeds = [int(c.generate_state(1)[0]) for c in children]
     args = [

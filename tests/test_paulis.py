@@ -12,6 +12,7 @@ from paulient.paulis import (
     clifford_from_generator_images,
     clifford_to_dense,
     fix_global_phase,
+    operator_from_pauli_table,
     pauli_commutes,
     pauli_expectation_table,
     pauli_multiply,
@@ -172,6 +173,20 @@ class TestTables:
             for k in range(4**n):
                 p = PauliString.from_index(n, k)
                 assert abs(table[p.x, p.z] - np.trace(op @ pauli_to_dense(p))) < 1e-10
+
+    def test_operator_from_table_is_the_adjoint(self, rng):
+        for n in (1, 2, 3):
+            d = 2**n
+            table = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            dense = sum(table[p.x, p.z] * pauli_to_dense(p)
+                        for p in (PauliString.from_index(n, k) for k in range(4**n)))
+            assert np.abs(operator_from_pauli_table(table) - dense).max() < 1e-12
+            # <table, T(op)> = <T^dag(table), op> in the Hilbert-Schmidt product
+            op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            lhs = np.vdot(table, pauli_trace_table(op))
+            rhs = np.vdot(operator_from_pauli_table(table), op)
+            assert abs(lhs - rhs) < 1e-10
+            assert np.abs(operator_from_pauli_table(pauli_trace_table(op) / d) - op).max() < 1e-12
 
     def test_expectation_table_oracle(self, rng):
         psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from paulient import entpower, operators, spinchain
 from paulient.entpower import pauli_entangling_power
-from paulient.errors import NotHermitian, SizeLimitExceeded
+from paulient.errors import NotHermitian, NotUnitary, SizeLimitExceeded
 from paulient.mpu import mpu_shift, mpu_to_dense
 from paulient.operators import Bipartition, operator_entanglement
 from paulient.spinchain import (
@@ -237,6 +238,43 @@ class TestSweep:
             pe = pauli_entangling_power(u, bp).value
             ba, bb = local_pauli_magic_bound(u, bp)
             assert pe <= min(ba, bb) + 1e-10
+
+    @pytest.mark.parametrize("target", [0.0, -1e-3, float("nan")])
+    def test_unusable_pe_sem_target_rejected_before_any_build(self, target, monkeypatch):
+        builds = []
+        monkeypatch.setattr(spinchain, "build_hamiltonian",
+                            lambda model: builds.append(model) or build_hamiltonian(model))
+        with pytest.raises(ValueError, match="pe_sem_target"):
+            run_sweep_experiment("xyz", [0.0], 3, mode="sampled", seed=1,
+                                 pe_sem_target=target, workers=1)
+        assert builds == []
+
+    def test_one_unitarity_check_per_point(self, monkeypatch):
+        counts = {"sweep": 0, "public": 0}
+
+        def counting(key):
+            def check(matrix, *args):
+                counts[key] += 1
+                return operators.is_unitary(matrix, *args)
+            return check
+
+        monkeypatch.setattr(spinchain, "is_unitary", counting("sweep"))
+        monkeypatch.setattr(entpower, "is_unitary", counting("public"))
+        monkeypatch.setattr(operators, "_require_unitary",
+                            lambda matrix, *args: counts.__setitem__("public", counts["public"] + 1))
+        rows = run_sweep_experiment("xyz", [0.0, 1.0], 4, mode="exact", seed=7, max_steps=30)
+        assert counts == {"sweep": 2, "public": 0}
+        assert all(r.n_steps == 30 for r in rows)
+
+    def test_non_unitary_modes_rejected(self, monkeypatch):
+        class Skewed(HamiltonianPropagator):
+            def __init__(self, ham):
+                super().__init__(ham)
+                self.modes = self.modes * 1.01
+
+        monkeypatch.setattr(spinchain, "HamiltonianPropagator", Skewed)
+        with pytest.raises(NotUnitary):
+            run_sweep_experiment("xyz", [0.0], 3, mode="exact", seed=1, workers=1)
 
     def test_seeded_determinism(self):
         a = run_sweep_experiment("tfim", [0.5], 3, mode="sampled", seed=11)
