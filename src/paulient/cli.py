@@ -60,6 +60,12 @@ def _write_csv(path: str | None, header: list[str], columns: list[str],
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
+    _write_output(path, lines)
+
+
+def _write_output(path: str | None, lines: list[str]) -> None:
+    """The lines to the --out file, or to stdout when --out is not given.
+    An unopenable path (the empty one too) raises OSError: exit code 1."""
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -157,12 +163,7 @@ def _cmd_thm1_check(cfg: dict) -> int:
         p, lam2 = witness
         lines.append(f"witness: {p}")
         lines.append(f"witness_second_schmidt_coefficient: {lam2:.12g}")
-    text = "\n".join(lines) + "\n"
-    if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(cfg.get("out"), lines)
     return 0
 
 
@@ -187,12 +188,7 @@ def _cmd_thm1_factorize(cfg: dict) -> int:
     lines.append(_matrix_block(fac.w))
     lines.append("[C]")
     lines.append(tableau_to_text(fac.c).rstrip("\n"))
-    text = "\n".join(lines) + "\n"
-    if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(cfg.get("out"), lines)
     return 0
 
 

@@ -15,9 +15,10 @@ the rest.  Pipeline:
    mapping the corresponding one-sided factor families onto the standard
    X_i / Z_i Pauli strings: simultaneous diagonalization of the commuting
    half, then phase alignment of the anticommuting partners;
-4. the Clifford is read off from generator images (the one-sided images
-   land on disjoint qubit blocks with signs tracked through the
-   multiplication cocycles);
+4. the Clifford is read off as a tableau inverse: V^dag f V = X and
+   V^dag g V = Z for each symplectic pair (f, g) (likewise W on B), so the
+   map X_q -> f_q, Z_q -> g_q with + signs, A pairs then B pairs, is the
+   tableau of C^-1;
 5. a least-squares global phase aligns the reconstruction to U^dag.
 """
 
@@ -40,14 +41,12 @@ from .operators import Bipartition, is_unitary, realign
 from .paulis import (
     CliffordTableau,
     PauliString,
-    _f2_inverse,
-    _operator_pauli_probs,
     _f2_nullspace,
-    _phase_power,
-    _symp_inner,
+    _operator_pauli_probs,
+    _row_to_pauli,
+    _symplectic_pairs,
     clifford_from_generator_images,
     clifford_to_dense,
-    pauli_multiply,
     pauli_mul_matrix,
     pauli_trace_table,
 )
@@ -55,6 +54,7 @@ from .paulis import (
 RANK_TOL = 1e-10
 FACTOR_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
+RESIDUAL_MAGIC_MAX_QUBITS = 4  # residual_local_magic enumerates 4^N strings
 
 
 @dataclass
@@ -164,40 +164,6 @@ def _needs_sign_flip(m: np.ndarray, tol: float = 1e-8) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Symplectic bases
-# ---------------------------------------------------------------------------
-
-
-def _symplectic_pairs(vectors: list[np.ndarray], n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Hyperbolic pairs spanning the given subgroup under the standard form."""
-    vecs = [v.copy() for v in vectors]
-    pairs = []
-    while vecs:
-        f = vecs.pop(0)
-        j = next((k for k, v in enumerate(vecs) if _symp_inner(f, v, n)), None)
-        if j is None:
-            raise FactorizationDegeneracy("commutation form degenerate on subgroup")
-        g = vecs.pop(j)
-        pairs.append((f, g))
-        reduced = []
-        for v in vecs:
-            vv = v.copy()
-            if _symp_inner(vv, g, n):
-                vv ^= f
-            if _symp_inner(vv, f, n):
-                vv ^= g
-            reduced.append(vv)
-        vecs = reduced
-    return pairs
-
-
-def _vec_to_pauli(vec: np.ndarray, n: int) -> PauliString:
-    x = int("".join(str(int(b)) for b in vec[:n]), 2) if vec[:n].any() else 0
-    z = int("".join(str(int(b)) for b in vec[n:]), 2) if vec[n:].any() else 0
-    return PauliString(n, x, z, 0)
-
-
-# ---------------------------------------------------------------------------
 # Intertwiner construction
 # ---------------------------------------------------------------------------
 
@@ -260,8 +226,7 @@ def _tableau_if_clifford(v: np.ndarray) -> CliffordTableau | None:
             return None
         if abs(table[k].imag) > 1e-7:
             return None
-        x, z = divmod(k, d)
-        images.append((PauliString(nv, x, z, 0), 1 if table[k].real > 0 else -1))
+        images.append((PauliString.from_index(nv, k), 1 if table[k].real > 0 else -1))
     try:
         return clifford_from_generator_images(images)
     except InvalidGeneratorImages:
@@ -269,28 +234,19 @@ def _tableau_if_clifford(v: np.ndarray) -> CliffordTableau | None:
 
 
 def _tableau_block_diag(ca: CliffordTableau, cb: CliffordTableau) -> CliffordTableau:
-    na, nb, n = ca.n_qubits, cb.n_qubits, ca.n_qubits + cb.n_qubits
-
-    def embed_a(p: PauliString) -> PauliString:
-        return PauliString(n, p.x << nb, p.z << nb, 0)
-
-    def embed_b(p: PauliString) -> PauliString:
-        return PauliString(n, p.x, p.z, 0)
-
-    images = []
-    for i in range(na):
-        p, s = ca.row_pauli(i)
-        images.append((embed_a(p), s))
-    for j in range(nb):
-        p, s = cb.row_pauli(j)
-        images.append((embed_b(p), s))
-    for i in range(na):
-        p, s = ca.row_pauli(na + i)
-        images.append((embed_a(p), s))
-    for j in range(nb):
-        p, s = cb.row_pauli(nb + j)
-        images.append((embed_b(p), s))
-    return clifford_from_generator_images(images)
+    """Tableau of ca (x) cb: each block's matrix and signs placed at its
+    qubits' rows and columns, [0, n_a) u [n, n + n_a) for A and the rest
+    for B."""
+    na, n = ca.n_qubits, ca.n_qubits + cb.n_qubits
+    a = np.r_[0:na, n:n + na]
+    b = np.r_[na:n, n + na:2 * n]
+    mat = np.zeros((2 * n, 2 * n), dtype=np.uint8)
+    signs = np.zeros(2 * n, dtype=np.uint8)
+    mat[np.ix_(a, a)] = ca.mat
+    mat[np.ix_(b, b)] = cb.mat
+    signs[a] = ca.signs
+    signs[b] = cb.signs
+    return CliffordTableau(n, mat, signs)
 
 
 def _one_sided_factor(
@@ -322,10 +278,9 @@ def factorize(
     if u.shape[0] != bp.d or not is_unitary(u):
         raise NotUnitary("need a unitary matching the bipartition")
     udag = u.conj().T
-    gens = _generators(n)
 
     factors = []
-    for p in gens:
+    for p in _generators(n):
         m = _evolve(p, u, udag)
         try:
             factors.append(extract_hermitian_unitary_factors(m, bp, tol))
@@ -360,54 +315,22 @@ def factorize(
     pairs_a = _symplectic_pairs(h_tilde, n)
     pairs_b = _symplectic_pairs(h, n)
 
-    a_flip = [_one_sided_factor(_vec_to_pauli(f, n), u, udag, bp, "A", tol) for f, _ in pairs_a]
-    a_comm = [_one_sided_factor(_vec_to_pauli(g, n), u, udag, bp, "A", tol) for _, g in pairs_a]
-    b_flip = [_one_sided_factor(_vec_to_pauli(f, n), u, udag, bp, "B", tol) for f, _ in pairs_b]
-    b_comm = [_one_sided_factor(_vec_to_pauli(g, n), u, udag, bp, "B", tol) for _, g in pairs_b]
+    a_flip = [_one_sided_factor(_row_to_pauli(f), u, udag, bp, "A", tol) for f, _ in pairs_a]
+    a_comm = [_one_sided_factor(_row_to_pauli(g), u, udag, bp, "A", tol) for _, g in pairs_a]
+    b_flip = [_one_sided_factor(_row_to_pauli(f), u, udag, bp, "B", tol) for f, _ in pairs_b]
+    b_comm = [_one_sided_factor(_row_to_pauli(g), u, udag, bp, "B", tol) for _, g in pairs_b]
 
     v = _intertwiner(a_comm, a_flip)
     w = _intertwiner(b_comm, b_flip)
 
-    # Clifford from generator images: the chosen subgroup generators map to
-    # single-qubit X/Z strings on their blocks with + signs by construction.
-    sources: list[PauliString] = []
-    targets: list[PauliString] = []
-    for i, (f, g) in enumerate(pairs_a):
-        sources += [_vec_to_pauli(f, n), _vec_to_pauli(g, n)]
-        targets += [PauliString(n, 1 << (n - 1 - i), 0, 0),
-                    PauliString(n, 0, 1 << (n - 1 - i), 0)]
-    for j, (f, g) in enumerate(pairs_b):
-        q = bp.n_a + j
-        sources += [_vec_to_pauli(f, n), _vec_to_pauli(g, n)]
-        targets += [PauliString(n, 1 << (n - 1 - q), 0, 0),
-                    PauliString(n, 0, 1 << (n - 1 - q), 0)]
-
-    smat = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    for k, p in enumerate(sources):
-        smat[k, :n] = p.x_bits()
-        smat[k, n:] = p.z_bits()
-    sinv_t = _f2_inverse(smat).T
-
-    images = []
-    for gen in gens:
-        target_vec = np.concatenate([gen.x_bits(), gen.z_bits()])
-        coeffs = (sinv_t @ target_vec) % 2
-        acc_s = PauliString.identity(n)
-        acc_t = PauliString.identity(n)
-        kappa_s = kappa_t = 0
-        for k in np.flatnonzero(coeffs):
-            acc_s, cs = pauli_multiply(acc_s, sources[k])
-            acc_t, ct = pauli_multiply(acc_t, targets[k])
-            kappa_s = (kappa_s + _phase_power(cs)) % 4
-            kappa_t = (kappa_t + _phase_power(ct)) % 4
-        if acc_s != gen.canonical():
-            raise FactorizationDegeneracy("source decomposition failed")
-        rel = (kappa_t - kappa_s) % 4
-        if rel not in (0, 2):
-            raise FactorizationDegeneracy("non-real relative cocycle in Clifford assembly")
-        images.append((acc_t, 1 if rel == 0 else -1))
-
-    tableau = clifford_from_generator_images(images)
+    # V^dag f V = X and V^dag g V = Z on each block, so X_q -> f_q, Z_q -> g_q
+    # (A pairs, then B pairs, + signs) is the tableau of C^-1.
+    pairs = pairs_a + pairs_b
+    images = [(_row_to_pauli(f), 1) for f, _ in pairs] + [(_row_to_pauli(g), 1) for _, g in pairs]
+    try:
+        tableau = clifford_from_generator_images(images).inverse()
+    except InvalidGeneratorImages as exc:
+        raise FactorizationDegeneracy(f"subgroup pairs are not symplectic: {exc}") from exc
 
     # If the local factors are themselves Clifford (up to phase), fold them
     # into the tableau so that near-Clifford inputs come back with V, W
@@ -443,13 +366,13 @@ def verify_factorization(u: np.ndarray, fac: LocalCliffordFactorization) -> floa
 
 
 def residual_local_magic(
-    u: np.ndarray, fac: LocalCliffordFactorization, bp: Bipartition, max_qubits: int = 4
+    u: np.ndarray, fac: LocalCliffordFactorization, bp: Bipartition
 ) -> float:
     """Largest linear operator stabilizer entropy of
     (V^dag x W^dag) U^dag P U (V x W) over all Pauli strings: zero for a
     valid factorization (no locally-unerasable operator magic remains)."""
     n = bp.n_qubits
-    if n > max_qubits:
+    if n > RESIDUAL_MAGIC_MAX_QUBITS:
         raise SizeLimitExceeded(f"residual-magic check enumerates 4^{n} strings")
     loc = np.kron(fac.v, fac.w)
     udag = u.conj().T

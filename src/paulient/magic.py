@@ -211,9 +211,6 @@ def _multistart_minimize(objective, chart_qubits, config: SearchConfig):
     best_ok = True
     evaluations = 0
     for x0 in starts:
-        f0, _ = fun(x0)
-        if f0 < best_val:
-            best_val, best_x, best_ok = f0, x0, True
         res = minimize(
             fun,
             x0,
@@ -225,7 +222,7 @@ def _multistart_minimize(objective, chart_qubits, config: SearchConfig):
                 "gtol": config.tol * 10,
             },
         )
-        evaluations += 1 + res.nfev  # with jac=True, each nfev also gave the gradient
+        evaluations += res.nfev  # with jac=True, each nfev also gave the gradient
         if res.fun < best_val:
             best_val, best_x, best_ok = float(res.fun), res.x, bool(res.success)
     thetas = tuple(np.split(np.asarray(best_x, dtype=float), splits))

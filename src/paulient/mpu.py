@@ -32,8 +32,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateLeadingEigenvalue, NotUnitaryClosure, SizeLimitExceeded
-from .operators import is_unitary
-from .paulis import SINGLE_QUBIT_PAULIS
+from .operators import UNITARITY_TOL, is_unitary
+from .paulis import DENSE_LIMIT, SINGLE_QUBIT_PAULIS
 
 GAP_TOL = 1e-8
 
@@ -55,12 +55,11 @@ class TransferMatrixPair:
     t_b: np.ndarray  # chi^8 x chi^8, B-region
 
 
-def mpu_to_dense(a: MPUTensor, n_sites: int, dense_limit: int = 12,
-                 tol: float = 1e-8) -> np.ndarray:
+def mpu_to_dense(a: MPUTensor, n_sites: int) -> np.ndarray:
     """Periodic closure of n_sites copies of the tensor; raises
-    NotUnitaryClosure if the result is not unitary within tol."""
-    if n_sites > dense_limit:
-        raise SizeLimitExceeded(f"{n_sites} sites exceeds dense limit {dense_limit}")
+    NotUnitaryClosure if the result is not unitary within UNITARITY_TOL."""
+    if n_sites > DENSE_LIMIT:
+        raise SizeLimitExceeded(f"{n_sites} sites exceeds dense limit {DENSE_LIMIT}")
     acc = a.tensor  # (l, r, S, T)
     ds = 2
     for _ in range(n_sites - 1):
@@ -68,9 +67,9 @@ def mpu_to_dense(a: MPUTensor, n_sites: int, dense_limit: int = 12,
         ds *= 2
         acc = acc.reshape(a.chi, a.chi, ds, ds)
     u = np.einsum("aaST->ST", acc)
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise NotUnitaryClosure(
-            f"closure at {n_sites} sites is not unitary within {tol}"
+            f"closure at {n_sites} sites is not unitary within {UNITARITY_TOL}"
         )
     return u
 

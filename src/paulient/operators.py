@@ -51,8 +51,8 @@ def is_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     )
 
 
-def _require_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> None:
-    if not is_unitary(matrix, tol):
+def _require_unitary(matrix: np.ndarray) -> None:
+    if not is_unitary(matrix):
         raise NotUnitary("operator is not unitary within tolerance")
 
 

@@ -36,7 +36,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-DEFAULT_DENSE_LIMIT = 12
+DENSE_LIMIT = 12  # largest qubit or site count built as a dense matrix
 
 _I4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 _I4_POWER = {complex(v): k for k, v in enumerate(_I4)}
@@ -78,12 +78,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
-
-    def x_bits(self) -> np.ndarray:
-        return _int_to_bits(self.x, self.n_qubits)
-
-    def z_bits(self) -> np.ndarray:
-        return _int_to_bits(self.z, self.n_qubits)
 
     def canonical(self) -> "PauliString":
         """Phase-0 representative of the same class in the quotient group."""
@@ -132,15 +126,19 @@ class PauliString:
         return (self.x << self.n_qubits) | self.z
 
 
-def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+def _pauli_to_row(p: PauliString) -> np.ndarray:
+    """The (x | z) F2 row of a string's phase-0 class: the 2N bits of
+    p.index, most significant first."""
+    width = 2 * p.n_qubits
+    return np.array([(p.index >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
 
-def _bits_to_int(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
+def _row_to_pauli(row) -> PauliString:
+    """The phase-0 string of an (x | z) F2 row; inverse of _pauli_to_row."""
+    index = 0
+    for b in row:
+        index = (index << 1) | int(b)
+    return PauliString.from_index(len(row) // 2, index)
 
 
 def pauli_multiply(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:
@@ -181,10 +179,10 @@ def _pauli_entries(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cols ^ p.x, cols, pref * _parity_signs(cols & p.z)
 
 
-def pauli_to_dense(p: PauliString, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+def pauli_to_dense(p: PauliString) -> np.ndarray:
     """Dense 2^N x 2^N matrix of a Pauli string (site 1 = most significant)."""
-    if p.n_qubits > dense_limit:
-        raise SizeLimitExceeded(f"{p.n_qubits} qubits exceeds dense limit {dense_limit}")
+    if p.n_qubits > DENSE_LIMIT:
+        raise SizeLimitExceeded(f"{p.n_qubits} qubits exceeds dense limit {DENSE_LIMIT}")
     rows, cols, values = _pauli_entries(p)
     m = np.zeros((cols.size, cols.size), dtype=complex)
     m[rows, cols] = values
@@ -385,10 +383,7 @@ class CliffordTableau:
     def row_pauli(self, i: int) -> tuple[PauliString, int]:
         """Image of generator i (0..N-1: X_i, N..2N-1: Z_i) as a phase-0
         string plus its +-1 sign."""
-        n = self.n_qubits
-        x = _bits_to_int(self.mat[i, :n])
-        z = _bits_to_int(self.mat[i, n:])
-        return PauliString(n, x, z, 0), -1 if self.signs[i] else 1
+        return _row_to_pauli(self.mat[i]), -1 if self.signs[i] else 1
 
     def conjugate(self, p: PauliString) -> tuple[PauliString, int]:
         """C P C^dag for a Hermitian string: phase-0 result plus a +-1 sign."""
@@ -396,22 +391,17 @@ class CliffordTableau:
             raise ValueError("qubit-count mismatch")
         if not p.is_hermitian:
             raise NotHermitian("conjugation is defined for Hermitian strings")
-        n = self.n_qubits
-        acc = PauliString.identity(n)
+        acc = PauliString.identity(self.n_qubits)
         kappa = 0  # accumulated power of i from the multiplication cocycles
         neg = 0  # accumulated -1 exponent from row signs
-        for i in range(n):
-            if (p.x >> (n - 1 - i)) & 1:
-                img, sgn = self.row_pauli(i)
-                acc, c = pauli_multiply(acc, img)
-                kappa = (kappa + _phase_power(c)) % 4
-                neg ^= sgn < 0
-        for i in range(n):
-            if (p.z >> (n - 1 - i)) & 1:
-                img, sgn = self.row_pauli(n + i)
-                acc, c = pauli_multiply(acc, img)
-                kappa = (kappa + _phase_power(c)) % 4
-                neg ^= sgn < 0
+        index, width = p.index, 2 * self.n_qubits
+        for i in range(width):  # the X_1..X_N factors, then Z_1..Z_N
+            if not (index >> (width - 1 - i)) & 1:
+                continue
+            img, sgn = self.row_pauli(i)
+            acc, c = pauli_multiply(acc, img)
+            kappa = (kappa + _phase_power(c)) % 4
+            neg ^= sgn < 0
         total = (p.phase_exp + (p.x & p.z).bit_count() + kappa) % 4
         if total not in (0, 2):
             raise AssertionError("conjugation of a Hermitian string must give +-1")
@@ -428,6 +418,16 @@ class CliffordTableau:
             p2, s2 = self.conjugate(p1)
             images.append((p2, s1 * s2))
         return clifford_from_generator_images(images)
+
+    def inverse(self) -> "CliffordTableau":
+        """Tableau of C^dag.  Its matrix is J M^T J (mod 2), the inverse of a
+        symplectic M.  Row i is the class of C^dag g_i C, and its sign s
+        follows from conjugating back: C (s P(row i)) C^dag = g_i."""
+        j = _symplectic_j(self.n_qubits)
+        mat = j @ self.mat.T @ j % 2
+        signs = np.array([self.conjugate(_row_to_pauli(row))[1] < 0 for row in mat],
+                         dtype=np.uint8)
+        return CliffordTableau(self.n_qubits, mat, signs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -468,14 +468,40 @@ def clifford_from_generator_images(
             raise InvalidGeneratorImages("images must be phase-0 strings")
         if s not in (1, -1):
             raise InvalidGeneratorImages("signs must be +-1")
-        mat[i, :n] = _int_to_bits(p.x, n)
-        mat[i, n:] = _int_to_bits(p.z, n)
+        mat[i] = _pauli_to_row(p)
         signs[i] = 1 if s == -1 else 0
     return CliffordTableau(n, mat, signs)
 
 
 def _symp_inner(u: np.ndarray, v: np.ndarray, n: int) -> int:
     return int((u[:n] @ v[n:] + u[n:] @ v[:n]) % 2)
+
+
+def _project_out(v: np.ndarray, f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """v with the hyperbolic pair (f, g) projected out: the result pairs to
+    zero with both f and g (given <f, g> = 1)."""
+    v = v.copy()
+    if _symp_inner(v, g, n):
+        v ^= f
+    if _symp_inner(v, f, n):
+        v ^= g
+    return v
+
+
+def _symplectic_pairs(vectors: list[np.ndarray], n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Hyperbolic pairs spanning the given subgroup under the standard form
+    (symplectic Gram-Schmidt, in the given order)."""
+    vecs = list(vectors)
+    pairs = []
+    while vecs:
+        f = vecs.pop(0)
+        j = next((k for k, v in enumerate(vecs) if _symp_inner(f, v, n)), None)
+        if j is None:
+            raise FactorizationDegeneracy("commutation form degenerate on subgroup")
+        g = vecs.pop(j)
+        pairs.append((f, g))
+        vecs = [_project_out(v, f, g, n) for v in vecs]
+    return pairs
 
 
 def _f2_independent(vectors: list[np.ndarray], expected: int) -> list[np.ndarray]:
@@ -519,24 +545,6 @@ def _f2_nullspace(mat: np.ndarray) -> list[np.ndarray]:
     return [trans[r] for r in range(n) if not m[r].any()]
 
 
-def _f2_inverse(mat: np.ndarray) -> np.ndarray:
-    m = mat.copy() % 2
-    n = m.shape[0]
-    inv = np.eye(n, dtype=np.uint8)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r, col]), None)
-        if pivot is None:
-            raise FactorizationDegeneracy("singular F2 system in Clifford assembly")
-        if pivot != col:
-            m[[col, pivot]] = m[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        for r in range(n):
-            if r != col and m[r, col]:
-                m[r] ^= m[col]
-                inv[r] ^= inv[col]
-    return inv
-
-
 def random_clifford(n_qubits: int, rng: np.random.Generator) -> CliffordTableau:
     """Uniformly random tableau (exact uniformity, seeded).
 
@@ -570,31 +578,21 @@ def random_clifford(n_qubits: int, rng: np.random.Generator) -> CliffordTableau:
         xrows.append(f)
         zrows.append(g)
         if m > 1:
-            proj = []
-            for b in basis:
-                v = b.copy()
-                if _symp_inner(v, g, n):
-                    v ^= f
-                if _symp_inner(v, f, n):
-                    v ^= g
-                proj.append(v)
-            basis = _f2_independent(proj, 2 * m - 2)
+            basis = _f2_independent([_project_out(b, f, g, n) for b in basis], 2 * m - 2)
     mat = np.vstack(xrows + zrows)
     signs = rng.integers(0, 2, size=2 * n).astype(np.uint8)
     return CliffordTableau(n, mat, signs)
 
 
-def clifford_to_dense(
-    c: CliffordTableau, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> np.ndarray:
+def clifford_to_dense(c: CliffordTableau) -> np.ndarray:
     """Unitary matrix realizing the tableau's conjugation action.
 
     Unique up to global phase; the phase is fixed by making the first
     nonzero entry (column-major scan) real positive.
     """
     n = c.n_qubits
-    if n > dense_limit:
-        raise SizeLimitExceeded(f"{n} qubits exceeds dense limit {dense_limit}")
+    if n > DENSE_LIMIT:
+        raise SizeLimitExceeded(f"{n} qubits exceeds dense limit {DENSE_LIMIT}")
     d = 1 << n
     # |psi0> = state stabilized by the signed images of Z_1..Z_N
     proj = np.eye(d, dtype=complex)
@@ -615,10 +613,11 @@ def clifford_to_dense(
     return fix_global_phase(u)
 
 
-def fix_global_phase(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Divide by the phase of the first nonzero entry in column-major order."""
+def fix_global_phase(m: np.ndarray) -> np.ndarray:
+    """Divide by the phase of the first entry above 1e-12 in magnitude, in
+    column-major order."""
     flat = m.flatten(order="F")
-    idx = np.flatnonzero(np.abs(flat) > tol)
+    idx = np.flatnonzero(np.abs(flat) > 1e-12)
     if idx.size == 0:
         return m
     return m * (np.abs(flat[idx[0]]) / flat[idx[0]])

@@ -54,9 +54,13 @@ def tableau_from_text(text: str) -> CliffordTableau:
     n = int(lines[0])
     if len(lines) != 2 + 2 * n:
         raise ValueError("tableau block has the wrong number of lines")
-    mat = np.array([[int(ch) for ch in lines[1 + i]] for i in range(2 * n)], dtype=np.uint8)
-    signs = np.array([int(ch) for ch in lines[1 + 2 * n]], dtype=np.uint8)
-    return CliffordTableau(n, mat, signs)
+    bits = []
+    for ln in lines[1:]:
+        if set(ln) - {"0", "1"}:
+            raise ValueError(f"tableau line {ln!r} has a character other than 0 or 1")
+        bits.append([int(ch) for ch in ln])
+    return CliffordTableau(n, np.array(bits[:-1], dtype=np.uint8),
+                           np.array(bits[-1], dtype=np.uint8))
 
 
 def save_tableau(path: str, c: CliffordTableau) -> None:

@@ -25,13 +25,13 @@ from . import _threads
 from .entpower import _pauli_entangling_power
 from .errors import NotHermitian, NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, is_unitary, linear_entanglement_unitary
-from .paulis import PauliString, _pauli_entries
+from .paulis import DENSE_LIMIT, PauliString, _pauli_entries
 from .stats import run_until_converged
 
 DEFAULT_DT = 0.2
 DEFAULT_SEM_THRESHOLD = 2e-2
 DEFAULT_N_MIN = 25
-DENSE_SITE_LIMIT = 12
+HERMITIAN_TOL = 1e-10  # bound on |H - H^dag| / max(1, |H|), Frobenius norms
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ SpinChainModel = XYZModel | TFIMModel
 
 def build_hamiltonian(model: SpinChainModel) -> np.ndarray:
     n = model.n_sites
-    if n > DENSE_SITE_LIMIT:
-        raise SizeLimitExceeded(f"{n} sites exceeds dense limit {DENSE_SITE_LIMIT}")
+    if n > DENSE_LIMIT:
+        raise SizeLimitExceeded(f"{n} sites exceeds dense limit {DENSE_LIMIT}")
     if not isinstance(model, (XYZModel, TFIMModel)):
         raise TypeError(f"unknown model type {type(model)!r}")
     terms = []  # (coeff, x bits, z bits) of phase-0 Pauli strings
@@ -86,8 +86,8 @@ def build_hamiltonian(model: SpinChainModel) -> np.ndarray:
 class HamiltonianPropagator:
     """exp(-i H t) for many t from a single eigendecomposition."""
 
-    def __init__(self, ham: np.ndarray, tol: float = 1e-10):
-        if np.linalg.norm(ham - ham.conj().T) > tol * max(1.0, np.linalg.norm(ham)):
+    def __init__(self, ham: np.ndarray):
+        if np.linalg.norm(ham - ham.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(ham)):
             raise NotHermitian("propagator needs a Hermitian generator")
         self.energies, self.modes = np.linalg.eigh(ham)
 

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from paulient.errors import NotProduct, NotProductPreserving
 from paulient.factorization import (
+    _tableau_block_diag,
     check_pauli_product_preserving,
     residual_local_magic,
     extract_hermitian_unitary_factors,
@@ -18,6 +19,7 @@ from paulient.operators import Bipartition, haar_random_unitary
 from paulient.paulis import (
     CliffordTableau,
     clifford_to_dense,
+    fix_global_phase,
     pauli_mul_matrix,
     random_clifford,
 )
@@ -129,6 +131,14 @@ class TestExtractFactors:
 
 
 class TestFactorize:
+    @pytest.mark.parametrize("na,nb", [(1, 1), (1, 2), (2, 1), (2, 3)])
+    def test_block_diagonal_tableau_is_the_kron(self, na, nb, rng):
+        ca, cb = random_clifford(na, rng), random_clifford(nb, rng)
+        assert np.allclose(
+            clifford_to_dense(_tableau_block_diag(ca, cb)),
+            fix_global_phase(np.kron(clifford_to_dense(ca), clifford_to_dense(cb))),
+            atol=1e-10)
+
     def test_clifford_dense_recovers_same_tableau(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 5))

@@ -320,6 +320,24 @@ class TestCliffordDense:
                                sign * pauli_to_dense(img), atol=1e-10)
 
 
+class TestCliffordInverse:
+    def test_inverse_composes_to_identity(self):
+        for n in range(1, 6):
+            for seed in range(4):
+                c = random_clifford(n, np.random.default_rng(100 * n + seed))
+                inv = c.inverse()
+                identity = CliffordTableau.identity(n)
+                assert inv.compose(c) == identity == c.compose(inv)
+
+    def test_inverse_is_the_dense_adjoint(self):
+        for n in range(1, 6):
+            for seed in range(2):
+                c = random_clifford(n, np.random.default_rng(200 * n + seed))
+                assert np.allclose(clifford_to_dense(c.inverse()),
+                                   fix_global_phase(clifford_to_dense(c).conj().T),
+                                   atol=1e-10)
+
+
 class TestLabels:
     def test_round_trip(self, rng):
         for _ in range(30):

@@ -41,6 +41,13 @@ class TestSerialize:
         assert load_tableau(str(path)) == c
         assert tableau_from_text(tableau_to_text(c)) == c
 
+    def test_tableau_rejects_digits_other_than_bits(self):
+        # reduced mod 2, this would be the one-qubit identity
+        with pytest.raises(ValueError, match="other than 0 or 1"):
+            tableau_from_text("1\n30\n03\n20\n")
+        with pytest.raises(ValueError, match="other than 0 or 1"):
+            tableau_from_text("1\n10\n01\n0x\n")
+
     def test_mpu_round_trip(self, tmp_path):
         t = mpu_zz_chain(0.3)
         path = tmp_path / "t.txt"
@@ -119,6 +126,15 @@ class TestCli:
             assert main(args) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and "threshold must be positive" in captured.err
+
+    def test_empty_out_path_is_an_error(self, tmp_path, rng, capsys):
+        mfile = tmp_path / "c.txt"
+        save_matrix(str(mfile), clifford_to_dense(random_clifford(2, rng)))
+        for argv in (["thm1-check", "--matrix", str(mfile), "--na", "1", "--nb", "1"],
+                     ["pe-typical", "--d", "16", "--da", "4"]):
+            assert main(argv + ["--out", ""]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_thm1_check_true(self, tmp_path, rng):
         c = clifford_to_dense(random_clifford(2, rng))
