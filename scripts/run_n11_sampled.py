@@ -13,6 +13,12 @@ real coefficient matrix across the 5|6 cut, about 0.43 s per sample on a
 2-core Xeon; a full sweep point needs on the order of 10^4 samples); run it on
 a beefy machine or chunk the sweep values.  Not part of the acceptance gate.
 
+The strings of one timestep do not share the thread pool at this size: one
+buffer set per thread is 128 MiB ([Re K, Im K] and the purity scratch) plus
+an 8 MiB Gram matrix, past the pool's 20 MiB budget, so each call keeps to
+one thread and BLAS keeps its threads.  Use --workers to spread sweep values
+over cores instead.
+
 Example:
     python scripts/run_n11_sampled.py --model xyz --sweep Jz=0:0.5:1 \
         --seed 7 --out n11_xyz.csv

@@ -1,14 +1,19 @@
-"""The thread pool that exact P_E runs the blocks of its g-table on.
+"""The thread pool that P_E runs on: the pair blocks of exact P_E's g-table,
+and the drawn strings of a sampled P_E call from N = 8 on.
 
 There is one ThreadPoolExecutor per process, created on the first call that
-has blocks for more than one thread, with one thread per core this process
-may run on.  The blocks' GEMMs are small (inner dimension 16 at N = 8) and
-run no faster on two BLAS threads than on one, while OpenBLAS threads left
-spinning after a GEMM take the cores the pool needs.  So every call that uses
-the pool first sets each OpenBLAS library loaded since the last such call to
-one thread, for the rest of the process.  Where that cannot be done (another
-BLAS, or no /proc/self/maps to find the libraries), every call runs on its
-caller's thread.
+has tasks for more than one thread, with one thread per core this process
+may run on.  Each task of a call works in a buffer set of its own, and the
+sets of one call share one memory budget, BUFFER_BUDGET, which caps the
+threads by the sizes as well as by the cores.  The blocks' GEMMs are small
+(inner dimension 16 at N = 8) and run no faster on two BLAS threads than on
+one, and a sampled string gains more from a second string in parallel than
+from a second BLAS thread, while OpenBLAS threads left spinning after a GEMM
+take the cores the pool needs.  So every call that uses the pool first sets
+each OpenBLAS library loaded since the last such call to one thread, for the
+rest of the process.  Where that cannot be done (another BLAS, or no
+/proc/self/maps to find the libraries), every call runs on its caller's
+thread.
 
 A process forked after the pool exists gets a fresh one on first use; the
 inherited executor's threads do not exist in the child.
@@ -20,7 +25,7 @@ import ctypes
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -33,6 +38,11 @@ _OPENBLAS_SETTERS = (
     "scipy_openblas_set_num_threads",
     "scipy_openblas_set_num_threads64_",
 )
+
+# bytes that the buffer sets of one pooled call (and, for the g-table, its
+# unsummed block results) may take together; a call uses fewer threads where
+# more sets would not fit
+BUFFER_BUDGET = 20 << 20
 
 _lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
@@ -50,7 +60,7 @@ def available_cores() -> int:
 
 
 def set_thread_limit(limit: int | None) -> None:
-    """Cap the g-table threads of this process (None: every core).  A sweep
+    """Cap the P_E threads of this process (None: every core).  A sweep
     gives each of its worker processes a share of the cores this way."""
     global _limit
     _limit = limit
@@ -105,7 +115,11 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int) -> Itera
     """fn over items, results in item order.  With threads > 1 (an answer of
     threads_for) the calls run on the pool, at most threads + 1 submitted and
     not yet taken, so at most threads + 2 results are held at once, the
-    caller's included; otherwise they run lazily on the caller's thread."""
+    caller's included; otherwise they run lazily on the caller's thread.
+    Items are drawn on the caller's thread, at most threads + 1 ahead of the
+    result last taken.  Closing the iterator early (or an exception in fn)
+    cancels the calls not yet started and waits for the running ones, so no
+    call of fn is left running once it returns."""
     if threads < 2:
         yield from map(fn, items)
         return
@@ -120,6 +134,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int) -> Itera
     finally:
         for future in pending:
             future.cancel()
+        wait(pending)
 
 
 def _forget_pool_in_child() -> None:

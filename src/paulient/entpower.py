@@ -46,15 +46,26 @@ d x d/2 x d product for K and one more syrk for the purity, about
 d^3 + d_A^4 d_B^2 / 2 real multiply-adds, where a complex product U^dag (P U)
 and a complex realigned Gram matrix take about 4 d^3 + 4 d_A^4 d_B^2.  The
 identity gives exactly 0.
+
+From N = 8 the strings of one sampled call run on the _threads pool, one
+buffer set per thread (4 d^2 floats and a Gram matrix: 8.5 MiB at N = 9,
+4|5) within the pool's memory budget, so up to nine threads at N = 8, two at
+N = 9 and one from N = 10; u and the purity's gather indices are shared.  The
+caller's thread draws every string and pushes the values into the stopping
+rule in draw order, so the result does not depend on the number of threads.
+The pool draws a few strings ahead; when the rule stops, the call waits for
+the strings still running, drops them, and puts the rng back where a serial
+loop would have left it.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
 import queue
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -84,9 +95,14 @@ class PauliPowerEstimate:
     sem: float
 
 
-# bytes that one exact call's block buffers and unsummed slots may take
-# together; a pooled call uses fewer threads where more would not fit
-_BLOCK_BUDGET = 20 << 20
+# Sampled calls below this many qubits evaluate their strings on the caller's
+# thread.  Per string on a 2-core Xeon (numpy 2.4, OpenBLAS), serial on two
+# BLAS threads / serial on one / pooled on two cores: N = 6 0.11/0.12/0.14-0.20
+# ms and N = 7 0.45/0.42/0.38-0.48 ms, where the pool gains nothing; N = 8
+# 2.4/1.9/1.25 ms and N = 9 9.5/12.3/6.5 ms.  From N = 10 one buffer set
+# exceeds _threads.BUFFER_BUDGET, so a call keeps to one thread (74 ms per
+# string on two BLAS threads, 107 ms on one once another call has pinned it).
+_POOLED_STRINGS_MIN_QUBITS = 8
 
 
 def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
@@ -115,9 +131,9 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     Calls with two or more blocks run them on the _threads pool.  The
     calling thread allocates one set of block buffers per thread, and a
     block borrows a free set while it runs.  The buffer sets and the unsummed
-    slots (at most threads + 2) stay within _BLOCK_BUDGET bytes, which caps
-    the threads by the sizes (three at N = 8, 4|4; one from N = 9), not by
-    the cores.  The block size depends on the sizes alone and the slots are
+    slots (at most threads + 2) stay within _threads.BUFFER_BUDGET bytes,
+    which caps the threads by the sizes (three at N = 8, 4|4; one from
+    N = 9), not by the cores.  The block size depends on the sizes alone and the slots are
     summed in block order, so the table does not depend on the number of
     threads.
 
@@ -142,7 +158,7 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     width = min(block, len(ka))
     set_bytes = 16 * width * d * (2 * dt + 2 * d)  # one set of the buffers below
     slot_bytes = 16 * d * d  # one [z, x] slot, re^2 and im^2 in float64
-    fit = (_BLOCK_BUDGET - 2 * slot_bytes) // (set_bytes + slot_bytes)
+    fit = (_threads.BUFFER_BUDGET - 2 * slot_bytes) // (set_bytes + slot_bytes)
     threads = _threads.threads_for(min(len(starts), fit))
     free: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(threads):
@@ -184,44 +200,53 @@ def _exact_value(u: np.ndarray, bp: Bipartition) -> float:
     return 1.0 - total / float(bp.d) ** 4
 
 
-def _string_elin(u: np.ndarray, bp: Bipartition) -> Callable[[PauliString], float]:
+def _string_elin(u: np.ndarray, bp: Bipartition,
+                 sets: int = 1) -> Callable[[PauliString], float]:
     """E_lin(U^dag P U) for phase-0 strings P, by the sampled-mode identities
-    of the module docstring, with the buffers allocated once for every string
-    of one sampled call."""
+    of the module docstring.  The contiguous u and the purity's gather indices
+    are built once and only read by the strings.  Each string borrows one of
+    `sets` buffer sets from a free queue while it runs, so up to `sets` threads
+    may evaluate strings at once."""
     d, half = bp.d, bp.d // 2
     u = np.ascontiguousarray(u, dtype=complex)
-    purity = _HermitianPurity(bp)
-    parts = np.empty((2, d, d))  # Re K, Im K
-    re_k, im_k = parts
-    re_k_diag = re_k.reshape(-1)[::d + 1]
-    x_rows = im_k  # [Re B; Im B] until Im K overwrites it
-    # B and the partner rows live in the purity scratch, which is free until
-    # the purity call, and so does M once B is spent
-    b_rows, partners = (s.reshape(-1).view(complex).reshape(half, d)
-                        for s in purity.scratch)
-    m_prod = purity.scratch[0].reshape(d, d)
+    first = _HermitianPurity(bp)
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    for purity in [first] + [first.twin() for _ in range(sets - 1)]:
+        free.put((np.empty((2, d, d)), purity))  # [Re K, Im K], purity
 
     def value(p: PauliString) -> float:
         if p.is_identity:
             return 0.0
-        partner_rows, cols, values = _pauli_entries(p)
-        if p.x:
-            rows = cols[cols & (1 << (p.x.bit_length() - 1)) == 0]
-            # the indices are in range; mode="clip" writes straight into out
-            u.take(rows, axis=0, out=b_rows, mode="clip")
-            u.take(partner_rows[rows], axis=0, out=partners, mode="clip")
-            np.multiply(partners, values[rows].conj()[:, None], out=partners)
-            np.add(b_rows, partners, out=b_rows)
-        else:
-            u.take(cols[values.real > 0], axis=0, out=b_rows, mode="clip")
-            np.multiply(b_rows, math.sqrt(2.0), out=b_rows)
-        np.copyto(x_rows[:half], b_rows.real)
-        np.copyto(x_rows[half:], b_rows.imag)
-        np.matmul(x_rows.T, x_rows, out=re_k)
-        np.subtract(re_k_diag, 1.0, out=re_k_diag)
-        np.matmul(x_rows[:half].T, x_rows[half:], out=m_prod)
-        np.subtract(m_prod, m_prod.T, out=im_k)
-        return 1.0 - purity(parts)
+        parts, purity = free.get()
+        try:
+            re_k, im_k = parts
+            re_k_diag = re_k.reshape(-1)[::d + 1]
+            x_rows = im_k  # [Re B; Im B] until Im K overwrites it
+            # B and the partner rows live in the purity scratch, which is free
+            # until the purity call, and so does M once B is spent
+            b_rows, partners = (s.reshape(-1).view(complex).reshape(half, d)
+                                for s in purity.scratch)
+            m_prod = purity.scratch[0].reshape(d, d)
+            partner_rows, cols, values = _pauli_entries(p)
+            if p.x:
+                rows = cols[cols & (1 << (p.x.bit_length() - 1)) == 0]
+                # the indices are in range; mode="clip" writes straight into out
+                u.take(rows, axis=0, out=b_rows, mode="clip")
+                u.take(partner_rows[rows], axis=0, out=partners, mode="clip")
+                np.multiply(partners, values[rows].conj()[:, None], out=partners)
+                np.add(b_rows, partners, out=b_rows)
+            else:
+                u.take(cols[values.real > 0], axis=0, out=b_rows, mode="clip")
+                np.multiply(b_rows, math.sqrt(2.0), out=b_rows)
+            np.copyto(x_rows[:half], b_rows.real)
+            np.copyto(x_rows[half:], b_rows.imag)
+            np.matmul(x_rows.T, x_rows, out=re_k)
+            np.subtract(re_k_diag, 1.0, out=re_k_diag)
+            np.matmul(x_rows[:half].T, x_rows[half:], out=m_prod)
+            np.subtract(m_prod, m_prod.T, out=im_k)
+            return 1.0 - purity(parts)
+        finally:
+            free.put((parts, purity))
 
     return value
 
@@ -246,7 +271,9 @@ def pauli_entangling_power(
     mean is below sem_target, or at max_samples (or after exactly n_samples
     when given, whatever the standard error).  It needs
     n_samples >= 1 when given, max_samples >= 1, and min_samples >= 2, since
-    the standard error needs two samples.
+    the standard error needs two samples.  From N = 8 the strings run on the
+    _threads pool; the estimate, and the state rng is left in, are those of
+    drawing and evaluating one string at a time.
     """
     if u.shape[0] != bp.d:
         raise ValueError("operator dimension does not match the bipartition")
@@ -286,11 +313,32 @@ def _pauli_entangling_power(
         raise ValueError(f"max_samples must be at least 1, got {max_samples}")
     if min_samples < 2:
         raise ValueError(f"min_samples must be at least 2, got {min_samples}")
-    string_elin = _string_elin(u, bp)
-    draws = (string_elin(random_pauli(bp.n_qubits, rng)) for _ in itertools.count())
     # with a fixed count the rule can only fire at the cap itself
     n_min, cap = (min_samples, max_samples) if n_samples is None else (n_samples, n_samples)
-    acc, _ = run_until_converged(draws, sem_target, 1.0, n_min, cap)
+    threads = 1
+    if bp.n_qubits >= _POOLED_STRINGS_MIN_QUBITS:
+        # one _string_elin buffer set: [Re K, Im K], the purity scratch (the
+        # same size) and the purity's Gram matrix on the smaller side
+        set_bytes = 8 * (4 * bp.d * bp.d + min(bp.d_a, bp.d_b) ** 4)
+        fit = _threads.BUFFER_BUDGET // set_bytes
+        threads = _threads.threads_for(min(cap, fit))
+    string_elin = _string_elin(u, bp, threads)
+    saved: deque = deque(maxlen=threads + 2)  # (draw number, rng state before it)
+
+    def strings() -> Iterator[PauliString]:
+        for k in range(cap):
+            if threads > 1:
+                saved.append((k, rng.bit_generator.state))
+            yield random_pauli(bp.n_qubits, rng)
+
+    values = _threads.ordered_map(string_elin, strings(), threads)
+    with contextlib.closing(values):  # returns once no pool thread runs a string
+        acc, _ = run_until_converged(values, sem_target, 1.0, n_min, cap)
+    # the pool draws at most threads + 1 strings past the last one pushed; the
+    # rng goes back to where the serial loop leaves it
+    for k, state in saved:
+        if k == acc.n:
+            rng.bit_generator.state = state
     return PauliPowerEstimate(value=acc.mean, mode="sampled", n_samples=acc.n,
                               sem=acc.half_width())
 

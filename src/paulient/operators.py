@@ -6,6 +6,7 @@ All entropies are base-2 (bits).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -114,7 +115,8 @@ class _HermitianPurity:
     parts = [Re K, Im K], a contiguous (2, d, d) float64 array, through two
     flat gathers built once here, one per term; -Im beta is read as
     Im conj(beta).  The two scratch arrays are overwritten by a call and free
-    for the caller between calls.
+    for the caller between calls.  A twin shares the gather indices and has
+    scratch of its own, so one twin per thread can run at once.
     """
 
     def __init__(self, bp: Bipartition):
@@ -137,6 +139,13 @@ class _HermitianPurity:
         self.scratch = np.empty((2, da * da, db * db))
         side = min(da, db) ** 2
         self._gram = np.empty((side, side))
+
+    def twin(self) -> "_HermitianPurity":
+        """A purity with this one's read-only gather indices and new scratch."""
+        other = copy.copy(self)
+        other.scratch = np.empty_like(self.scratch)
+        other._gram = np.empty_like(self._gram)
+        return other
 
     def __call__(self, parts: np.ndarray) -> float:
         coeffs, second = self.scratch

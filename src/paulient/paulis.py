@@ -281,11 +281,23 @@ def _wht_real(reals: np.ndarray, axis: int, scratch: np.ndarray | None = None,
     return second.reshape(reals.shape)
 
 
-def _phase_grid(d: int) -> np.ndarray:
-    """phase[x, z] = i^(x.z) for all pairs of N-bit integers."""
+_PHASE_GRID_CACHE_MAX_D = 1 << 6  # a cached grid takes at most 64 KiB
+
+
+@lru_cache(maxsize=8)
+def _built_phase_grid(d: int) -> np.ndarray:
     xs = np.arange(d)
-    pc = np.bitwise_count(xs[:, None] & xs[None, :]) % 4
-    return _I4[pc]
+    grid = _I4[np.bitwise_count(xs[:, None] & xs[None, :]) % 4]
+    grid.flags.writeable = False
+    return grid
+
+
+def _phase_grid(d: int) -> np.ndarray:
+    """phase[x, z] = i^(x.z) for all pairs of N-bit integers; read-only, and
+    shared by callers up to d = _PHASE_GRID_CACHE_MAX_D."""
+    if d <= _PHASE_GRID_CACHE_MAX_D:
+        return _built_phase_grid(d)
+    return _built_phase_grid.__wrapped__(d)
 
 
 def pauli_trace_table(op: np.ndarray) -> np.ndarray:
@@ -605,10 +617,20 @@ def clifford_to_dense(c: CliffordTableau) -> np.ndarray:
     if nrm < 1e-12:
         raise AssertionError("stabilizer projector produced a null column")
     psi0 = psi0 / nrm
-    # column b of the unitary = (image of X^b) |psi0>
+    # column b of the unitary = (image of X^b) |psi0>.  The images of the
+    # X_q commute, so image(b) is image(b without its lowest set bit) times
+    # the image of that bit's X_q, with a +-1 product phase.
+    x_images = [c.row_pauli(q) for q in range(n)]  # X_1 (top bit) .. X_N
+    images = [(PauliString.identity(n), 1)]
     u = np.empty((d, d), dtype=complex)
-    for b in range(d):
-        img, sgn = c.conjugate(PauliString(n, b, 0, 0))
+    u[:, 0] = psi0
+    for b in range(1, d):
+        low = b & -b
+        rest, rest_sgn = images[b ^ low]
+        img, q_sgn = x_images[n - low.bit_length()]
+        img, phase = pauli_multiply(rest, img)
+        sgn = rest_sgn * q_sgn * (1 if phase == 1 else -1)
+        images.append((img, sgn))
         u[:, b] = sgn * apply_pauli(img, psi0)
     return fix_global_phase(u)
 

@@ -221,6 +221,42 @@ class TestSampledMode:
             assert est.n_samples == acc.n and (fixed is not None or acc.n > 32)
             assert abs(est.value - acc.mean) <= 1e-12
 
+    def test_pooled_strings_match_the_serial_loop(self):
+        # the loop that draws and evaluates one string at a time on the
+        # caller's thread; a GEMM's summation order follows the BLAS thread
+        # count, so values agree to 1e-14 and counts and draws exactly
+        for n_a, n_b in [(4, 4), (4, 5), (5, 4)]:
+            bp = Bipartition(n_a, n_b)
+            model = XYZModel(n_sites=bp.n_qubits, j_z=0.3)
+            u = HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0)
+            for fixed, sem_target in ((None, 7e-4), (20, 2e-2)):
+                rng = np.random.default_rng(43)
+                est = pauli_entangling_power(u, bp, mode="sampled", rng=rng, min_samples=8,
+                                             sem_target=sem_target, n_samples=fixed)
+                serial_rng = np.random.default_rng(43)
+                string_elin = _string_elin(u, bp)
+                draws = (string_elin(random_pauli(bp.n_qubits, serial_rng))
+                         for _ in itertools.count())
+                n_min, cap = (8, 1_000_000) if fixed is None else (fixed, fixed)
+                acc, _ = run_until_converged(draws, sem_target, 1.0, n_min, cap)
+                assert est.n_samples == acc.n and (fixed is not None or acc.n > 8)
+                assert rng.integers(1 << 62) == serial_rng.integers(1 << 62)
+                assert abs(est.value - acc.mean) <= 1e-14, (n_a, n_b, fixed)
+
+    def test_sampled_peak_memory_at_nine_qubits(self):
+        # one buffer set is 8.5 MiB at 4|5 and the budget fits two, which
+        # share one contiguous u and one pair of 2 MiB gather indices: 21.3
+        # MiB measured; a third set, or indices per thread, would not fit
+        u = haar_random_unitary(512, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            pauli_entangling_power(u, Bipartition(4, 5), mode="sampled",
+                                   rng=np.random.default_rng(1), n_samples=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
+
     def test_rng_required(self, rng):
         with pytest.raises(ValueError):
             pauli_entangling_power(haar_random_unitary(4, rng), BP11, mode="sampled")

@@ -7,6 +7,7 @@ from paulient.errors import InvalidGeneratorImages, SizeLimitExceeded
 from paulient.paulis import (
     CliffordTableau,
     PauliString,
+    _phase_grid,
     _phase_power,
     apply_pauli,
     clifford_from_generator_images,
@@ -188,6 +189,14 @@ class TestTables:
             assert abs(lhs - rhs) < 1e-10
             assert np.abs(operator_from_pauli_table(pauli_trace_table(op) / d) - op).max() < 1e-12
 
+    def test_phase_grid_cached_read_only(self):
+        for n in range(9):
+            d = 2**n
+            grid = _phase_grid(d)
+            want = np.array([[1j ** bin(x & z).count("1") for z in range(d)] for x in range(d)])
+            assert np.array_equal(grid, want) and not grid.flags.writeable
+            assert (_phase_grid(d) is grid) == (d <= 64)
+
     def test_expectation_table_oracle(self, rng):
         psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi /= np.linalg.norm(psi)
@@ -318,6 +327,19 @@ class TestCliffordDense:
             img, sign = c.conjugate(p)
             assert np.allclose(u @ pauli_to_dense(p) @ u.conj().T,
                                sign * pauli_to_dense(img), atol=1e-10)
+
+
+    def test_columns_match_per_column_conjugation(self):
+        # column 0 is the stabilizer state, and column b is the image of X^b
+        # applied to it; signs and Pauli phases are exact, so every column is ==
+        rng = np.random.default_rng(611)
+        for n in range(1, 6):
+            for _ in range(6):
+                c = random_clifford(n, rng)
+                u = clifford_to_dense(c)
+                for b in range(2**n):
+                    img, sign = c.conjugate(PauliString(n, b, 0, 0))
+                    assert np.array_equal(u[:, b], sign * apply_pauli(img, u[:, 0])), (n, b)
 
 
 class TestCliffordInverse:

@@ -1,6 +1,7 @@
-"""The g-table's thread pool: results independent of the thread count, safe
-for concurrent callers and forked children, and OpenBLAS pinned to one
-thread only once a call has blocks for the pool."""
+"""The P_E thread pool: g-table blocks and sampled strings give results
+independent of the thread count, the pool is safe for concurrent callers and
+forked children, an early stop leaves no call running, and OpenBLAS is pinned
+to one thread only once a call has tasks for the pool."""
 
 import json
 import os
@@ -16,9 +17,14 @@ import numpy as np
 import pytest
 
 from paulient import _threads
-from paulient.entpower import _pauli_g_table, pauli_entangling_power
+from paulient.entpower import _pauli_entangling_power, _pauli_g_table, pauli_entangling_power
 from paulient.operators import Bipartition, haar_random_unitary
-from paulient.spinchain import run_sweep_experiment
+from paulient.spinchain import (
+    HamiltonianPropagator,
+    XYZModel,
+    build_hamiltonian,
+    run_sweep_experiment,
+)
 
 
 @pytest.fixture
@@ -29,7 +35,7 @@ def thread_limit():
 
 
 _BLAS_PROBE = """
-import ctypes, json
+import ctypes, json, sys
 import numpy as np
 from paulient import _threads
 from paulient.entpower import pauli_entangling_power
@@ -50,16 +56,29 @@ def counts():
 
 _threads.set_thread_limit(2)
 rng = np.random.default_rng(0)
+if sys.argv[1] == "exact":
+    small = lambda: pauli_entangling_power(haar_random_unitary(32, rng), Bipartition(2, 3))
+    large = lambda: pauli_entangling_power(haar_random_unitary(64, rng), Bipartition(3, 3))
+else:  # a sampled call below the size floor of the pool, and one at it
+    small = lambda: pauli_entangling_power(haar_random_unitary(128, rng), Bipartition(3, 4),
+                                           mode="sampled", rng=rng, n_samples=4)
+    large = lambda: pauli_entangling_power(haar_random_unitary(256, rng), Bipartition(4, 4),
+                                           mode="sampled", rng=rng, n_samples=4)
 before = counts()
-pauli_entangling_power(haar_random_unitary(32, rng), Bipartition(2, 3))  # one block
+small()  # one block, or strings below the floor
 single = counts()
-pauli_entangling_power(haar_random_unitary(64, rng), Bipartition(3, 3))  # two blocks
+large()  # two blocks, or strings at the floor
 pooled = counts()
 import scipy.linalg  # loads scipy's OpenBLAS build after the first pooled call
 late = counts()
-pauli_entangling_power(haar_random_unitary(64, rng), Bipartition(3, 3))
+large()
 print(json.dumps([before, single, pooled, late, counts()]))
 """
+
+
+def _xyz_unitary(n_sites: int) -> np.ndarray:
+    model = XYZModel(n_sites=n_sites, j_z=0.3)
+    return HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0)
 
 
 class TestThreadPool:
@@ -91,18 +110,25 @@ class TestThreadPool:
         assert peak <= 21.5 * 2**20
 
     def test_concurrent_callers_get_equal_values(self, thread_limit):
-        # more block threads than cores and a short switch interval, so the
-        # callers' blocks interleave on the shared pool
+        # more pool threads than cores and a short switch interval, so the
+        # callers' blocks and sampled strings interleave on the shared pool
         thread_limit(4)
-        bp = Bipartition(3, 4)
+        bp, bp8 = Bipartition(3, 4), Bipartition(4, 4)
         u = haar_random_unitary(bp.d, np.random.default_rng(506))
-        want = pauli_entangling_power(u, bp).value
+        u8 = haar_random_unitary(bp8.d, np.random.default_rng(509))
+
+        def both():
+            est = pauli_entangling_power(u8, bp8, mode="sampled",
+                                         rng=np.random.default_rng(7), n_samples=12)
+            return pauli_entangling_power(u, bp).value, est.value
+
+        want = both()
         start = threading.Barrier(3)
         values = [None] * 3
 
         def call(i):
             start.wait()
-            values[i] = pauli_entangling_power(u, bp).value
+            values[i] = both()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -148,16 +174,72 @@ class TestThreadPool:
         two = run_sweep_experiment("xyz", [0.0, 1.0], 6, workers=2, **kw)
         assert one == two
 
+    def test_sampled_independent_of_thread_count(self, thread_limit, monkeypatch):
+        # the strings of one call run on the pool in draw order, so value,
+        # count, standard error and the caller's next draw are those of one
+        # thread; BLAS is pinned first, so every string runs on one BLAS thread
+        thread_limit(2)
+        pauli_entangling_power(haar_random_unitary(64, np.random.default_rng(0)),
+                               Bipartition(3, 3))
+        pooled = _threads._blas_pinned and _threads.available_cores() >= 2
+        ordered_map = _threads.ordered_map
+        used = []
+
+        def spy(fn, items, threads):
+            used.append(threads)
+            return ordered_map(fn, items, threads)
+
+        monkeypatch.setattr(_threads, "ordered_map", spy)
+        for n_a, n_b in [(4, 4), (4, 5), (5, 4)]:
+            bp = Bipartition(n_a, n_b)
+            u = _xyz_unitary(bp.n_qubits)
+            # min_samples 8 and the rule fires past it; 20 strings fixed
+            for kw in (dict(sem_target=1.5e-3, min_samples=8), dict(n_samples=20)):
+                seen, used[:] = [], []
+                for limit in (1, 2, 16):
+                    thread_limit(limit)
+                    rng = np.random.default_rng(41)
+                    est = _pauli_entangling_power(u, bp, "sampled", rng=rng, **kw)
+                    seen.append((est.value, est.n_samples, est.sem, int(rng.integers(1 << 62))))
+                assert seen[1] == seen[0] and seen[2] == seen[0], (n_a, n_b, kw)
+                assert "n_samples" in kw or seen[0][1] > 8
+                # two buffer sets fit the budget at N = 9
+                assert used[:2] == [1, 2 if pooled else 1]
+                assert bp.n_qubits < 9 or used[2] == used[1]
+
+    def test_ordered_map_close_waits_for_running_calls(self, thread_limit):
+        thread_limit(2)
+        if _threads.threads_for(2) < 2:
+            pytest.skip("the pool cannot be used here")
+        lock = threading.Lock()
+        running = [0]
+
+        def slow(i):
+            with lock:
+                running[0] += 1
+            time.sleep(0.2)
+            with lock:
+                running[0] -= 1
+            return i
+
+        results = _threads.ordered_map(slow, range(100), 2)
+        assert next(results) == 0
+        results.close()
+        assert running[0] == 0
+
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
     def test_openblas_pinned_by_multi_block_calls_only(self):
+        # exact: one block does not pin, two do; sampled: strings below the
+        # pool's size floor do not pin, strings at it do
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, check=True,
-                             capture_output=True, text=True, timeout=300)
-        before, single, pooled, late, after = json.loads(out.stdout.splitlines()[-1])
-        if not before:
-            pytest.skip("no OpenBLAS library is loaded")
-        assert single == before
-        assert pooled == [1] * len(before)
-        assert after == [1] * len(late)
+        for kind in ("exact", "sampled"):
+            out = subprocess.run([sys.executable, "-c", _BLAS_PROBE, kind], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            before, single, pooled, late, after = json.loads(out.stdout.splitlines()[-1])
+            if not before:
+                pytest.skip("no OpenBLAS library is loaded")
+            assert single == before, kind
+            assert pooled == [1] * len(before), kind
+            assert after == [1] * len(late), kind
