@@ -19,6 +19,11 @@ an 8 MiB Gram matrix, past the pool's 20 MiB budget, so each call keeps to
 one thread and BLAS keeps its threads.  Use --workers to spread sweep values
 over cores instead.
 
+The script is a thin wrapper over `paulient spinchain-run`: it fixes --n 11
+and --mode sampled, and the CLI writes the CSV.  Its defaults for the other
+flags are the library's own (spinchain.DEFAULT_SEM_THRESHOLD,
+entpower.DEFAULT_SEM_TARGET, spinchain.DEFAULT_MAX_STEPS).
+
 Example:
     python scripts/run_n11_sampled.py --model xyz --sweep Jz=0:0.5:1 \
         --seed 7 --out n11_xyz.csv
@@ -28,6 +33,8 @@ import argparse
 import sys
 
 from paulient.cli import main as cli_main
+from paulient.entpower import DEFAULT_SEM_TARGET
+from paulient.spinchain import DEFAULT_MAX_STEPS, DEFAULT_SEM_THRESHOLD
 
 
 def main() -> int:
@@ -37,9 +44,9 @@ def main() -> int:
     parser.add_argument("--sweep", default="Jz=0:0.5:1")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", default="n11_sampled.csv")
-    parser.add_argument("--threshold", type=float, default=2e-2)
-    parser.add_argument("--pe-sem-target", type=float, default=2e-2)
-    parser.add_argument("--max-steps", type=int, default=20000)
+    parser.add_argument("--threshold", type=float, default=DEFAULT_SEM_THRESHOLD)
+    parser.add_argument("--pe-sem-target", type=float, default=DEFAULT_SEM_TARGET)
+    parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     return cli_main([

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computation error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -21,6 +22,11 @@ import numpy as np
 from . import __version__
 from ._threads import available_cores
 from .entpower import (
+    DEFAULT_EXACT_LIMIT,
+    DEFAULT_MAX_SAMPLES,
+    DEFAULT_MIN_SAMPLES,
+    DEFAULT_SEM_TARGET,
+    PauliPowerEstimate,
     haar_typical_expansion,
     haar_typical_value,
     local_pauli_magic_bound,
@@ -28,15 +34,23 @@ from .entpower import (
 )
 from .errors import ConfigError, PaulientError
 from .factorization import (
+    RANK_TOL,
     check_pauli_product_preserving,
-    factorize,
+    product_preserving_pipeline,
     verify_factorization,
 )
 from .mpu import pauli_power_mpu
 from .operators import Bipartition, haar_random_unitary
 from .selftest import run_selftest
-from .serialize import load_matrix, load_mpu, tableau_to_text
-from .spinchain import run_sweep_experiment, write_sweep_csv
+from .serialize import load_matrix, load_mpu, matrix_to_text, tableau_to_text
+from .spinchain import (
+    DEFAULT_DT,
+    DEFAULT_MAX_STEPS,
+    DEFAULT_N_MIN,
+    DEFAULT_SEM_THRESHOLD,
+    SWEEP_COLUMNS,
+    run_sweep_experiment,
+)
 from .stats import RunningMean
 
 
@@ -75,6 +89,8 @@ def _write_output(path: str | None, lines: list[str]) -> None:
 
 
 def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
@@ -84,15 +100,18 @@ def _bipartition(cfg: dict) -> Bipartition:
     return Bipartition(cfg["na"], cfg["nb"])
 
 
+def _write_estimate(command: str, cfg: dict, est: PauliPowerEstimate, wall: float) -> None:
+    _write_csv(cfg.get("out"), _header(command, cfg),
+               ["value", "sem", "n_samples", "wall_time_s"],
+               [[est.value, est.sem, est.n_samples, wall]])
+
+
 def _cmd_pe_exact(cfg: dict) -> int:
     u = load_matrix(cfg["matrix"])
     start = time.perf_counter()
     est = pauli_entangling_power(u, _bipartition(cfg), mode="exact",
                                  exact_limit=cfg["exact_limit"])
-    wall = time.perf_counter() - start
-    _write_csv(cfg.get("out"), _header("pe-exact", cfg),
-               ["value", "sem", "n_samples", "wall_time_s"],
-               [[est.value, est.sem, est.n_samples, wall]])
+    _write_estimate("pe-exact", cfg, est, time.perf_counter() - start)
     return 0
 
 
@@ -105,10 +124,7 @@ def _cmd_pe_sample(cfg: dict) -> int:
         sem_target=cfg["sem_target"], n_samples=cfg.get("count"),
         min_samples=cfg["min_samples"], max_samples=cfg["max_samples"],
     )
-    wall = time.perf_counter() - start
-    _write_csv(cfg.get("out"), _header("pe-sample", cfg),
-               ["value", "sem", "n_samples", "wall_time_s"],
-               [[est.value, est.sem, est.n_samples, wall]])
+    _write_estimate("pe-sample", cfg, est, time.perf_counter() - start)
     return 0
 
 
@@ -158,7 +174,7 @@ def _cmd_thm1_check(cfg: dict) -> int:
     u = load_matrix(cfg["matrix"])
     ok, witness = check_pauli_product_preserving(u, _bipartition(cfg), tol=cfg["tol"])
     lines = [f"# {h}" for h in _header("thm1-check", cfg)]
-    lines.append(f"product-preserving: {'true' if ok else 'false'}")
+    lines.append(f"product-preserving: {_fmt(ok)}")
     if witness is not None:
         p, lam2 = witness
         lines.append(f"witness: {p}")
@@ -169,34 +185,17 @@ def _cmd_thm1_check(cfg: dict) -> int:
 
 def _cmd_thm1_factorize(cfg: dict) -> int:
     u = load_matrix(cfg["matrix"])
-    bp = _bipartition(cfg)
-    ok, witness = check_pauli_product_preserving(u, bp, tol=cfg["tol"])
-    if not ok:
-        p, lam2 = witness
-        raise PaulientError(
-            f"not product-preserving: witness {p} has second Schmidt "
-            f"coefficient {lam2:.3g}"
-        )
-    fac = factorize(u, bp, tol=cfg["tol"])
+    fac = product_preserving_pipeline(u, _bipartition(cfg), tol=cfg["tol"])
     residual = verify_factorization(u, fac)
     lines = [f"# {h}" for h in _header("thm1-factorize", cfg)]
     lines.append(f"residual: {residual:.12g}")
     lines.append(f"global_phase: {fac.global_phase.real:.17g} {fac.global_phase.imag:.17g}")
-    lines.append("[V]")
-    lines.append(_matrix_block(fac.v))
-    lines.append("[W]")
-    lines.append(_matrix_block(fac.w))
-    lines.append("[C]")
-    lines.append(tableau_to_text(fac.c).rstrip("\n"))
+    for tag, text in (("V", matrix_to_text(fac.v)), ("W", matrix_to_text(fac.w)),
+                      ("C", tableau_to_text(fac.c))):
+        lines.append(f"[{tag}]")
+        lines.append(text.rstrip("\n"))
     _write_output(cfg.get("out"), lines)
     return 0
-
-
-def _matrix_block(m: np.ndarray) -> str:
-    rows = [f"{m.shape[0]} {m.shape[1]}"]
-    for row in m:
-        rows.append(" ".join(f"{e.real:.17g} {e.imag:.17g}" for e in row))
-    return "\n".join(rows)
 
 
 def _cmd_mpu_pe(cfg: dict) -> int:
@@ -238,7 +237,8 @@ def _cmd_spinchain_run(cfg: dict) -> int:
         n_min=cfg["n_min"], max_steps=cfg["max_steps"], seed=cfg.get("seed"),
         pe_sem_target=cfg["pe_sem_target"], workers=workers,
     )
-    write_sweep_csv(cfg.get("out"), rows, _header("spinchain-run", cfg))
+    _write_csv(cfg.get("out"), _header("spinchain-run", cfg), SWEEP_COLUMNS,
+               [dataclasses.astuple(r) for r in rows])
     bad = [r for r in rows if not r.converged]
     if bad:
         sys.stderr.write(
@@ -254,15 +254,19 @@ def _cmd_selftest(cfg: dict) -> int:
 
 _COMMON_OUT = dict(flags=["--out"], type=str, default=None,
                    help="output file (stdout when omitted)")
+_MATRIX_OPTS = [
+    dict(flags=["--matrix"], type=str, required=True, help="matrix file"),
+    dict(flags=["--na"], type=int, required=True, help="qubits in block A"),
+    dict(flags=["--nb"], type=int, required=True, help="qubits in block B"),
+]
+_TOL_OPT = dict(flags=["--tol"], type=float, default=RANK_TOL)
 
 _SCHEMAS: dict[str, tuple] = {
     "pe-exact": (
         _cmd_pe_exact,
         [
-            dict(flags=["--matrix"], type=str, required=True, help="matrix file"),
-            dict(flags=["--na"], type=int, required=True, help="qubits in block A"),
-            dict(flags=["--nb"], type=int, required=True, help="qubits in block B"),
-            dict(flags=["--exact-limit"], type=int, default=8,
+            *_MATRIX_OPTS,
+            dict(flags=["--exact-limit"], type=int, default=DEFAULT_EXACT_LIMIT,
                  help="largest qubit count for exact enumeration"),
             _COMMON_OUT,
         ],
@@ -270,16 +274,14 @@ _SCHEMAS: dict[str, tuple] = {
     "pe-sample": (
         _cmd_pe_sample,
         [
-            dict(flags=["--matrix"], type=str, required=True, help="matrix file"),
-            dict(flags=["--na"], type=int, required=True, help="qubits in block A"),
-            dict(flags=["--nb"], type=int, required=True, help="qubits in block B"),
+            *_MATRIX_OPTS,
             dict(flags=["--seed"], type=int, required=True, help="RNG seed"),
-            dict(flags=["--sem-target"], type=float, default=2e-2,
+            dict(flags=["--sem-target"], type=float, default=DEFAULT_SEM_TARGET,
                  help="stop when the standard error of the mean is below this"),
             dict(flags=["--count"], type=int, default=None,
                  help="fixed sample count (overrides the SEM rule)"),
-            dict(flags=["--min-samples"], type=int, default=32),
-            dict(flags=["--max-samples"], type=int, default=1_000_000),
+            dict(flags=["--min-samples"], type=int, default=DEFAULT_MIN_SAMPLES),
+            dict(flags=["--max-samples"], type=int, default=DEFAULT_MAX_SAMPLES),
             _COMMON_OUT,
         ],
     ),
@@ -294,9 +296,7 @@ _SCHEMAS: dict[str, tuple] = {
     "pe-bounds": (
         _cmd_pe_bounds,
         [
-            dict(flags=["--matrix"], type=str, required=True),
-            dict(flags=["--na"], type=int, required=True),
-            dict(flags=["--nb"], type=int, required=True),
+            *_MATRIX_OPTS,
             _COMMON_OUT,
         ],
     ),
@@ -313,20 +313,16 @@ _SCHEMAS: dict[str, tuple] = {
     "thm1-check": (
         _cmd_thm1_check,
         [
-            dict(flags=["--matrix"], type=str, required=True),
-            dict(flags=["--na"], type=int, required=True),
-            dict(flags=["--nb"], type=int, required=True),
-            dict(flags=["--tol"], type=float, default=1e-10),
+            *_MATRIX_OPTS,
+            _TOL_OPT,
             _COMMON_OUT,
         ],
     ),
     "thm1-factorize": (
         _cmd_thm1_factorize,
         [
-            dict(flags=["--matrix"], type=str, required=True),
-            dict(flags=["--na"], type=int, required=True),
-            dict(flags=["--nb"], type=int, required=True),
-            dict(flags=["--tol"], type=float, default=1e-10),
+            *_MATRIX_OPTS,
+            _TOL_OPT,
             _COMMON_OUT,
         ],
     ),
@@ -350,12 +346,12 @@ _SCHEMAS: dict[str, tuple] = {
             dict(flags=["--n"], type=int, required=True, help="chain length"),
             dict(flags=["--mode"], type=str, default="exact",
                  choices=["exact", "sampled"]),
-            dict(flags=["--dt"], type=float, default=0.2),
-            dict(flags=["--threshold"], type=float, default=2e-2,
+            dict(flags=["--dt"], type=float, default=DEFAULT_DT),
+            dict(flags=["--threshold"], type=float, default=DEFAULT_SEM_THRESHOLD,
                  help="long-time stopping threshold on 1.96 sigma/sqrt(N_t)"),
-            dict(flags=["--n-min"], type=int, default=25),
-            dict(flags=["--max-steps"], type=int, default=20000),
-            dict(flags=["--pe-sem-target"], type=float, default=2e-2,
+            dict(flags=["--n-min"], type=int, default=DEFAULT_N_MIN),
+            dict(flags=["--max-steps"], type=int, default=DEFAULT_MAX_STEPS),
+            dict(flags=["--pe-sem-target"], type=float, default=DEFAULT_SEM_TARGET,
                  help="per-timestep SEM target in sampled mode"),
             dict(flags=["--seed"], type=int, default=None),
             dict(flags=["--workers"], type=int, default=None,

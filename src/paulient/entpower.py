@@ -85,6 +85,9 @@ from .paulis import (
 from .stats import run_until_converged
 
 DEFAULT_EXACT_LIMIT = 8
+DEFAULT_SEM_TARGET = 2e-2
+DEFAULT_MIN_SAMPLES = 32
+DEFAULT_MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -256,10 +259,10 @@ def pauli_entangling_power(
     bp: Bipartition,
     mode: str = "exact",
     rng: np.random.Generator | None = None,
-    sem_target: float = 2e-2,
+    sem_target: float = DEFAULT_SEM_TARGET,
     n_samples: int | None = None,
-    min_samples: int = 32,
-    max_samples: int = 1_000_000,
+    min_samples: int = DEFAULT_MIN_SAMPLES,
+    max_samples: int = DEFAULT_MAX_SAMPLES,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> PauliPowerEstimate:
     """Average E_lin(U^dag P U) over the Pauli group (identity included).
@@ -288,10 +291,10 @@ def _pauli_entangling_power(
     bp: Bipartition,
     mode: str = "exact",
     rng: np.random.Generator | None = None,
-    sem_target: float = 2e-2,
+    sem_target: float = DEFAULT_SEM_TARGET,
     n_samples: int | None = None,
-    min_samples: int = 32,
-    max_samples: int = 1_000_000,
+    min_samples: int = DEFAULT_MIN_SAMPLES,
+    max_samples: int = DEFAULT_MAX_SAMPLES,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> PauliPowerEstimate:
     """pauli_entangling_power without its dimension and unitarity checks, for

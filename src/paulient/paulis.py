@@ -344,14 +344,10 @@ def _operator_pauli_probs(op: np.ndarray) -> np.ndarray:
 
 
 def pauli_expectation_table(psi: np.ndarray) -> np.ndarray:
-    """table[x, z] = <psi| P(x, z) |psi> for every phase-0 string."""
+    """table[x, z] = <psi| P(x, z) |psi> = Tr(|psi><psi| P(x, z)) for every
+    phase-0 string."""
     psi = np.asarray(psi, dtype=complex)
-    d = psi.shape[0]
-    ys = np.arange(d)
-    gathered = psi[None, :] * psi.conj()[ys[None, :] ^ ys[:, None]]  # [x, y]
-    table = walsh_hadamard_transform(gathered, axis=1)
-    table *= _phase_grid(d)
-    return table
+    return pauli_trace_table(np.outer(psi, psi.conj()))
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,31 @@ from .mpu import MPUTensor
 from .paulis import CliffordTableau
 
 
-def save_matrix(path: str, m: np.ndarray) -> None:
+def matrix_to_text(m: np.ndarray) -> str:
     m = np.atleast_2d(np.asarray(m, dtype=complex))
+    lines = [f"{m.shape[0]} {m.shape[1]}"]
+    for row in m:
+        lines.append(" ".join(f"{e.real:.17g} {e.imag:.17g}" for e in row))
+    return "\n".join(lines) + "\n"
+
+
+def save_matrix(path: str, m: np.ndarray) -> None:
     with open(path, "w") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(f"{e.real:.17g} {e.imag:.17g}" for e in row) + "\n")
+        fh.write(matrix_to_text(m))
+
+
+def _read_tokens(path: str, header: str) -> list[str]:
+    """The whitespace-separated tokens of a file that opens with `header`;
+    a file too short to hold the header raises ValueError."""
+    with open(path) as fh:
+        tokens = fh.read().split()
+    if len(tokens) < len(header.split()):
+        raise ValueError(f"{path} is missing its '{header}' header line")
+    return tokens
 
 
 def load_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        tokens = fh.read().split()
+    tokens = _read_tokens(path, "<rows> <cols>")
     rows, cols = int(tokens[0]), int(tokens[1])
     data = np.asarray([float(t) for t in tokens[2:]])
     if data.size != 2 * rows * cols:
@@ -81,8 +95,7 @@ def save_mpu(path: str, a: MPUTensor) -> None:
 
 
 def load_mpu(path: str) -> MPUTensor:
-    with open(path) as fh:
-        tokens = fh.read().split()
+    tokens = _read_tokens(path, "<chi>")
     chi = int(tokens[0])
     data = np.asarray([float(t) for t in tokens[1:]])
     expected = 2 * chi * chi * 4

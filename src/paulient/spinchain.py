@@ -6,23 +6,22 @@ a standard-error stopping rule.
 One rule stops every long-time average: stats.run_until_converged with
 z = 1.96, reached through long_time_average.  A sweep point feeds it the
 pairs (P_E(U_t), E_lin(U_t)) at t = k dt, one timestep at a time, and stops
-once both half-widths are below the threshold.
+once both half-widths are below the threshold.  run_sweep_experiment
+returns one SweepRow per sweep value; the CLI's spinchain-run writes them as
+CSV under SWEEP_COLUMNS.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
-import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _threads
-from .entpower import _pauli_entangling_power
+from .entpower import DEFAULT_EXACT_LIMIT, DEFAULT_SEM_TARGET, _pauli_entangling_power
 from .errors import NotHermitian, NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, is_unitary, linear_entanglement_unitary
 from .paulis import DENSE_LIMIT, PauliString, _pauli_entries
@@ -31,6 +30,7 @@ from .stats import run_until_converged
 DEFAULT_DT = 0.2
 DEFAULT_SEM_THRESHOLD = 2e-2
 DEFAULT_N_MIN = 25
+DEFAULT_MAX_STEPS = 20000
 HERMITIAN_TOL = 1e-10  # bound on |H - H^dag| / max(1, |H|), Frobenius norms
 
 
@@ -118,7 +118,7 @@ def long_time_average(
     dt: float = DEFAULT_DT,
     sem_threshold: float = DEFAULT_SEM_THRESHOLD,
     n_min: int = DEFAULT_N_MIN,
-    max_steps: int = 20000,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> tuple[float | np.ndarray, TimeSeries]:
     """Running time-mean of samples at t = k dt, stopped at the first
     N_t >= n_min with 1.96 sigma / sqrt(N_t) below the threshold.
@@ -170,13 +170,11 @@ class SweepRow:
     e_half_width: float  # the same for the E_lin series
 
 
-def _model_for(family: str, n_sites: int, sweep_value: float,
-               fixed: dict | None) -> SpinChainModel:
-    fixed = dict(fixed or {})
+def _model_for(family: str, n_sites: int, sweep_value: float) -> SpinChainModel:
     if family == "xyz":
-        return XYZModel(n_sites=n_sites, j_z=sweep_value, **fixed)
+        return XYZModel(n_sites=n_sites, j_z=sweep_value)
     if family == "tfim":
-        return TFIMModel(n_sites=n_sites, h=sweep_value, **fixed)
+        return TFIMModel(n_sites=n_sites, h=sweep_value)
     raise ValueError(f"unknown model family {family!r}")
 
 
@@ -190,10 +188,9 @@ def _sweep_point(
     n_min: int,
     max_steps: int,
     seed: int | None,
-    fixed: dict | None,
     pe_sem_target: float,
 ) -> SweepRow:
-    model = _model_for(family, n_sites, sweep_value, fixed)
+    model = _model_for(family, n_sites, sweep_value)
     bp = Bipartition(n_sites // 2, n_sites - n_sites // 2)
     rng = np.random.default_rng(seed)
     samples: list[int] = []  # Pauli strings evaluated per timestep
@@ -231,72 +228,54 @@ def run_sweep_experiment(
     sweep_values: Sequence[float],
     n_sites: int,
     mode: str = "exact",
-    output_path: str | None = None,
     dt: float = DEFAULT_DT,
     sem_threshold: float = DEFAULT_SEM_THRESHOLD,
     n_min: int = DEFAULT_N_MIN,
-    max_steps: int = 20000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     seed: int | None = None,
-    fixed: dict | None = None,
-    pe_sem_target: float = DEFAULT_SEM_THRESHOLD,
+    pe_sem_target: float = DEFAULT_SEM_TARGET,
     workers: int = 1,
-    header_lines: Sequence[str] = (),
 ) -> list[SweepRow]:
     """Long-time averages of P_E(U_t) and E_lin(U_t) over a parameter sweep
     (j_z for the XYZ family, the longitudinal field for the TFIM family).
 
     Each sweep value gets an independent child seed derived from `seed`, so
-    results do not depend on the worker count; rows are emitted in sweep
-    order.  mode="exact" enumerates all Pauli strings per timestep (use for
-    n_sites <= 8); mode="sampled" draws strings per timestep until the
-    estimator's standard error is below pe_sem_target (which must be
-    positive, checked before any Hamiltonian is built).  Each point checks
-    its propagator's modes for unitarity once (NotUnitary) and runs
-    long_time_average on its (P_E, E_lin) pairs: it stops once n_min steps
-    are in and both 1.96 sigma / sqrt(N_t) are below sem_threshold, or at
-    max_steps with converged=False.  max_steps < 1 raises ValueError.  With
-    workers > 1, each worker process runs the exact g-table on
-    max(1, cores // workers) threads.
+    results do not depend on the worker count; the rows are returned in
+    sweep order and nothing is written.  mode="exact" enumerates all Pauli
+    strings per timestep, for n_sites <= DEFAULT_EXACT_LIMIT only;
+    mode="sampled" draws strings per timestep until the estimator's standard
+    error is below pe_sem_target, which must be positive.  Both conditions
+    are checked before any Hamiltonian is built (SizeLimitExceeded,
+    ValueError).  Each point checks its propagator's modes for unitarity
+    once (NotUnitary) and runs long_time_average on its (P_E, E_lin) pairs:
+    it stops once n_min steps are in and both 1.96 sigma / sqrt(N_t) are
+    below sem_threshold, or at max_steps with converged=False.  max_steps < 1
+    raises ValueError.  With workers > 1, each worker process runs the exact
+    g-table on max(1, cores // workers) threads.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and not pe_sem_target > 0:  # also rejects NaN
         raise ValueError(f"pe_sem_target must be positive, got {pe_sem_target}")
+    if mode == "exact" and n_sites > DEFAULT_EXACT_LIMIT:
+        raise SizeLimitExceeded(
+            f"exact mode enumerates 4^{n_sites} strings; limit is {DEFAULT_EXACT_LIMIT} qubits"
+        )
     children = np.random.SeedSequence(seed).spawn(len(sweep_values))
     child_seeds = [int(c.generate_state(1)[0]) for c in children]
     args = [
         (family, float(v), n_sites, mode, dt, sem_threshold, n_min, max_steps,
-         child_seeds[i], fixed, pe_sem_target)
+         child_seeds[i], pe_sem_target)
         for i, v in enumerate(sweep_values)
     ]
     if workers > 1:
         share = max(1, _threads.available_cores() // workers)
         with ProcessPoolExecutor(max_workers=workers, initializer=_threads.set_thread_limit,
                                  initargs=(share,)) as pool:
-            rows = list(pool.map(_sweep_point_star, args))
-    else:
-        rows = [_sweep_point(*a) for a in args]
-    if output_path is not None:
-        write_sweep_csv(output_path, rows, header_lines)
-    return rows
+            return list(pool.map(_sweep_point_star, args))
+    return [_sweep_point(*a) for a in args]
 
 
 def _sweep_point_star(args) -> SweepRow:
     return _sweep_point(*args)
 
-
-def write_sweep_csv(path: str | None, rows: list[SweepRow],
-                    header_lines: Sequence[str] = ()) -> None:
-    """Sweep rows as CSV under `# ` header lines; to stdout when path is None."""
-    with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                f"{r.sweep_value:.12g}", r.n_sites, f"{r.mean_pe:.12g}",
-                f"{r.mean_e:.12g}", r.n_steps, r.total_samples,
-                "true" if r.converged else "false",
-                f"{r.pe_half_width:.12g}", f"{r.e_half_width:.12g}",
-            ])

@@ -205,6 +205,8 @@ class TestTables:
             p = PauliString.from_index(3, k)
             direct = np.vdot(psi, pauli_to_dense(p) @ psi)
             assert abs(table[p.x, p.z] - direct) < 1e-12
+        # the same products through the same transform: equal, not just close
+        assert np.array_equal(table, pauli_trace_table(np.outer(psi, psi.conj())))
 
 
 def hadamard_tableau():

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from paulient import cli
 from paulient.cli import main
-from paulient.factorization import make_product_preserving
+from paulient.entpower import pauli_entangling_power
+from paulient.factorization import (
+    check_pauli_product_preserving,
+    make_product_preserving,
+    product_preserving_pipeline,
+)
 from paulient.mpu import mpu_zz_chain, pauli_power_mpu
 from paulient.operators import Bipartition, haar_random_unitary
 from paulient.paulis import clifford_to_dense, random_clifford
@@ -13,12 +19,14 @@ from paulient.serialize import (
     load_matrix,
     load_mpu,
     load_tableau,
+    matrix_to_text,
     save_matrix,
     save_mpu,
     save_tableau,
     tableau_from_text,
     tableau_to_text,
 )
+from paulient.spinchain import run_sweep_experiment
 
 
 class TestSerialize:
@@ -33,6 +41,20 @@ class TestSerialize:
         path.write_text("2 2\n1 0 0 0\n")
         with pytest.raises(ValueError):
             load_matrix(str(path))
+
+    def test_matrix_text_is_the_saved_file(self, tmp_path, rng):
+        m = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        path = tmp_path / "m.txt"
+        save_matrix(str(path), m)
+        assert path.read_text() == matrix_to_text(m)
+
+    @pytest.mark.parametrize("text", ["", "1\n", "   \n"])
+    def test_truncated_header_names_the_file(self, tmp_path, text):
+        path = tmp_path / "short.txt"
+        path.write_text(text)
+        for load in (load_matrix, load_mpu):
+            with pytest.raises(ValueError, match="short.txt"):
+                load(str(path))
 
     def test_tableau_round_trip(self, tmp_path, rng):
         c = random_clifford(3, rng)
@@ -177,6 +199,16 @@ class TestCli:
         assert main(["thm1-factorize", "--matrix", str(mfile),
                      "--na", "1", "--nb", "1"]) == 1
 
+    def test_truncated_input_file_exits_one(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        for argv in (["pe-exact", "--matrix", str(empty), "--na", "1", "--nb", "1"],
+                     ["mpu-pe", "--tensor", str(empty), "--na", "1", "--nb", "1"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert "empty.txt" in captured.err
+
     def test_mpu_pe_command(self, tmp_path):
         tfile = tmp_path / "tensor.txt"
         save_mpu(str(tfile), mpu_zz_chain(np.pi / 8))
@@ -238,6 +270,36 @@ class TestCli:
         assert lines[0] == "# command: spinchain-run"
         assert len([ln for ln in lines if not ln.startswith("#")]) == 3
 
+    def test_spinchain_run_csv_matches_sweep_rows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["spinchain-run", "--model", "xyz", "--sweep", "Jz=0,1", "--n", "4",
+                     "--mode", "exact", "--seed", "7", "--workers", "1",
+                     "--out", str(out)]) == 0
+        rows = run_sweep_experiment("xyz", [0.0, 1.0], 4, mode="exact", seed=7)
+        assert len(rows) == 2 and all(r.converged for r in rows)
+        text = out.read_text().splitlines()
+        assert text[:3] == ["# command: spinchain-run", text[1], "# seed: 7"]
+        assert text[1].startswith("# config_digest: ")
+        assert text[3] == ("sweep_value,n_sites,mean_PE,mean_E,n_steps,total_samples,"
+                           "converged,pe_half_width,e_half_width")
+        assert len(text) == 6
+        for line, r in zip(text[4:], rows):
+            cells = line.split(",")
+            assert cells[6] == "true"
+            assert float(cells[7]) == pytest.approx(r.pe_half_width, rel=1e-11)
+            assert float(cells[8]) == pytest.approx(r.e_half_width, rel=1e-11)
+            assert max(r.pe_half_width, r.e_half_width) < 2e-2
+
+    def test_spinchain_run_exact_past_the_limit_exits_one(self, tmp_path, capsys):
+        args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0", "--n", "9",
+                "--mode", "exact", "--workers", "1"]
+        out = tmp_path / "sweep.csv"
+        assert main(args + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "limit is 8 qubits" in captured.err
+
     def test_spinchain_run_default_workers(self, monkeypatch, capsys):
         # one process per available core, at most one per sweep value
         seen = []
@@ -286,3 +348,39 @@ class TestCli:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+# every CLI option whose value feeds a library parameter: (function, parameter)
+_FEEDS = {
+    ("pe-exact", "exact_limit"): (pauli_entangling_power, "exact_limit"),
+    ("pe-sample", "sem_target"): (pauli_entangling_power, "sem_target"),
+    ("pe-sample", "count"): (pauli_entangling_power, "n_samples"),
+    ("pe-sample", "min_samples"): (pauli_entangling_power, "min_samples"),
+    ("pe-sample", "max_samples"): (pauli_entangling_power, "max_samples"),
+    ("thm1-check", "tol"): (check_pauli_product_preserving, "tol"),
+    ("thm1-factorize", "tol"): (product_preserving_pipeline, "tol"),
+    ("mpu-pe", "mode"): (pauli_power_mpu, "mode"),
+    ("spinchain-run", "mode"): (run_sweep_experiment, "mode"),
+    ("spinchain-run", "dt"): (run_sweep_experiment, "dt"),
+    ("spinchain-run", "threshold"): (run_sweep_experiment, "sem_threshold"),
+    ("spinchain-run", "n_min"): (run_sweep_experiment, "n_min"),
+    ("spinchain-run", "max_steps"): (run_sweep_experiment, "max_steps"),
+    ("spinchain-run", "pe_sem_target"): (run_sweep_experiment, "pe_sem_target"),
+    ("spinchain-run", "seed"): (run_sweep_experiment, "seed"),
+}
+# options with a default of their own that no library parameter takes
+_CLI_ONLY = {("haar-mc", "n_unitaries")}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    seen = set()
+    for command, (_, opts) in cli._SCHEMAS.items():
+        for opt in opts:
+            key = (command, opt["flags"][0].lstrip("-").replace("-", "_"))
+            if key in _FEEDS:
+                func, param = _FEEDS[key]
+                assert opt.get("default") == inspect.signature(func).parameters[param].default, key
+                seen.add(key)
+            elif opt.get("default") is not None:
+                assert key in _CLI_ONLY, f"{key} has a default but feeds no listed parameter"
+    assert seen == set(_FEEDS)

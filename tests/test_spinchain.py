@@ -185,24 +185,6 @@ class TestObservables:
 
 
 class TestSweep:
-    def test_rows_and_csv(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        rows = run_sweep_experiment("xyz", [0.0, 1.0], 4, mode="exact",
-                                    output_path=str(out), seed=7,
-                                    header_lines=["seed: 7"])
-        assert len(rows) == 2 and all(r.converged for r in rows)
-        text = out.read_text().splitlines()
-        assert text[0] == "# seed: 7"
-        assert text[1] == ("sweep_value,n_sites,mean_PE,mean_E,n_steps,total_samples,"
-                           "converged,pe_half_width,e_half_width")
-        assert len(text) == 4
-        for line, r in zip(text[2:], rows):
-            cells = line.split(",")
-            assert cells[6] == "true"
-            assert float(cells[7]) == pytest.approx(r.pe_half_width, rel=1e-11)
-            assert float(cells[8]) == pytest.approx(r.e_half_width, rel=1e-11)
-            assert max(r.pe_half_width, r.e_half_width) < 2e-2
-
     def test_exact_row_is_long_time_average_of_direct_series(self):
         (row,) = run_sweep_experiment("xyz", [1.0], 4, mode="exact", seed=7)
         prop = HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=4, j_z=1.0)))
@@ -247,6 +229,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="pe_sem_target"):
             run_sweep_experiment("xyz", [0.0], 3, mode="sampled", seed=1,
                                  pe_sem_target=target, workers=1)
+        assert builds == []
+
+    def test_exact_past_the_limit_rejected_before_any_build(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(spinchain, "build_hamiltonian",
+                            lambda model: builds.append(model) or build_hamiltonian(model))
+        with pytest.raises(SizeLimitExceeded, match=f"limit is {entpower.DEFAULT_EXACT_LIMIT} qubits"):
+            run_sweep_experiment("xyz", [0.0, 1.0], entpower.DEFAULT_EXACT_LIMIT + 1,
+                                 mode="exact", workers=1)
         assert builds == []
 
     def test_one_unitarity_check_per_point(self, monkeypatch):
