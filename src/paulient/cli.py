@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -36,7 +37,7 @@ from .errors import ConfigError, PaulientError
 from .factorization import (
     RANK_TOL,
     check_pauli_product_preserving,
-    product_preserving_pipeline,
+    factorize,
     verify_factorization,
 )
 from .mpu import pauli_power_mpu
@@ -150,8 +151,8 @@ def _cmd_pe_bounds(cfg: dict) -> int:
 
 def _cmd_haar_mc(cfg: dict) -> int:
     d, da = cfg["d"], cfg["da"]
-    na, nb = int(np.log2(da)), int(np.log2(d // da))
-    bp = Bipartition(na, nb)
+    closed = haar_typical_value(d, da)  # checks the dimensions before any draw
+    bp = Bipartition(da.bit_length() - 1, (d // da).bit_length() - 1)
     if cfg["n_unitaries"] < 2:
         raise ValueError(f"haar-mc needs at least 2 unitaries for a standard error, "
                          f"got {cfg['n_unitaries']}")
@@ -162,7 +163,6 @@ def _cmd_haar_mc(cfg: dict) -> int:
         acc.push(pauli_entangling_power(haar_random_unitary(d, rng), bp).value)
     wall = time.perf_counter() - start
     mean, sem = acc.mean, acc.half_width()
-    closed = haar_typical_value(d, da)
     _write_csv(cfg.get("out"), _header("haar-mc", cfg),
                ["n_unitaries", "mc_mean", "mc_sem", "closed_form", "z_score",
                 "wall_time_s"],
@@ -185,7 +185,7 @@ def _cmd_thm1_check(cfg: dict) -> int:
 
 def _cmd_thm1_factorize(cfg: dict) -> int:
     u = load_matrix(cfg["matrix"])
-    fac = product_preserving_pipeline(u, _bipartition(cfg), tol=cfg["tol"])
+    fac = factorize(u, _bipartition(cfg), tol=cfg["tol"])
     residual = verify_factorization(u, fac)
     lines = [f"# {h}" for h in _header("thm1-factorize", cfg)]
     lines.append(f"residual: {residual:.12g}")
@@ -209,21 +209,34 @@ def _cmd_mpu_pe(cfg: dict) -> int:
     return 0
 
 
+MAX_SWEEP_POINTS = 10_000  # longest start:step:stop range a sweep may expand to
+
+
 def _parse_sweep(expr: str, family: str) -> list[float]:
+    """The values of `param=v1,v2,...` or `param=start:step:stop`; a bad value
+    or an empty or too long range raises ConfigError before any list is built."""
     name, _, body = expr.partition("=")
     expected = {"xyz": "jz", "tfim": "h"}[family]
     if name.strip().lower().replace("_", "") != expected:
         raise ConfigError(f"sweep parameter for {family} must be {expected!r}")
-    if ":" in body:
-        parts = [float(p) for p in body.split(":")]
-        if len(parts) != 3:
-            raise ConfigError("range sweep must be start:step:stop")
-        start, step, stop = parts
-        if step <= 0:
-            raise ConfigError("sweep step must be positive")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
-    return [float(p) for p in body.split(",")]
+    is_range = ":" in body
+    try:
+        parts = [float(p) for p in body.split(":" if is_range else ",")]
+    except ValueError:
+        parts = []  # a value does not parse
+    if not parts or not all(map(math.isfinite, parts)):
+        raise ConfigError(f"sweep {body!r} holds a value that is not a finite number")
+    if not is_range:
+        return parts
+    if len(parts) != 3:
+        raise ConfigError("range sweep must be start:step:stop")
+    start, step, stop = parts
+    if step <= 0:
+        raise ConfigError("sweep step must be positive")
+    last = (stop - start) / step + 1e-9  # index of the last value, before flooring
+    if not 0 <= last < MAX_SWEEP_POINTS:
+        raise ConfigError(f"range sweep {body!r} must hold 1 to {MAX_SWEEP_POINTS} values")
+    return [start + i * step for i in range(int(last) + 1)]
 
 
 def _cmd_spinchain_run(cfg: dict) -> int:

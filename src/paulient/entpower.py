@@ -16,9 +16,10 @@ oracle).  For fixed x bits all z values are handled at once:
 
 The pairs (a1 <= a2) are taken a block at a time.  For each block, one
 batched matrix product gives the inner sums over b for every (y, v); the
-entries at v = y^x are gathered for every x at once; one Walsh-Hadamard
-transform over y yields the whole z axis; and |.|^2, weighted over the
-block's pairs, gives the block's share of the g-table.  The shares are added
+step of the Pauli-basis tables (paulis._pauli_columns) gathers the entries
+at v = y^x for every x at once and transforms them over y into the whole z
+axis; and |.|^2, weighted over the block's pairs, gives the block's share of
+the g-table.  The shares are added
 in block order.  Neither the quadrupled space nor the full pair-correlation
 array is materialized.  Calls with two or more blocks (never at N <= 5) run
 them on the _threads pool, in buffers the caller allocates once, on as many
@@ -76,8 +77,9 @@ from .paulis import (
     PauliString,
     _operator_pauli_probs,
     _parity_signs,
+    _pauli_columns,
     _pauli_entries,
-    _wht_real,
+    _xor_index,
     pauli_mul_matrix,
     pauli_to_dense,
     random_pauli,
@@ -121,10 +123,10 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
 
     The pairs are taken in blocks of max(1, 2^17 // d^2), so a block's W and
     its gather each hold about 2^17 complex entries and the full W is never
-    resident.  For each block, all x and z at once: gather
-    S[p, y, x] = W[p, y, y^x] with one flat index y*d + (y^x), apply the
-    Walsh-Hadamard transform along y (with W's buffer as its scratch), and
-    form the block's slot
+    resident.  For each block, all x and z at once: paulis._pauli_columns
+    gathers S[p, y, x] = W[p, y, y^x] and applies the Walsh-Hadamard
+    transform along y (with W's buffer as its scratch), and the block's slot
+    is
 
         g_block(x, z) = sum_p weight_p |WHT_y(S[p, ., x])[z]|^2
 
@@ -154,8 +156,7 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     ka, kc = np.triu_indices(dk)
     weights = np.where(ka == kc, 1.0, 2.0)
     byk = np.ascontiguousarray(u3.transpose(1, 0, 2), dtype=complex)  # [keep, y, traced]
-    ys = np.arange(d)
-    flat = ys[:, None] * d + (ys[:, None] ^ ys[None, :])  # [y, x] -> (y, y^x)
+    index = _xor_index(d)  # fetched once: above d = 64 every call builds it
     block = max(1, (1 << 17) // (d * d))  # pairs per block: ~2^17 entries of W
     starts = range(0, len(ka), block)
     width = min(block, len(ka))
@@ -182,9 +183,8 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
             np.conjugate(lhs, out=lhs)
             np.take(byk, pc, axis=0, out=rhs, mode="clip")
             np.matmul(lhs, rhs.transpose(0, 2, 1), out=wp)  # [pair, y, v]
-            np.take(wp.reshape(n, d * d), flat, axis=1, out=s, mode="clip")  # [pair, y, x]
-            sq = s.view(np.float64)  # [pair, y -> z, x re/im]
-            _wht_real(sq, 1, scratch=wp.view(np.float64), out=sq)
+            _pauli_columns(wp, out=s, scratch=wp, index=index)  # [pair, z, x]
+            sq = s.view(np.float64)  # x re/im
             np.multiply(sq, sq, out=sq)
             return weights[p0:p0 + n] @ sq.reshape(n, -1)
         finally:

@@ -44,6 +44,7 @@ from .paulis import (
     _f2_nullspace,
     _operator_pauli_probs,
     _row_to_pauli,
+    _symplectic_j,
     _symplectic_pairs,
     clifford_from_generator_images,
     clifford_to_dense,
@@ -279,30 +280,26 @@ def factorize(
         raise NotUnitary("need a unitary matching the bipartition")
     udag = u.conj().T
 
-    factors = []
+    mats = []  # the A factor of each generator's image
     for p in _generators(n):
-        m = _evolve(p, u, udag)
         try:
-            factors.append(extract_hermitian_unitary_factors(m, bp, tol))
+            mats.append(extract_hermitian_unitary_factors(_evolve(p, u, udag), bp, tol)[0])
         except NotProduct as exc:
             raise NotProductPreserving(f"generator {p} does not evolve to a product: {exc}")
 
-    def commutation_matrix(side: int) -> np.ndarray:
-        mats = [f[side] for f in factors]
-        cm = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        for i in range(2 * n):
-            for j in range(i + 1, 2 * n):
-                comm = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                anti = np.linalg.norm(mats[i] @ mats[j] + mats[j] @ mats[i])
-                if min(comm, anti) > 1e-6 * max(comm, anti, 1.0):
-                    raise FactorizationDegeneracy(
-                        f"factors of generators {i},{j} neither commute nor anticommute"
-                    )
-                cm[i, j] = cm[j, i] = comm > anti
-        return cm
-
-    ca = commutation_matrix(0)
-    cb = commutation_matrix(1)
+    # ca[i, j] = 1 when the A factors of generators i and j commute.  The
+    # images keep the generators' pattern J (1 = anticommute), and X_i (x) Y_i
+    # and X_j (x) Y_j commute iff their sides agree, so the B side is ca ^ J.
+    ca = np.zeros((2 * n, 2 * n), dtype=np.uint8)
+    for i in range(2 * n):
+        for j in range(i + 1, 2 * n):
+            comm = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
+            anti = np.linalg.norm(mats[i] @ mats[j] + mats[j] @ mats[i])
+            if min(comm, anti) > 1e-6 * max(comm, anti, 1.0):
+                raise FactorizationDegeneracy(
+                    f"factors of generators {i},{j} neither commute nor anticommute")
+            ca[i, j] = ca[j, i] = comm > anti
+    cb = ca ^ _symplectic_j(n)
     h_tilde = _f2_nullspace(cb)  # B factor scalar -> supported on A
     h = _f2_nullspace(ca)  # A factor scalar -> supported on B
     if len(h_tilde) != 2 * bp.n_a or len(h) != 2 * bp.n_b:
@@ -398,16 +395,3 @@ def make_product_preserving(
     w = haar_random_unitary(bp.d_b, rng)
     u = (np.kron(v, w) @ clifford_to_dense(c)).conj().T
     return u, v, w, c
-
-
-def product_preserving_pipeline(
-    u: np.ndarray, bp: Bipartition, tol: float = RANK_TOL
-) -> LocalCliffordFactorization:
-    """check + factorize, raising NotProductPreserving with the witness."""
-    ok, witness = check_pauli_product_preserving(u, bp, tol)
-    if not ok:
-        p, lam2 = witness
-        raise NotProductPreserving(
-            f"evolved {p} has second Schmidt coefficient {lam2:.3e}"
-        )
-    return factorize(u, bp, tol)

@@ -18,13 +18,17 @@ Encoding conventions used throughout the package:
   Z_1..Z_N as rows of a 2N x 2N binary matrix (columns 0..N-1 = x bits,
   N..2N-1 = z bits) plus a 2N sign vector: generator g_i maps to
   (-1)^signs[i] * P(row_i).
+* Pauli-basis tables come from one step, _pauli_columns: Tr(op P(x, z)) =
+  i^(x.z) sum_y (-1)^(z.y) op[y, y^x], gathered into [..., y, x] by
+  _xor_index and transformed over y by _wht_real.  pauli_trace_table, its
+  adjoint operator_from_pauli_table and the exact P_E g-table all run it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Sequence
 
 import numpy as np
@@ -215,106 +219,99 @@ def random_pauli(n_qubits: int, rng: np.random.Generator) -> PauliString:
 
 
 # ---------------------------------------------------------------------------
-# Walsh-Hadamard machinery for Pauli-basis coefficient tables
+# Pauli-basis tables: one XOR gather and one Walsh-Hadamard transform
 # ---------------------------------------------------------------------------
 
+_TABLE_CACHE_MAX_D = 1 << 6  # a cached d x d table takes at most 64 KiB
 
-@lru_cache(maxsize=16)
+
+def _small_d_cached(build):
+    """build(d), read-only; shared by callers up to d = _TABLE_CACHE_MAX_D."""
+    def read_only(d: int) -> np.ndarray:
+        table = build(d)
+        table.flags.writeable = False
+        return table
+    cached = lru_cache(maxsize=8)(read_only)
+    return wraps(build)(lambda d: cached(d) if d <= _TABLE_CACHE_MAX_D else read_only(d))
+
+
+@_small_d_cached
 def _hadamard_matrix(n: int) -> np.ndarray:
-    """H[z, y] = (-1)^(z.y) for 0 <= y, z < n; read-only, shared by callers."""
+    """H[z, y] = (-1)^(z.y) for 0 <= y, z < n."""
     ys = np.arange(n)
-    h = _parity_signs(ys[:, None] & ys[None, :])
-    h.flags.writeable = False
-    return h
+    return _parity_signs(ys[:, None] & ys[None, :])
 
 
-def _wht_split(n: int) -> tuple[int, int]:
-    """(a, b) with n = a * b, a = 2^floor(k/2), for an axis of length n = 2^k."""
+def _wht_real(reals: np.ndarray, scratch: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along axis -2 of a contiguous
+    float64 array: out[..., z, :] = sum_y (-1)^(z.y) reals[..., y, :].
+
+    For n = 2^k, H_n = H_a (x) H_b with a = 2^floor(k/2) and b = n / a: H_a
+    on the (pre, a, b*post) reshape, then H_b on the (pre*a, b, post) one,
+    two real GEMMs with no transpose of the data.  Complex data goes in as
+    its float64 view.  scratch (the size of reals, any dtype) takes the first
+    product and out the second; out may be reals itself.  Both are allocated
+    when not given."""
+    n = reals.shape[-2]
     if n < 1 or n & (n - 1):
         raise ValueError("axis length must be a power of two")
     a = 1 << ((n.bit_length() - 1) // 2)
-    return a, n // a
-
-
-def walsh_hadamard_transform(arr: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along one power-of-two axis:
-    out[z] = sum_y (-1)^(z.y) arr[y].
-
-    For an axis of length n = 2^k, H_n = H_a (x) H_b with a = 2^floor(k/2)
-    and b = n / a, so the axis is split into (a, b) and transformed by two
-    small matrix products.  The path follows the axis position:
-
-    * trailing axis: the axis is reshaped to an (a, b) block and the result
-      is H_a @ block @ H_b, batched over the leading axes;
-    * any other axis: the input is made contiguous (complex input is viewed
-      as float64 pairs, so both products are real), and with pre and post
-      the sizes before and after the axis, H_a is applied to the
-      (pre, a, b*post) reshape and then H_b to the (pre*a, b, post) reshape.
-      Each product is a plain GEMM over a wide trailing dimension, with no
-      transpose of the data.
-    """
-    arr = np.asarray(arr)
-    a, b = _wht_split(arr.shape[axis])
-    axis %= arr.ndim
-    if axis == arr.ndim - 1:
-        lead = arr.shape[:-1]
-        out = _hadamard_matrix(a) @ arr.reshape(*lead, a, b) @ _hadamard_matrix(b)
-        return out.reshape(arr.shape)
-    work = np.ascontiguousarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
-    reals = work.view(np.float64)  # complex entries become (re, im) pairs
-    return _wht_real(reals, axis).view(work.dtype)
-
-
-def _wht_real(reals: np.ndarray, axis: int, scratch: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """The two-GEMM transform of walsh_hadamard_transform along a non-trailing
-    axis of a contiguous float64 array.  scratch (the size of reals) takes the
-    first product and out the second; out may be reals itself.  Both are
-    allocated when not given."""
-    a, b = _wht_split(reals.shape[axis])
-    pre = math.prod(reals.shape[:axis])
-    post = math.prod(reals.shape[axis + 1:])
-    first = None if scratch is None else scratch.reshape(pre, a, b * post)
+    b = n // a
+    pre, post = math.prod(reals.shape[:-2]), reals.shape[-1]
+    first = None if scratch is None else scratch.view(np.float64).reshape(pre, a, b * post)
     first = np.matmul(_hadamard_matrix(a), reals.reshape(pre, a, b * post), out=first)
     second = None if out is None else out.reshape(pre * a, b, post)
     second = np.matmul(_hadamard_matrix(b), first.reshape(pre * a, b, post), out=second)
     return second.reshape(reals.shape)
 
 
-_PHASE_GRID_CACHE_MAX_D = 1 << 6  # a cached grid takes at most 64 KiB
+@_small_d_cached
+def _xor_index(d: int) -> np.ndarray:
+    """flat[y, x] = y*d + (y^x): the flat index of op[y, y^x] in a d x d
+    operator."""
+    ys = np.arange(d)
+    return ys[:, None] * d + (ys[:, None] ^ ys[None, :])
 
 
-@lru_cache(maxsize=8)
-def _built_phase_grid(d: int) -> np.ndarray:
-    xs = np.arange(d)
-    grid = _I4[np.bitwise_count(xs[:, None] & xs[None, :]) % 4]
-    grid.flags.writeable = False
-    return grid
-
-
+@_small_d_cached
 def _phase_grid(d: int) -> np.ndarray:
-    """phase[x, z] = i^(x.z) for all pairs of N-bit integers; read-only, and
-    shared by callers up to d = _PHASE_GRID_CACHE_MAX_D."""
-    if d <= _PHASE_GRID_CACHE_MAX_D:
-        return _built_phase_grid(d)
-    return _built_phase_grid.__wrapped__(d)
+    """phase[x, z] = i^(x.z) for all pairs of N-bit integers."""
+    xs = np.arange(d)
+    return _I4[np.bitwise_count(xs[:, None] & xs[None, :]) % 4]
+
+
+def _pauli_columns(ops: np.ndarray, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None,
+                   index: np.ndarray | None = None) -> np.ndarray:
+    """T[..., z, x] = sum_y (-1)^(z.y) ops[..., y, y^x] for a complex
+    (..., d, d) stack: one gather into [..., y, x], one transform along y.
+    out (the shape of ops) takes both; scratch (the size of ops, and ops
+    itself once gathered) takes the transform's first product.  index is
+    _xor_index(d), passed by a caller that runs many stacks of one d above
+    the cache limit."""
+    d = ops.shape[-1]
+    index = _xor_index(d) if index is None else index
+    # in-range indices: mode="clip" writes straight into out, "raise" via a temporary
+    cols = np.take(ops.reshape(*ops.shape[:-2], d * d), index, axis=-1,
+                   out=out, mode="clip")
+    reals = cols.view(np.float64)  # [..., y -> z, x re/im]
+    _wht_real(reals, scratch=scratch, out=reals)
+    return cols
 
 
 def pauli_trace_table(op: np.ndarray) -> np.ndarray:
     """All Pauli-basis coefficients of a d x d operator (or of each in a
     stack of them, over the last two axes) at once.
 
-    Returns table[x, z] = Tr(op @ P(x, z)) for every phase-0 string, computed
-    with one Walsh-Hadamard transform per x value:
-    Tr(op P) = i^(x.z) sum_y (-1)^(z.y) op[y, y^x].
+    Returns table[x, z] = Tr(op @ P(x, z)) for every phase-0 string, as a
+    C-contiguous array: _pauli_columns' [z, x] table times the phase grid
+    i^(x.z), written out in [x, z] order.
     """
     op = np.asarray(op, dtype=complex)
-    d = op.shape[-1]
-    ys = np.arange(d)
-    gathered = op[..., ys[None, :], ys[None, :] ^ ys[:, None]]  # [x, y]
-    table = walsh_hadamard_transform(gathered, axis=-1)  # y -> z
-    table *= _phase_grid(d)
-    return table
+    table = np.empty(op.shape, dtype=complex)
+    return np.multiply(_pauli_columns(op).swapaxes(-1, -2), _phase_grid(op.shape[-1]),
+                       out=table)
 
 
 def operator_from_pauli_table(table: np.ndarray) -> np.ndarray:
@@ -322,16 +319,18 @@ def operator_from_pauli_table(table: np.ndarray) -> np.ndarray:
     the last two axes like it.
 
     Since Tr(P P') = d delta, operator_from_pauli_table(pauli_trace_table(op)
-    / d) == op.  The steps of pauli_trace_table run in reverse: with the
-    conjugate phases, one Walsh-Hadamard transform per x value gives
-    op[y, y^x] = sum_z (-i)^(x.z) (-1)^(z.y) table[x, z], scattered back.
+    / d) == op.  The steps of pauli_trace_table run in reverse, on the same
+    index and transform: with the conjugate phases, in [z, x] order,
+    op[y, y^x] = sum_z (-1)^(z.y) (-i)^(x.z) table[x, z], scattered back.
     """
     table = np.asarray(table, dtype=complex)
     d = table.shape[-1]
-    ys = np.arange(d)
+    cols = np.empty(table.shape, dtype=complex)  # [..., z, x], then [..., y, x]
+    np.multiply(table, _phase_grid(d).conj(), out=cols.swapaxes(-1, -2))
+    reals = cols.view(np.float64)
+    _wht_real(reals, out=reals)
     op = np.empty(table.shape, dtype=complex)
-    op[..., ys[None, :], ys[None, :] ^ ys[:, None]] = walsh_hadamard_transform(
-        table * _phase_grid(d).conj(), axis=-1)  # [x, z] -> [x, y]
+    op.reshape(*table.shape[:-2], d * d)[..., _xor_index(d)] = cols
     return op
 
 

@@ -65,6 +65,8 @@ def tableau_to_text(c: CliffordTableau) -> str:
 
 def tableau_from_text(text: str) -> CliffordTableau:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("tableau text is missing its '<n_qubits>' header line")
     n = int(lines[0])
     if len(lines) != 2 + 2 * n:
         raise ValueError("tableau block has the wrong number of lines")

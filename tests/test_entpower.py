@@ -22,10 +22,10 @@ from paulient.errors import NotUnitary, SizeLimitExceeded
 from paulient.operators import Bipartition, haar_random_unitary, random_local_unitary
 from paulient.paulis import (
     PauliString,
+    _wht_real,
     clifford_to_dense,
     random_clifford,
     random_pauli,
-    walsh_hadamard_transform,
 )
 from paulient.spinchain import HamiltonianPropagator, XYZModel, build_hamiltonian
 from paulient.stats import run_until_converged
@@ -134,17 +134,17 @@ class TestExactMode:
         h = np.array([[1.0]])
         for k in range(10):  # lengths 1..512, odd and even log2
             n = 1 << k
-            # leading, trailing and middle axes; the last case is a
-            # non-contiguous (transposed) view with the axis in the middle
-            for shape, axis, view in [((n, 3), 0, False), ((3, n), -1, False),
-                                      ((2, n, 3), 1, False), ((3, n, 2), 1, True)]:
-                real = rng.standard_normal(shape)
-                for a in (real, real + 1j * rng.standard_normal(shape)):
-                    if view:
-                        a = a.transpose(2, 1, 0)
-                    want = np.moveaxis(np.tensordot(h, a, axes=(1, axis)), 0, axis)
-                    assert np.allclose(walsh_hadamard_transform(a, axis=axis), want,
-                                       rtol=0.0, atol=1e-12 * n)
+            # the axis first, in the middle, and a complex stack viewed as
+            # float64 (re, im) pairs
+            cplx = rng.standard_normal((3, n, 2)) + 1j * rng.standard_normal((3, n, 2))
+            for a in (rng.standard_normal((n, 3)), rng.standard_normal((2, n, 3)),
+                      cplx.view(np.float64)):
+                want = np.moveaxis(np.tensordot(h, a, axes=(1, -2)), 0, -2)
+                assert np.allclose(_wht_real(a), want, rtol=0.0, atol=1e-12 * n)
+                # the given scratch and out buffers, with out the input itself
+                got = a.copy()
+                _wht_real(got, scratch=np.empty_like(a), out=got)
+                assert np.array_equal(got, _wht_real(a))
             h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 

@@ -10,7 +10,6 @@ from paulient.factorization import (
     extract_hermitian_unitary_factors,
     factorize,
     make_product_preserving,
-    product_preserving_pipeline,
     verify_factorization,
     LocalCliffordFactorization,
 )
@@ -161,7 +160,7 @@ class TestFactorize:
             na = int(rng.integers(1, max(2, n // 2 + 1)))
             bp = Bipartition(na, n - na)
             u, v0, w0, c0 = make_product_preserving(bp, rng)
-            fac = product_preserving_pipeline(u, bp)
+            fac = factorize(u, bp)
             assert verify_factorization(u, fac) <= 1e-8
 
     def test_three_qubit_block_canonicalization(self, rng):
@@ -173,7 +172,7 @@ class TestFactorize:
 
     def test_haar_rejected(self, rng):
         with pytest.raises(NotProductPreserving):
-            product_preserving_pipeline(haar_random_unitary(8, rng), Bipartition(1, 2))
+            factorize(haar_random_unitary(8, rng), Bipartition(1, 2))
 
     def test_xx_rotation_rejected_by_factorize(self):
         with pytest.raises(NotProductPreserving):

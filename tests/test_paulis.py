@@ -9,6 +9,8 @@ from paulient.paulis import (
     PauliString,
     _phase_grid,
     _phase_power,
+    _wht_real,
+    _xor_index,
     apply_pauli,
     clifford_from_generator_images,
     clifford_to_dense,
@@ -22,7 +24,6 @@ from paulient.paulis import (
     pauli_trace_table,
     random_clifford,
     random_pauli,
-    walsh_hadamard_transform,
 )
 
 from conftest import HADAMARD, S_GATE, CNOT, dense_pauli
@@ -163,8 +164,8 @@ class TestRandomPauli:
 
 class TestTables:
     def test_walsh_hadamard_small(self):
-        out = walsh_hadamard_transform(np.array([1.0, 2.0]))
-        assert np.allclose(out, [3.0, -1.0])
+        out = _wht_real(np.array([[1.0], [2.0]]))
+        assert np.array_equal(out, [[3.0], [-1.0]])
 
     def test_trace_table_oracle(self, rng):
         for n in (1, 2, 3):
@@ -174,6 +175,11 @@ class TestTables:
             for k in range(4**n):
                 p = PauliString.from_index(n, k)
                 assert abs(table[p.x, p.z] - np.trace(op @ pauli_to_dense(p))) < 1e-10
+            # [x, z] in memory order, and a stack is the tables of its members
+            assert table.flags.c_contiguous
+            stack = np.stack([op, op.conj(), op.T])
+            assert np.array_equal(pauli_trace_table(stack),
+                                  np.stack([pauli_trace_table(m) for m in stack]))
 
     def test_operator_from_table_is_the_adjoint(self, rng):
         for n in (1, 2, 3):
@@ -190,12 +196,16 @@ class TestTables:
             assert np.abs(operator_from_pauli_table(pauli_trace_table(op) / d) - op).max() < 1e-12
 
     def test_phase_grid_cached_read_only(self):
+        # the phase grid and the gather index share one cache rule
         for n in range(9):
             d = 2**n
-            grid = _phase_grid(d)
+            grid, index = _phase_grid(d), _xor_index(d)
             want = np.array([[1j ** bin(x & z).count("1") for z in range(d)] for x in range(d)])
             assert np.array_equal(grid, want) and not grid.flags.writeable
             assert (_phase_grid(d) is grid) == (d <= 64)
+            want = np.array([[y * d + (y ^ x) for x in range(d)] for y in range(d)])
+            assert np.array_equal(index, want) and not index.flags.writeable
+            assert (_xor_index(d) is index) == (d <= 64)
 
     def test_expectation_table_oracle(self, rng):
         psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)

@@ -9,8 +9,8 @@ from paulient.cli import main
 from paulient.entpower import pauli_entangling_power
 from paulient.factorization import (
     check_pauli_product_preserving,
+    factorize,
     make_product_preserving,
-    product_preserving_pipeline,
 )
 from paulient.mpu import mpu_zz_chain, pauli_power_mpu
 from paulient.operators import Bipartition, haar_random_unitary
@@ -69,6 +69,15 @@ class TestSerialize:
             tableau_from_text("1\n30\n03\n20\n")
         with pytest.raises(ValueError, match="other than 0 or 1"):
             tableau_from_text("1\n10\n01\n0x\n")
+
+    @pytest.mark.parametrize("text", ["", "  \n\n", "# a comment\n# another\n"])
+    def test_tableau_missing_header(self, tmp_path, text):
+        with pytest.raises(ValueError, match="missing its '<n_qubits>' header line"):
+            tableau_from_text(text)
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="<n_qubits>"):
+            load_tableau(str(path))
 
     def test_mpu_round_trip(self, tmp_path):
         t = mpu_zz_chain(0.3)
@@ -246,6 +255,16 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == "" and "at least 2" in captured.err
 
+    @pytest.mark.parametrize("dims", [("12", "4"), ("16", "3")])
+    def test_haar_mc_rejects_bad_dimensions(self, monkeypatch, capsys, dims):
+        draws = []
+        monkeypatch.setattr(cli, "haar_random_unitary",
+                            lambda *a: draws.append(a) or haar_random_unitary(*a))
+        assert main(["haar-mc", "--d", dims[0], "--da", dims[1], "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need powers of two" in captured.err
+        assert draws == []
+
     def test_spinchain_run_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0:1:1",
@@ -325,6 +344,26 @@ class TestCli:
         assert main(["spinchain-run", "--model", "tfim", "--sweep", "Jz=0:1:1",
                      "--n", "3"]) == 2
 
+    @pytest.mark.parametrize("sweep", ["Jz=", "Jz=a:b", "Jz=0,nan", "Jz=inf:1:2",
+                                       "Jz=1:0.5:0", "Jz=0:1e-12:1",
+                                       f"Jz=0:1:{cli.MAX_SWEEP_POINTS}"])
+    def test_malformed_sweep_exits_two_before_any_run(self, monkeypatch, capsys, sweep):
+        runs = []
+        monkeypatch.setattr(cli, "run_sweep_experiment", lambda *a, **kw: runs.append(a) or [])
+        assert main(["spinchain-run", "--model", "xyz", "--sweep", sweep, "--n", "3",
+                     "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error:")
+        assert runs == []  # no sweep started, so no Hamiltonian was built
+
+    def test_longest_sweep_range_accepted(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_sweep_experiment", lambda *a, **kw: runs.append(a) or [])
+        last = cli.MAX_SWEEP_POINTS - 1
+        assert main(["spinchain-run", "--model", "xyz", "--sweep", f"Jz=0:1:{last}",
+                     "--n", "3", "--workers", "1"]) == 0
+        assert runs[0][1] == [float(i) for i in range(cli.MAX_SWEEP_POINTS)]
+
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d": 4, "da": 2}))
@@ -358,7 +397,7 @@ _FEEDS = {
     ("pe-sample", "min_samples"): (pauli_entangling_power, "min_samples"),
     ("pe-sample", "max_samples"): (pauli_entangling_power, "max_samples"),
     ("thm1-check", "tol"): (check_pauli_product_preserving, "tol"),
-    ("thm1-factorize", "tol"): (product_preserving_pipeline, "tol"),
+    ("thm1-factorize", "tol"): (factorize, "tol"),
     ("mpu-pe", "mode"): (pauli_power_mpu, "mode"),
     ("spinchain-run", "mode"): (run_sweep_experiment, "mode"),
     ("spinchain-run", "dt"): (run_sweep_experiment, "dt"),
