@@ -3,17 +3,18 @@ and the drawn strings of a sampled P_E call from N = 8 on.
 
 There is one ThreadPoolExecutor per process, created on the first call that
 has tasks for more than one thread, with one thread per core this process
-may run on.  Each task of a call works in a buffer set of its own, and the
-sets of one call share one memory budget, BUFFER_BUDGET, which caps the
-threads by the sizes as well as by the cores.  The blocks' GEMMs are small
-(inner dimension 16 at N = 8) and run no faster on two BLAS threads than on
-one, and a sampled string gains more from a second string in parallel than
-from a second BLAS thread, while OpenBLAS threads left spinning after a GEMM
-take the cores the pool needs.  So every call that uses the pool first sets
-each OpenBLAS library loaded since the last such call to one thread, for the
-rest of the process.  Where that cannot be done (another BLAS, or no
-/proc/self/maps to find the libraries), every call runs on its caller's
-thread.
+may run on.  Pooled work comes in through buffered_map: each task of a call
+borrows a buffer set of its own, and the sets of one call and its unsummed
+results share one memory budget, BUFFER_BUDGET, which caps the threads by
+the sizes (read off the buffers themselves) as well as by the cores.  The
+blocks' GEMMs are small (inner dimension 16 at N = 8) and run no faster on
+two BLAS threads than on one, and a sampled string gains more from a second
+string in parallel than from a second BLAS thread, while OpenBLAS threads
+left spinning after a GEMM take the cores the pool needs.  So every call
+that uses the pool first sets each OpenBLAS library loaded since the last
+such call to one thread, for the rest of the process.  Where that cannot be
+done (another BLAS, or no /proc/self/maps to find the libraries), every call
+runs on its caller's thread.
 
 A process forked after the pool exists gets a fresh one on first use; the
 inherited executor's threads do not exist in the child.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import queue
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -39,9 +41,8 @@ _OPENBLAS_SETTERS = (
     "scipy_openblas_set_num_threads64_",
 )
 
-# bytes that the buffer sets of one pooled call (and, for the g-table, its
-# unsummed block results) may take together; a call uses fewer threads where
-# more sets would not fit
+# bytes that the buffer sets and unsummed results of one buffered_map call
+# may take together; a call uses fewer threads where more would not fit
 BUFFER_BUDGET = 20 << 20
 
 _lock = threading.Lock()
@@ -135,6 +136,31 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int) -> Itera
         for future in pending:
             future.cancel()
         wait(pending)
+
+
+def buffered_map(fn: Callable[[T, tuple], R], items: Iterable[T], n_tasks: int,
+                 new_set: Callable[[], tuple], result_bytes: int = 0) -> tuple[int, Iterator[R]]:
+    """(threads, ordered_map of fn(item, buffers) over items).  new_set()
+    returns one buffer set, a tuple of arrays, whose nbytes sizes every set;
+    one set per thread and the threads + 2 results of result_bytes that
+    ordered_map may hold fit BUFFER_BUDGET.  Exactly `threads` sets are made,
+    and each call of fn borrows one that no running call holds."""
+    first = new_set()
+    set_bytes = sum(a.nbytes for a in first)
+    threads = threads_for(min(n_tasks, (BUFFER_BUDGET - 2 * result_bytes)
+                              // (set_bytes + result_bytes)))
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    for buffers in [first] + [new_set() for _ in range(threads - 1)]:
+        free.put(buffers)
+
+    def borrowing(item: T) -> R:
+        buffers = free.get()
+        try:
+            return fn(item, buffers)
+        finally:
+            free.put(buffers)
+
+    return threads, ordered_map(borrowing, items, threads)
 
 
 def _forget_pool_in_child() -> None:

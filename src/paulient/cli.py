@@ -391,27 +391,35 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSON file with defaults for this command")
         for opt in opts:
             kwargs = {k: v for k, v in opt.items() if k not in ("flags", "required")}
-            # requiredness is enforced after the config merge
-            kwargs.setdefault("default", None)
+            # None marks a flag not given; defaults and requiredness are
+            # applied after the config merge
+            kwargs["default"] = None
             sp.add_argument(*opt["flags"], **kwargs)
     return parser
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
+    """Each flag given, else its --config value, else its default.  A config
+    value must have its flag's type: int flags take integers, float flags
+    integers or floats, str flags strings."""
     _, opts = _SCHEMAS[command]
-    keys = {opt["flags"][0].lstrip("-").replace("-", "_") for opt in opts}
+    by_key = {opt["flags"][0].lstrip("-").replace("-", "_"): opt for opt in opts}
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - keys
+        unknown = set(file_cfg) - set(by_key)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     cfg = {}
-    for opt in opts:
-        key = opt["flags"][0].lstrip("-").replace("-", "_")
-        flag_val = getattr(args, key, None)
-        value = flag_val if flag_val is not None else file_cfg.get(key, opt.get("default"))
+    for key, opt in by_key.items():
+        value, kind = getattr(args, key), opt["type"]
+        if value is None and file_cfg.get(key) is not None:
+            value, allowed = file_cfg[key], (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {value!r}")
+            value = kind(value)
+        value = opt.get("default") if value is None else value
         if value is None and opt.get("required"):
             raise ConfigError(f"missing required parameter --{key.replace('_', '-')}")
         if value is not None and "choices" in opt and value not in opt["choices"]:

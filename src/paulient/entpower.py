@@ -19,12 +19,11 @@ batched matrix product gives the inner sums over b for every (y, v); the
 step of the Pauli-basis tables (paulis._pauli_columns) gathers the entries
 at v = y^x for every x at once and transforms them over y into the whole z
 axis; and |.|^2, weighted over the block's pairs, gives the block's share of
-the g-table.  The shares are added
-in block order.  Neither the quadrupled space nor the full pair-correlation
-array is materialized.  Calls with two or more blocks (never at N <= 5) run
-them on the _threads pool, in buffers the caller allocates once, on as many
-cores as a fixed memory budget allows; the table does not depend on the
-number of threads.
+the g-table.  The shares are added in block order.  Neither the quadrupled
+space nor the full pair-correlation array is materialized.  Calls with two
+or more blocks (never at N <= 5) run them through _threads.buffered_map, one
+set of block buffers per thread, on as many cores as a fixed memory budget
+allows; the table does not depend on the number of threads.
 
 Sampled mode evaluates E_lin(K) for K = U^dag P U one drawn string at a
 time, in real arithmetic, from two identities that hold because P is a
@@ -48,25 +47,23 @@ d^3 + d_A^4 d_B^2 / 2 real multiply-adds, where a complex product U^dag (P U)
 and a complex realigned Gram matrix take about 4 d^3 + 4 d_A^4 d_B^2.  The
 identity gives exactly 0.
 
-From N = 8 the strings of one sampled call run on the _threads pool, one
-buffer set per thread (4 d^2 floats and a Gram matrix: 8.5 MiB at N = 9,
+From N = 8 the strings of one sampled call run through _threads.buffered_map,
+one buffer set per thread (4 d^2 floats and a Gram matrix: 8.5 MiB at N = 9,
 4|5) within the pool's memory budget, so up to nine threads at N = 8, two at
 N = 9 and one from N = 10; u and the purity's gather indices are shared.  The
 caller's thread draws every string and pushes the values into the stopping
 rule in draw order, so the result does not depend on the number of threads.
-The pool draws a few strings ahead; when the rule stops, the call waits for
-the strings still running, drops them, and puts the rng back where a serial
-loop would have left it.
+The pool draws a few strings ahead; when the rule stops, the call drops them
+and redraws the strings the rule took from the rng's starting state, which
+leaves the rng where a serial loop would have left it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import queue
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -105,7 +102,7 @@ class PauliPowerEstimate:
 # BLAS threads / serial on one / pooled on two cores: N = 6 0.11/0.12/0.14-0.20
 # ms and N = 7 0.45/0.42/0.38-0.48 ms, where the pool gains nothing; N = 8
 # 2.4/1.9/1.25 ms and N = 9 9.5/12.3/6.5 ms.  From N = 10 one buffer set
-# exceeds _threads.BUFFER_BUDGET, so a call keeps to one thread (74 ms per
+# exceeds the pool's memory budget, so a call keeps to one thread (74 ms per
 # string on two BLAS threads, 107 ms on one once another call has pinned it).
 _POOLED_STRINGS_MIN_QUBITS = 8
 
@@ -133,12 +130,11 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     as a [z, x] table.  The slots are added in block order, and the sum is
     transposed once at the end.
 
-    Calls with two or more blocks run them on the _threads pool.  The
-    calling thread allocates one set of block buffers per thread, and a
-    block borrows a free set while it runs.  The buffer sets and the unsummed
-    slots (at most threads + 2) stay within _threads.BUFFER_BUDGET bytes,
-    which caps the threads by the sizes (three at N = 8, 4|4; one from
-    N = 9), not by the cores.  The block size depends on the sizes alone and the slots are
+    The blocks run through _threads.buffered_map, which lends each running
+    block a set of block buffers of its own.  The sets and the unsummed slots
+    (at most threads + 2) stay within the pool's memory budget, which caps
+    the threads by the sizes (three at N = 8, 4|4; one from N = 9), not by
+    the cores.  The block size depends on the sizes alone and the slots are
     summed in block order, so the table does not depend on the number of
     threads.
 
@@ -160,38 +156,31 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     block = max(1, (1 << 17) // (d * d))  # pairs per block: ~2^17 entries of W
     starts = range(0, len(ka), block)
     width = min(block, len(ka))
-    set_bytes = 16 * width * d * (2 * dt + 2 * d)  # one set of the buffers below
-    slot_bytes = 16 * d * d  # one [z, x] slot, re^2 and im^2 in float64
-    fit = (_threads.BUFFER_BUDGET - 2 * slot_bytes) // (set_bytes + slot_bytes)
-    threads = _threads.threads_for(min(len(starts), fit))
-    free: queue.SimpleQueue = queue.SimpleQueue()
-    for _ in range(threads):
-        free.put((np.empty((width, d, dt), complex),  # conj(u) rows of k1
-                  np.empty((width, d, dt), complex),  # u rows of k2
-                  np.empty((width, d, d), complex),  # W, then WHT scratch
-                  np.empty((width, d, d), complex)))  # gather, then |WHT|^2
 
-    def block_slot(p0: int) -> np.ndarray:
-        buffers = free.get()
-        try:
-            pa, pc = ka[p0:p0 + block], kc[p0:p0 + block]
-            n = len(pa)
-            lhs, rhs, wp, s = (b[:n] for b in buffers)
-            # the indices are in range; mode="clip" writes straight into out,
-            # where the default mode="raise" goes through a temporary
-            np.take(byk, pa, axis=0, out=lhs, mode="clip")
-            np.conjugate(lhs, out=lhs)
-            np.take(byk, pc, axis=0, out=rhs, mode="clip")
-            np.matmul(lhs, rhs.transpose(0, 2, 1), out=wp)  # [pair, y, v]
-            _pauli_columns(wp, out=s, scratch=wp, index=index)  # [pair, z, x]
-            sq = s.view(np.float64)  # x re/im
-            np.multiply(sq, sq, out=sq)
-            return weights[p0:p0 + n] @ sq.reshape(n, -1)
-        finally:
-            free.put(buffers)
+    def new_set() -> tuple:
+        return (np.empty((width, d, dt), complex),  # conj(u) rows of k1
+                np.empty((width, d, dt), complex),  # u rows of k2
+                np.empty((width, d, d), complex),  # W, then WHT scratch
+                np.empty((width, d, d), complex))  # gather, then |WHT|^2
 
-    acc = np.zeros(2 * d * d)  # [z, x] with re^2 and im^2 interleaved
-    for slot in _threads.ordered_map(block_slot, starts, threads):
+    def block_slot(p0: int, buffers: tuple) -> np.ndarray:
+        pa, pc = ka[p0:p0 + block], kc[p0:p0 + block]
+        n = len(pa)
+        lhs, rhs, wp, s = (b[:n] for b in buffers)
+        # the indices are in range; mode="clip" writes straight into out,
+        # where the default mode="raise" goes through a temporary
+        np.take(byk, pa, axis=0, out=lhs, mode="clip")
+        np.conjugate(lhs, out=lhs)
+        np.take(byk, pc, axis=0, out=rhs, mode="clip")
+        np.matmul(lhs, rhs.transpose(0, 2, 1), out=wp)  # [pair, y, v]
+        _pauli_columns(wp, out=s, scratch=wp, index=index)  # [pair, z, x]
+        sq = s.view(np.float64)  # x re/im
+        np.multiply(sq, sq, out=sq)
+        return weights[p0:p0 + n] @ sq.reshape(n, -1)
+
+    acc = np.zeros(2 * d * d)  # [z, x] with re^2 and im^2 interleaved, as each slot
+    _, slots = _threads.buffered_map(block_slot, starts, len(starts), new_set, acc.nbytes)
+    for slot in slots:
         acc += slot
     acc = acc.reshape(d, 2 * d)
     return (acc[:, 0::2] + acc[:, 1::2]).T
@@ -203,55 +192,51 @@ def _exact_value(u: np.ndarray, bp: Bipartition) -> float:
     return 1.0 - total / float(bp.d) ** 4
 
 
-def _string_elin(u: np.ndarray, bp: Bipartition,
-                 sets: int = 1) -> Callable[[PauliString], float]:
-    """E_lin(U^dag P U) for phase-0 strings P, by the sampled-mode identities
-    of the module docstring.  The contiguous u and the purity's gather indices
-    are built once and only read by the strings.  Each string borrows one of
-    `sets` buffer sets from a free queue while it runs, so up to `sets` threads
-    may evaluate strings at once."""
+def _string_elin(u: np.ndarray, bp: Bipartition) -> tuple[
+        Callable[[PauliString, tuple], float], Callable[[], tuple]]:
+    """(value, new_set): value(p, buffers) is E_lin(U^dag P U) for a phase-0
+    string P, by the sampled-mode identities of the module docstring, worked
+    in one set of buffers from new_set().  The contiguous u and the purity's
+    gather indices are built once and only read, so calls with sets of their
+    own may run at once."""
     d, half = bp.d, bp.d // 2
     u = np.ascontiguousarray(u, dtype=complex)
-    first = _HermitianPurity(bp)
-    free: queue.SimpleQueue = queue.SimpleQueue()
-    for purity in [first] + [first.twin() for _ in range(sets - 1)]:
-        free.put((np.empty((2, d, d)), purity))  # [Re K, Im K], purity
+    purity = _HermitianPurity(bp)
 
-    def value(p: PauliString) -> float:
+    def new_set() -> tuple:
+        return (np.empty((2, d, d)), *purity.new_set())  # [Re K, Im K], scratch, gram
+
+    def value(p: PauliString, buffers: tuple) -> float:
         if p.is_identity:
             return 0.0
-        parts, purity = free.get()
-        try:
-            re_k, im_k = parts
-            re_k_diag = re_k.reshape(-1)[::d + 1]
-            x_rows = im_k  # [Re B; Im B] until Im K overwrites it
-            # B and the partner rows live in the purity scratch, which is free
-            # until the purity call, and so does M once B is spent
-            b_rows, partners = (s.reshape(-1).view(complex).reshape(half, d)
-                                for s in purity.scratch)
-            m_prod = purity.scratch[0].reshape(d, d)
-            partner_rows, cols, values = _pauli_entries(p)
-            if p.x:
-                rows = cols[cols & (1 << (p.x.bit_length() - 1)) == 0]
-                # the indices are in range; mode="clip" writes straight into out
-                u.take(rows, axis=0, out=b_rows, mode="clip")
-                u.take(partner_rows[rows], axis=0, out=partners, mode="clip")
-                np.multiply(partners, values[rows].conj()[:, None], out=partners)
-                np.add(b_rows, partners, out=b_rows)
-            else:
-                u.take(cols[values.real > 0], axis=0, out=b_rows, mode="clip")
-                np.multiply(b_rows, math.sqrt(2.0), out=b_rows)
-            np.copyto(x_rows[:half], b_rows.real)
-            np.copyto(x_rows[half:], b_rows.imag)
-            np.matmul(x_rows.T, x_rows, out=re_k)
-            np.subtract(re_k_diag, 1.0, out=re_k_diag)
-            np.matmul(x_rows[:half].T, x_rows[half:], out=m_prod)
-            np.subtract(m_prod, m_prod.T, out=im_k)
-            return 1.0 - purity(parts)
-        finally:
-            free.put((parts, purity))
+        parts, scratch, gram = buffers
+        re_k, im_k = parts
+        re_k_diag = re_k.reshape(-1)[::d + 1]
+        x_rows = im_k  # [Re B; Im B] until Im K overwrites it
+        # B and the partner rows live in the purity scratch, which is free
+        # until the purity call, and so does M once B is spent
+        b_rows, partners = (s.reshape(-1).view(complex).reshape(half, d) for s in scratch)
+        m_prod = scratch[0].reshape(d, d)
+        partner_rows, cols, values = _pauli_entries(p)
+        if p.x:
+            rows = cols[cols & (1 << (p.x.bit_length() - 1)) == 0]
+            # the indices are in range; mode="clip" writes straight into out
+            u.take(rows, axis=0, out=b_rows, mode="clip")
+            u.take(partner_rows[rows], axis=0, out=partners, mode="clip")
+            np.multiply(partners, values[rows].conj()[:, None], out=partners)
+            np.add(b_rows, partners, out=b_rows)
+        else:
+            u.take(cols[values.real > 0], axis=0, out=b_rows, mode="clip")
+            np.multiply(b_rows, math.sqrt(2.0), out=b_rows)
+        np.copyto(x_rows[:half], b_rows.real)
+        np.copyto(x_rows[half:], b_rows.imag)
+        np.matmul(x_rows.T, x_rows, out=re_k)
+        np.subtract(re_k_diag, 1.0, out=re_k_diag)
+        np.matmul(x_rows[:half].T, x_rows[half:], out=m_prod)
+        np.subtract(m_prod, m_prod.T, out=im_k)
+        return 1.0 - purity(parts, scratch, gram)
 
-    return value
+    return value, new_set
 
 
 def pauli_entangling_power(
@@ -318,30 +303,19 @@ def _pauli_entangling_power(
         raise ValueError(f"min_samples must be at least 2, got {min_samples}")
     # with a fixed count the rule can only fire at the cap itself
     n_min, cap = (min_samples, max_samples) if n_samples is None else (n_samples, n_samples)
-    threads = 1
-    if bp.n_qubits >= _POOLED_STRINGS_MIN_QUBITS:
-        # one _string_elin buffer set: [Re K, Im K], the purity scratch (the
-        # same size) and the purity's Gram matrix on the smaller side
-        set_bytes = 8 * (4 * bp.d * bp.d + min(bp.d_a, bp.d_b) ** 4)
-        fit = _threads.BUFFER_BUDGET // set_bytes
-        threads = _threads.threads_for(min(cap, fit))
-    string_elin = _string_elin(u, bp, threads)
-    saved: deque = deque(maxlen=threads + 2)  # (draw number, rng state before it)
-
-    def strings() -> Iterator[PauliString]:
-        for k in range(cap):
-            if threads > 1:
-                saved.append((k, rng.bit_generator.state))
-            yield random_pauli(bp.n_qubits, rng)
-
-    values = _threads.ordered_map(string_elin, strings(), threads)
+    string_elin, new_set = _string_elin(u, bp)
+    start = rng.bit_generator.state
+    strings = (random_pauli(bp.n_qubits, rng) for _ in range(cap))
+    n_tasks = cap if bp.n_qubits >= _POOLED_STRINGS_MIN_QUBITS else 1
+    threads, values = _threads.buffered_map(string_elin, strings, n_tasks, new_set)
     with contextlib.closing(values):  # returns once no pool thread runs a string
         acc, _ = run_until_converged(values, sem_target, 1.0, n_min, cap)
-    # the pool draws at most threads + 1 strings past the last one pushed; the
-    # rng goes back to where the serial loop leaves it
-    for k, state in saved:
-        if k == acc.n:
-            rng.bit_generator.state = state
+    if threads > 1:
+        # the pool draws a few strings past the last one pushed; redrawing
+        # acc.n from the start leaves the rng where the serial loop leaves it
+        rng.bit_generator.state = start
+        for _ in range(acc.n):
+            random_pauli(bp.n_qubits, rng)
     return PauliPowerEstimate(value=acc.mean, mode="sampled", n_samples=acc.n,
                               sem=acc.half_width())
 
@@ -371,13 +345,11 @@ def q_projector_basis(n_qubits: int) -> np.ndarray:
     d = 1 << n_qubits
     ys = np.arange(d)
     basis = np.empty((d * d, d**4), dtype=complex)
-    k = 0
-    for x in range(d):
-        for z in range(d):
-            psi = np.zeros(d * d, dtype=complex)
-            psi[ys * d + (ys ^ x)] = _parity_signs(ys & z) / np.sqrt(d)
-            basis[k] = np.kron(psi, psi)
-            k += 1
+    for k in range(d * d):
+        x, z = divmod(k, d)
+        psi = np.zeros(d * d, dtype=complex)
+        psi[ys * d + (ys ^ x)] = _parity_signs(ys & z) / np.sqrt(d)
+        basis[k] = np.kron(psi, psi)
     return basis
 
 
@@ -390,23 +362,14 @@ def _copy_permutation_indices(n_qubits: int, images: tuple[int, int, int, int],
     is permuted and the B parts stay in place.
     """
     d = 1 << n_qubits
+    db = 1 if a_only is None else 1 << (n_qubits - a_only)  # the part that stays
     js = np.arange(d**4)
     copies = [(js // d ** (3 - c)) % d for c in range(4)]
-    if a_only is None:
-        parts = copies
-        out = [None] * 4
-        for c in range(4):
-            out[images[c]] = parts[c]
-    else:
-        db = 1 << (n_qubits - a_only)
-        avals = [v // db for v in copies]
-        bvals = [v % db for v in copies]
-        aout = [None] * 4
-        for c in range(4):
-            aout[images[c]] = avals[c]
-        out = [aout[c] * db + bvals[c] for c in range(4)]
-    t = ((out[0] * d + out[1]) * d + out[2]) * d + out[3]
-    return t
+    moved = [None] * 4
+    for c in range(4):
+        moved[images[c]] = copies[c] // db
+    out = [moved[c] * db + copies[c] % db for c in range(4)]
+    return ((out[0] * d + out[1]) * d + out[2]) * d + out[3]
 
 
 def pauli_power_via_q(u: np.ndarray, bp: Bipartition) -> float:

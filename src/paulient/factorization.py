@@ -345,13 +345,13 @@ def factorize(
     if abs(overlap) < 1e-9:
         raise FactorizationDegeneracy("reconstruction is orthogonal to the target")
     phase = overlap / abs(overlap)
-    fac = LocalCliffordFactorization(v=v, w=w, c=tableau, global_phase=phase)
-    residual = verify_factorization(u, fac)
+    # verify_factorization's residual, from the U^dag already rebuilt
+    residual = float(np.linalg.norm(phase * rebuilt - udag) / np.sqrt(bp.d))
     if residual > RECONSTRUCTION_TOL:
         raise FactorizationDegeneracy(
             f"reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL}"
         )
-    return fac
+    return LocalCliffordFactorization(v=v, w=w, c=tableau, global_phase=phase)
 
 
 def verify_factorization(u: np.ndarray, fac: LocalCliffordFactorization) -> float:

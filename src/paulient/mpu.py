@@ -58,6 +58,8 @@ class TransferMatrixPair:
 def mpu_to_dense(a: MPUTensor, n_sites: int) -> np.ndarray:
     """Periodic closure of n_sites copies of the tensor; raises
     NotUnitaryClosure if the result is not unitary within UNITARITY_TOL."""
+    if n_sites < 1:
+        raise ValueError(f"a closure needs at least one site, got {n_sites}")
     if n_sites > DENSE_LIMIT:
         raise SizeLimitExceeded(f"{n_sites} sites exceeds dense limit {DENSE_LIMIT}")
     acc = a.tensor  # (l, r, S, T)

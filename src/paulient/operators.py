@@ -6,7 +6,6 @@ All entropies are base-2 (bits).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -46,6 +45,9 @@ class Bipartition:
 
 
 def is_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
+    """False for anything but a square 2-D array within tol of unitary."""
+    if np.ndim(matrix) != 2 or matrix.shape[0] != matrix.shape[1]:
+        return False
     d = matrix.shape[0]
     return bool(
         np.linalg.norm(matrix.conj().T @ matrix - np.eye(d)) / np.sqrt(d) <= tol
@@ -114,9 +116,9 @@ class _HermitianPurity:
     with w = 1/sqrt2 for each diagonal element among E_k, F_l.  A call reads
     parts = [Re K, Im K], a contiguous (2, d, d) float64 array, through two
     flat gathers built once here, one per term; -Im beta is read as
-    Im conj(beta).  The two scratch arrays are overwritten by a call and free
-    for the caller between calls.  A twin shares the gather indices and has
-    scratch of its own, so one twin per thread can run at once.
+    Im conj(beta).  The caller passes in the scratch and Gram matrix a call
+    works in (one new_set()), which the call overwrites; the gather indices
+    are only read, so calls with scratch of their own may run at once.
     """
 
     def __init__(self, bp: Bipartition):
@@ -136,19 +138,15 @@ class _HermitianPurity:
             self._second[block] += d * d
         self._both_anti = (slice(sym_a, None), slice(sym_b, None))
         self._da, self._db, self._d = da, db, d
-        self.scratch = np.empty((2, da * da, db * db))
-        side = min(da, db) ** 2
-        self._gram = np.empty((side, side))
 
-    def twin(self) -> "_HermitianPurity":
-        """A purity with this one's read-only gather indices and new scratch."""
-        other = copy.copy(self)
-        other.scratch = np.empty_like(self.scratch)
-        other._gram = np.empty_like(self._gram)
-        return other
+    def new_set(self) -> tuple[np.ndarray, np.ndarray]:
+        """(scratch, gram): the coefficient scratch and the Gram matrix on
+        the smaller side that one call works in."""
+        side = min(self._da, self._db) ** 2
+        return np.empty((2, self._da**2, self._db**2)), np.empty((side, side))
 
-    def __call__(self, parts: np.ndarray) -> float:
-        coeffs, second = self.scratch
+    def __call__(self, parts: np.ndarray, scratch: np.ndarray, gram: np.ndarray) -> float:
+        coeffs, second = scratch
         flat = parts.reshape(-1)
         # the indices are in range; mode="clip" writes straight into out
         flat.take(self._first, out=coeffs, mode="clip")
@@ -158,9 +156,9 @@ class _HermitianPurity:
         coeffs[:self._da] *= math.sqrt(0.5)
         coeffs[:, :self._db] *= math.sqrt(0.5)
         if self._da <= self._db:
-            gram = np.matmul(coeffs, coeffs.T, out=self._gram)
+            np.matmul(coeffs, coeffs.T, out=gram)
         else:
-            gram = np.matmul(coeffs.T, coeffs, out=self._gram)
+            np.matmul(coeffs.T, coeffs, out=gram)
         return float(np.vdot(gram, gram)) / self._d**2
 
 

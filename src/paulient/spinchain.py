@@ -244,9 +244,9 @@ def run_sweep_experiment(
     sweep order and nothing is written.  mode="exact" enumerates all Pauli
     strings per timestep, for n_sites <= DEFAULT_EXACT_LIMIT only;
     mode="sampled" draws strings per timestep until the estimator's standard
-    error is below pe_sem_target, which must be positive.  Both conditions
-    are checked before any Hamiltonian is built (SizeLimitExceeded,
-    ValueError).  Each point checks its propagator's modes for unitarity
+    error is below pe_sem_target, which must be positive.  These conditions,
+    and a finite positive dt, are checked before any Hamiltonian is built
+    (SizeLimitExceeded, ValueError).  Each point checks its propagator's modes for unitarity
     once (NotUnitary) and runs long_time_average on its (P_E, E_lin) pairs:
     it stops once n_min steps are in and both 1.96 sigma / sqrt(N_t) are
     below sem_threshold, or at max_steps with converged=False.  max_steps < 1
@@ -255,6 +255,8 @@ def run_sweep_experiment(
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not 0 < dt < np.inf:  # also rejects NaN
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if mode == "sampled" and not pe_sem_target > 0:  # also rejects NaN
         raise ValueError(f"pe_sem_target must be positive, got {pe_sem_target}")
     if mode == "exact" and n_sites > DEFAULT_EXACT_LIMIT:

@@ -197,12 +197,13 @@ class TestSampledMode:
             picks += [int(k) for k in rng.integers(0, 4**n, count)]
             cases.append((haar_random_unitary(2**n, rng), (n_a, n_b), picks))
         for u, (n_a, n_b), picks in cases:
-            string_elin = _string_elin(u, Bipartition(n_a, n_b))
-            assert string_elin(PauliString.identity(n_a + n_b)) == 0.0
+            string_elin, new_set = _string_elin(u, Bipartition(n_a, n_b))
+            buffers = new_set()
+            assert string_elin(PauliString.identity(n_a + n_b), buffers) == 0.0
             for k in picks:
                 p = PauliString.from_index(n_a + n_b, k)
                 want = oracle_string_elin(u, p, n_a, n_b)
-                assert abs(string_elin(p) - want) <= 1e-12, (n_a, n_b, k)
+                assert abs(string_elin(p, buffers) - want) <= 1e-12, (n_a, n_b, k)
 
     def test_estimator_matches_oracle_draws(self):
         # the same draws in the same order, pushed through the same rule,
@@ -234,8 +235,9 @@ class TestSampledMode:
                 est = pauli_entangling_power(u, bp, mode="sampled", rng=rng, min_samples=8,
                                              sem_target=sem_target, n_samples=fixed)
                 serial_rng = np.random.default_rng(43)
-                string_elin = _string_elin(u, bp)
-                draws = (string_elin(random_pauli(bp.n_qubits, serial_rng))
+                string_elin, new_set = _string_elin(u, bp)
+                buffers = new_set()
+                draws = (string_elin(random_pauli(bp.n_qubits, serial_rng), buffers)
                          for _ in itertools.count())
                 n_min, cap = (8, 1_000_000) if fixed is None else (fixed, fixed)
                 acc, _ = run_until_converged(draws, sem_target, 1.0, n_min, cap)

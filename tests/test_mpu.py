@@ -63,6 +63,11 @@ class TestDenseClosure:
         with pytest.raises(SizeLimitExceeded):
             mpu_to_dense(mpu_single_gate(HADAMARD), 13)
 
+    def test_no_sites_rejected(self):
+        for n_sites in (0, -1):
+            with pytest.raises(ValueError, match="at least one site"):
+                mpu_to_dense(mpu_single_gate(HADAMARD), n_sites)
+
 
 class TestLambdaTensor:
     def test_diagonal_bond_structure(self):

@@ -7,6 +7,7 @@ from paulient.operators import (
     _HermitianPurity,
     _sum_lambda_sq,
     haar_random_unitary,
+    is_unitary,
     operator_entanglement,
     operator_schmidt_spectrum,
     random_local_unitary,
@@ -66,6 +67,14 @@ class TestSchmidtSpectrum:
             assert abs(lam.sum() - 1.0) < 1e-10
 
 
+class TestIsUnitary:
+    def test_only_square_matrices(self):
+        assert is_unitary(np.eye(4)) and is_unitary(np.eye(1))
+        for shape in [(4, 2), (4, 8), (2, 4), (4,), (2, 2, 2), ()]:
+            assert not is_unitary(np.ones(shape)), shape
+            assert not is_unitary(np.zeros(shape, dtype=complex)), shape
+
+
 class TestHermitianPurity:
     def test_matches_complex_gram(self, rng):
         for n in range(2, 8):
@@ -74,11 +83,13 @@ class TestHermitianPurity:
                 h = rng.standard_normal((bp.d, bp.d)) + 1j * rng.standard_normal((bp.d, bp.d))
                 h = h + h.conj().T
                 purity = _HermitianPurity(bp)
+                scratch, gram = purity.new_set()
                 want = _sum_lambda_sq(h, bp)
-                assert abs(purity(np.stack([h.real, h.imag])) - want) <= 1e-12 * want
-                # the scratch is free between calls
-                purity.scratch[:] = np.nan
-                assert abs(purity(np.stack([h.real, h.imag])) - want) <= 1e-12 * want
+                assert abs(purity(np.stack([h.real, h.imag]), scratch, gram) - want) <= 1e-12 * want
+                # a call reads nothing the last call left in its scratch
+                scratch[:] = np.nan
+                gram[:] = np.nan
+                assert abs(purity(np.stack([h.real, h.imag]), scratch, gram) - want) <= 1e-12 * want
 
 
 class TestEntanglement:

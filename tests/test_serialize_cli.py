@@ -208,6 +208,16 @@ class TestCli:
         assert main(["thm1-factorize", "--matrix", str(mfile),
                      "--na", "1", "--nb", "1"]) == 1
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 8)])
+    def test_non_square_matrix_exits_one(self, tmp_path, capsys, shape):
+        mfile = tmp_path / "m.txt"
+        save_matrix(str(mfile), np.eye(*shape))  # orthonormal columns or rows
+        for command in ("pe-exact", "thm1-check"):
+            assert main([command, "--matrix", str(mfile), "--na", "1", "--nb", "1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert "unitary" in captured.err, command
+
     def test_truncated_input_file_exits_one(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
@@ -423,3 +433,42 @@ def test_cli_defaults_are_the_library_defaults():
             elif opt.get("default") is not None:
                 assert key in _CLI_ONLY, f"{key} has a default but feeds no listed parameter"
     assert seen == set(_FEEDS)
+
+
+def test_config_values_reach_the_handler(tmp_path, monkeypatch, capsys):
+    # for every option with a default, a config value other than the default
+    # reaches the handler and a flag still wins over it; for every option, a
+    # config value of another type is a config error
+    wrong = {int: ["3", 2.5, True], float: ["0.5", False], str: [3, ["x"]]}
+    cfg_file = tmp_path / "cfg.json"
+    for command, (_, opts) in cli._SCHEMAS.items():
+        seen = []
+        monkeypatch.setitem(cli._SCHEMAS, command, (lambda cfg: seen.append(cfg) or 0, opts))
+
+        def run(config, flags=(), skip=None):
+            cfg_file.write_text(json.dumps(config))
+            required = [arg for opt in opts if opt.get("required") and opt is not skip
+                        for arg in (opt["flags"][0], str(opt.get("choices", [1])[0]))]
+            return main([command, "--config", str(cfg_file), *required, *flags])
+
+        for opt in opts:
+            key = opt["flags"][0].lstrip("-").replace("-", "_")
+            default, kind = opt.get("default"), opt["type"]
+            if default is not None:
+                if "choices" in opt:
+                    value = next(c for c in opt["choices"] if c != default)
+                else:
+                    value = default + 1 if kind is int else default * 2 + 0.5
+                assert run({key: value}) == 0 and seen[-1][key] == value, (command, key)
+                assert type(seen[-1][key]) is kind
+                assert run({key: value}, [opt["flags"][0], str(default)]) == 0
+                assert seen[-1][key] == default, (command, key)
+            if kind is float:
+                assert run({key: 3}) == 0 and seen[-1][key] == 3.0
+                assert type(seen[-1][key]) is float
+            for bad in wrong[kind]:
+                del seen[:]
+                assert run({key: bad}, skip=opt) == 2, (command, key, bad)
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("config error:")
+                assert repr(key) in captured.err and seen == []

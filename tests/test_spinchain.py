@@ -221,6 +221,16 @@ class TestSweep:
             ba, bb = local_pauli_magic_bound(u, bp)
             assert pe <= min(ba, bb) + 1e-10
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    def test_unusable_dt_rejected_before_any_build(self, dt, monkeypatch):
+        # NaN stepped on to nan means; 0 made every U_t the identity
+        builds = []
+        monkeypatch.setattr(spinchain, "build_hamiltonian",
+                            lambda model: builds.append(model) or build_hamiltonian(model))
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            run_sweep_experiment("xyz", [0.0], 3, dt=dt, workers=1)
+        assert builds == []
+
     @pytest.mark.parametrize("target", [0.0, -1e-3, float("nan")])
     def test_unusable_pe_sem_target_rejected_before_any_build(self, target, monkeypatch):
         builds = []

@@ -227,6 +227,59 @@ class TestThreadPool:
         results.close()
         assert running[0] == 0
 
+    def test_buffered_map_threads_follow_the_budget(self, thread_limit, monkeypatch):
+        # a set of 1000 + 24 bytes: nine fit 10 000 bytes, three when each
+        # result takes 1000 and two results are held besides one per thread
+        thread_limit(16)
+        pooled = _threads.threads_for(2) == 2
+        monkeypatch.setattr(_threads, "BUFFER_BUDGET", 10_000)
+        made = []
+
+        def new_set():
+            made.append((np.empty(125), np.empty(3, dtype=np.int64)))
+            return made[-1]
+
+        for n_tasks, result_bytes, budget, want in [
+                (100, 0, 10_000, 9), (5, 0, 10_000, 5), (100, 1000, 10_000, 3),
+                (100, 0, 1000, 1), (1, 0, 10_000, 1)]:
+            monkeypatch.setattr(_threads, "BUFFER_BUDGET", budget)
+            made[:] = []
+            threads, results = _threads.buffered_map(lambda i, b: i, range(3), n_tasks,
+                                                     new_set, result_bytes)
+            assert list(results) == [0, 1, 2]
+            assert threads == (want if pooled else 1), (n_tasks, result_bytes, budget)
+            assert len(made) == threads
+
+    def test_buffered_map_lends_each_set_to_one_call(self, thread_limit, monkeypatch):
+        thread_limit(4)
+        monkeypatch.setattr(_threads, "BUFFER_BUDGET", 1 << 20)
+        made = []
+        lock = threading.Lock()
+        held, clashes = set(), []
+
+        def new_set():
+            made.append((np.empty(8),))
+            return made[-1]
+
+        def fn(i, buffers):
+            assert any(buffers is s for s in made)
+            with lock:
+                clashes.append(id(buffers) in held)
+                held.add(id(buffers))
+            time.sleep(0.002 * (i % 3))  # later items may finish first
+            with lock:
+                held.discard(id(buffers))
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads, results = _threads.buffered_map(fn, range(60), 60, new_set)
+            assert list(results) == [i * i for i in range(60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(made) == threads and not any(clashes)
+
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
     def test_openblas_pinned_by_multi_block_calls_only(self):
         # exact: one block does not pin, two do; sampled: strings below the
