@@ -232,7 +232,6 @@ class TestThreadPool:
         # result takes 1000 and two results are held besides one per thread
         thread_limit(16)
         pooled = _threads.threads_for(2) == 2
-        monkeypatch.setattr(_threads, "BUFFER_BUDGET", 10_000)
         made = []
 
         def new_set():
