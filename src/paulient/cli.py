@@ -243,12 +243,12 @@ def _cmd_spinchain_run(cfg: dict) -> int:
     values = _parse_sweep(cfg["sweep"], cfg["model"])
     if cfg["mode"] == "sampled" and cfg.get("seed") is None:
         raise ConfigError("sampled mode requires a seed")
-    workers = cfg.get("workers") or min(available_cores(), len(values))
+    workers = min(available_cores(), len(values)) if cfg["workers"] is None else cfg["workers"]
     rows = run_sweep_experiment(
         cfg["model"], values, cfg["n"], mode=cfg["mode"],
         dt=cfg["dt"], sem_threshold=cfg["threshold"],
         n_min=cfg["n_min"], max_steps=cfg["max_steps"], seed=cfg.get("seed"),
-        pe_sem_target=cfg["pe_sem_target"], workers=workers,
+        workers=workers,
     )
     _write_csv(cfg.get("out"), _header("spinchain-run", cfg), SWEEP_COLUMNS,
                [dataclasses.astuple(r) for r in rows])
@@ -364,8 +364,6 @@ _SCHEMAS: dict[str, tuple] = {
                  help="long-time stopping threshold on 1.96 sigma/sqrt(N_t)"),
             dict(flags=["--n-min"], type=int, default=DEFAULT_N_MIN),
             dict(flags=["--max-steps"], type=int, default=DEFAULT_MAX_STEPS),
-            dict(flags=["--pe-sem-target"], type=float, default=DEFAULT_SEM_TARGET,
-                 help="per-timestep SEM target in sampled mode"),
             dict(flags=["--seed"], type=int, default=None),
             dict(flags=["--workers"], type=int, default=None,
                  help="parallel sweep points (default: available cores, "
@@ -401,13 +399,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
     """Each flag given, else its --config value, else its default.  A config
     value must have its flag's type: int flags take integers, float flags
-    integers or floats, str flags strings."""
+    integers or floats, str flags strings.  The file must hold a JSON object."""
     _, opts = _SCHEMAS[command]
     by_key = {opt["flags"][0].lstrip("-").replace("-", "_"): opt for opt in opts}
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(by_key)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")

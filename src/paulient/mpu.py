@@ -44,6 +44,8 @@ class MPUTensor:
     tensor: np.ndarray  # (chi, chi, 2, 2)
 
     def __post_init__(self):
+        if self.chi < 1:
+            raise ValueError(f"bond dimension must be at least 1, got {self.chi}")
         self.tensor = np.asarray(self.tensor, dtype=complex)
         if self.tensor.shape != (self.chi, self.chi, 2, 2):
             raise ValueError("tensor must have shape (chi, chi, 2, 2)")

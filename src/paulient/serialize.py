@@ -99,6 +99,8 @@ def save_mpu(path: str, a: MPUTensor) -> None:
 def load_mpu(path: str) -> MPUTensor:
     tokens = _read_tokens(path, "<chi>")
     chi = int(tokens[0])
+    if chi < 1:
+        raise ValueError(f"bond dimension in {path} must be at least 1, got {chi}")
     data = np.asarray([float(t) for t in tokens[1:]])
     expected = 2 * chi * chi * 4
     if data.size != expected:

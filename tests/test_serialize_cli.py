@@ -1,5 +1,8 @@
+import importlib.util
 import inspect
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from paulient.factorization import (
     factorize,
     make_product_preserving,
 )
-from paulient.mpu import mpu_zz_chain, pauli_power_mpu
+from paulient.mpu import MPUTensor, mpu_zz_chain, pauli_power_mpu
 from paulient.operators import Bipartition, haar_random_unitary
 from paulient.paulis import clifford_to_dense, random_clifford
 from paulient.serialize import (
@@ -27,6 +30,9 @@ from paulient.serialize import (
     tableau_to_text,
 )
 from paulient.spinchain import run_sweep_experiment
+
+# MPU tensor files with a bond dimension below 1
+BOND_BELOW_ONE = ("0\n", "-1\n" + "0 " * 8 + "\n")
 
 
 class TestSerialize:
@@ -85,6 +91,18 @@ class TestSerialize:
         save_mpu(str(path), t)
         loaded = load_mpu(str(path))
         assert loaded.chi == 2 and np.allclose(loaded.tensor, t.tensor)
+
+    @pytest.mark.parametrize("text", BOND_BELOW_ONE, ids=["zero", "negative"])
+    def test_mpu_bond_below_one_names_the_file(self, tmp_path, text):
+        path = tmp_path / "bond.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bond.txt.*at least 1"):
+            load_mpu(str(path))
+
+    @pytest.mark.parametrize("chi", [0, -1])
+    def test_mpu_tensor_bond_below_one_rejected(self, chi):
+        with pytest.raises(ValueError, match="at least 1"):
+            MPUTensor(chi, np.zeros((0, 0, 2, 2)))
 
 
 def strip_wall_time(text: str) -> str:
@@ -228,6 +246,17 @@ class TestCli:
             assert captured.out == "" and captured.err.startswith("error: ")
             assert "empty.txt" in captured.err
 
+    @pytest.mark.parametrize("mode", ["finite", "thermodynamic"])
+    def test_mpu_pe_bond_below_one_exits_one(self, tmp_path, capsys, mode):
+        tfile = tmp_path / "bond.txt"
+        for text in BOND_BELOW_ONE:
+            tfile.write_text(text)
+            assert main(["mpu-pe", "--tensor", str(tfile), "--na", "1", "--nb", "1",
+                         "--mode", mode]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert "bond.txt" in captured.err
+
     def test_mpu_pe_command(self, tmp_path):
         tfile = tmp_path / "tensor.txt"
         save_mpu(str(tfile), mpu_zz_chain(np.pi / 8))
@@ -340,6 +369,17 @@ class TestCli:
             assert main(args) == 0
         assert seen == [3, 2]
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_spinchain_run_rejects_workers_below_one(self, tmp_path, capsys, workers):
+        args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0",
+                "--n", "3", "--workers", workers]
+        out = tmp_path / "sweep.csv"
+        assert main(args + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "workers must be at least 1" in captured.err
+
     def test_spinchain_run_rejects_zero_max_steps(self, tmp_path, capsys):
         args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0",
                 "--n", "3", "--max-steps", "0", "--workers", "1"]
@@ -387,6 +427,22 @@ class TestCli:
         cfg.write_text(json.dumps({"d": 4, "da": 2, "bogus": 1}))
         assert main(["pe-typical", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("content", [["d"], 7, None, "x"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        assert main(["pe-typical", "--d", "16", "--da", "4", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must hold a JSON object" in captured.err
+
+    def test_pe_sem_target_config_field_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pe_sem_target": 0.02}))
+        assert main(["spinchain-run", "--model", "xyz", "--sweep", "Jz=0", "--n", "3",
+                     "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown config fields" in captured.err
+
     def test_missing_required_rejected(self):
         assert main(["pe-typical", "--d", "16"]) == 2
 
@@ -414,7 +470,6 @@ _FEEDS = {
     ("spinchain-run", "threshold"): (run_sweep_experiment, "sem_threshold"),
     ("spinchain-run", "n_min"): (run_sweep_experiment, "n_min"),
     ("spinchain-run", "max_steps"): (run_sweep_experiment, "max_steps"),
-    ("spinchain-run", "pe_sem_target"): (run_sweep_experiment, "pe_sem_target"),
     ("spinchain-run", "seed"): (run_sweep_experiment, "seed"),
 }
 # options with a default of their own that no library parameter takes
@@ -472,3 +527,21 @@ def test_config_values_reach_the_handler(tmp_path, monkeypatch, capsys):
                 captured = capsys.readouterr()
                 assert captured.out == "" and captured.err.startswith("config error:")
                 assert repr(key) in captured.err and seen == []
+
+
+def test_n11_script_forwards_only_cli_options(monkeypatch):
+    # the script hands its argv to cli.main, so a flag the CLI has dropped
+    # would only fail at the end of a long N = 11 run
+    forwarded = []
+    monkeypatch.setattr(cli, "main", lambda argv: forwarded.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", ["run_n11_sampled.py", "--seed", "7"])
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_n11_sampled.py"
+    spec = importlib.util.spec_from_file_location("run_n11_sampled", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # binds the patched cli.main
+    assert module.main() == 0
+    (argv,) = forwarded
+    args, unknown = cli._build_parser().parse_known_args(argv)
+    assert unknown == []
+    cfg = cli._merge_config(args.command, args)
+    assert (args.command, cfg["n"], cfg["mode"], cfg["seed"]) == ("spinchain-run", 11, "sampled", 7)
