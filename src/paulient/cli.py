@@ -248,7 +248,7 @@ def _cmd_spinchain_run(cfg: dict) -> int:
         cfg["model"], values, cfg["n"], mode=cfg["mode"],
         dt=cfg["dt"], sem_threshold=cfg["threshold"],
         n_min=cfg["n_min"], max_steps=cfg["max_steps"], seed=cfg.get("seed"),
-        workers=workers,
+        pe_sem_target=cfg["pe_sem_target"], workers=workers,
     )
     _write_csv(cfg.get("out"), _header("spinchain-run", cfg), SWEEP_COLUMNS,
                [dataclasses.astuple(r) for r in rows])
@@ -364,6 +364,8 @@ _SCHEMAS: dict[str, tuple] = {
                  help="long-time stopping threshold on 1.96 sigma/sqrt(N_t)"),
             dict(flags=["--n-min"], type=int, default=DEFAULT_N_MIN),
             dict(flags=["--max-steps"], type=int, default=DEFAULT_MAX_STEPS),
+            dict(flags=["--pe-sem-target"], type=float, default=DEFAULT_SEM_TARGET,
+                 help="per-timestep SEM target in sampled mode"),
             dict(flags=["--seed"], type=int, default=None),
             dict(flags=["--workers"], type=int, default=None,
                  help="parallel sweep points (default: available cores, "

@@ -6,10 +6,9 @@ a standard-error stopping rule.
 One rule stops every long-time average: stats.run_until_converged with
 z = 1.96, reached through long_time_average.  A sweep point feeds it the
 pairs (P_E(U_t), E_lin(U_t)) at t = k dt, one timestep at a time, and stops
-once both half-widths are below the threshold; in sampled mode P_E(U_t) is
-E_lin(U_t^dag P U_t) of one uniform Pauli string P per timestep.
-run_sweep_experiment returns one SweepRow per sweep value; the CLI's
-spinchain-run writes them as CSV under SWEEP_COLUMNS.
+once both half-widths are below the threshold.  run_sweep_experiment
+returns one SweepRow per sweep value; the CLI's spinchain-run writes them as
+CSV under SWEEP_COLUMNS.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _threads
-from .entpower import DEFAULT_EXACT_LIMIT, _pauli_entangling_power
+from .entpower import DEFAULT_EXACT_LIMIT, DEFAULT_SEM_TARGET, _pauli_entangling_power
 from .errors import NotHermitian, NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, is_unitary, linear_entanglement_unitary
 from .paulis import DENSE_LIMIT, PauliString, _pauli_entries
@@ -189,10 +188,12 @@ def _sweep_point(
     n_min: int,
     max_steps: int,
     seed: int | None,
+    pe_sem_target: float,
 ) -> SweepRow:
     model = _model_for(family, n_sites, sweep_value)
     bp = Bipartition(n_sites // 2, n_sites - n_sites // 2)
     rng = np.random.default_rng(seed)
+    samples: list[int] = []  # Pauli strings evaluated per timestep
 
     def steps():
         # built on the first step, so a rejected step cap costs no eigh
@@ -203,9 +204,9 @@ def _sweep_point(
             raise NotUnitary("propagator modes are not unitary within tolerance")
         for k in itertools.count():
             u_t = prop.unitary_at(k * dt)
-            # one uniform string a step in sampled mode; exact mode ignores n_samples
-            pe = _pauli_entangling_power(u_t, bp, mode=mode, rng=rng, n_samples=1).value
-            yield pe, linear_entanglement_unitary(u_t, bp)
+            est = _pauli_entangling_power(u_t, bp, mode=mode, rng=rng, sem_target=pe_sem_target)
+            samples.append(est.n_samples)
+            yield est.value, linear_entanglement_unitary(u_t, bp)
 
     (mean_pe, mean_e), ts = long_time_average(steps(), dt, sem_threshold, n_min, max_steps)
     pe_half_width, e_half_width = ts.running_sem
@@ -215,7 +216,7 @@ def _sweep_point(
         mean_pe=float(mean_pe),
         mean_e=float(mean_e),
         n_steps=ts.n_steps,
-        total_samples=ts.n_steps * (4**n_sites if mode == "exact" else 1),
+        total_samples=sum(samples),
         converged=ts.converged,
         pe_half_width=float(pe_half_width),
         e_half_width=float(e_half_width),
@@ -232,6 +233,7 @@ def run_sweep_experiment(
     n_min: int = DEFAULT_N_MIN,
     max_steps: int = DEFAULT_MAX_STEPS,
     seed: int | None = None,
+    pe_sem_target: float = DEFAULT_SEM_TARGET,
     workers: int = 1,
 ) -> list[SweepRow]:
     """Long-time averages of P_E(U_t) and E_lin(U_t) over a parameter sweep
@@ -239,23 +241,25 @@ def run_sweep_experiment(
 
     Each sweep value gets an independent child seed derived from `seed`, so
     results do not depend on the worker count; the rows are returned in
-    sweep order and nothing is written.  mode="exact" enumerates all 4^N
-    Pauli strings per timestep, for n_sites <= DEFAULT_EXACT_LIMIT only;
-    mode="sampled" draws one uniform string per timestep, an unbiased
-    estimate of P_E(U_t), so total_samples is n_steps * 4^N or n_steps.
-    The size limit, a finite positive dt and workers >= 1 are checked
-    before any Hamiltonian is built (SizeLimitExceeded, ValueError).  Each
-    point checks its propagator's modes for unitarity once (NotUnitary) and
-    runs long_time_average on its (P_E, E_lin) pairs: it stops once n_min
-    steps are in and both 1.96 sigma / sqrt(N_t) are below sem_threshold,
-    or at max_steps with converged=False.  max_steps < 1 raises ValueError.
-    With workers > 1, each worker process runs the exact g-table on
+    sweep order and nothing is written.  mode="exact" enumerates all Pauli
+    strings per timestep, for n_sites <= DEFAULT_EXACT_LIMIT only;
+    mode="sampled" draws strings per timestep until the estimator's standard
+    error is below pe_sem_target, which must be positive.  These conditions,
+    a finite positive dt and workers >= 1 are checked before any Hamiltonian
+    is built (SizeLimitExceeded, ValueError).  Each point checks its
+    propagator's modes for unitarity once (NotUnitary) and runs
+    long_time_average on its (P_E, E_lin) pairs: it stops once n_min steps
+    are in and both 1.96 sigma / sqrt(N_t) are below sem_threshold, or at
+    max_steps with converged=False.  max_steps < 1 raises ValueError.  With
+    workers > 1, each worker process runs the exact g-table on
     max(1, cores // workers) threads.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if not 0 < dt < np.inf:  # also rejects NaN
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    if mode == "sampled" and not pe_sem_target > 0:  # also rejects NaN
+        raise ValueError(f"pe_sem_target must be positive, got {pe_sem_target}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if mode == "exact" and n_sites > DEFAULT_EXACT_LIMIT:
@@ -265,7 +269,8 @@ def run_sweep_experiment(
     children = np.random.SeedSequence(seed).spawn(len(sweep_values))
     child_seeds = [int(c.generate_state(1)[0]) for c in children]
     args = [
-        (family, float(v), n_sites, mode, dt, sem_threshold, n_min, max_steps, child_seed)
+        (family, float(v), n_sites, mode, dt, sem_threshold, n_min, max_steps, child_seed,
+         pe_sem_target)
         for v, child_seed in zip(sweep_values, child_seeds)
     ]
     if workers > 1:

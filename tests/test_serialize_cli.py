@@ -435,14 +435,6 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "must hold a JSON object" in captured.err
 
-    def test_pe_sem_target_config_field_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"pe_sem_target": 0.02}))
-        assert main(["spinchain-run", "--model", "xyz", "--sweep", "Jz=0", "--n", "3",
-                     "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "unknown config fields" in captured.err
-
     def test_missing_required_rejected(self):
         assert main(["pe-typical", "--d", "16"]) == 2
 
@@ -470,6 +462,7 @@ _FEEDS = {
     ("spinchain-run", "threshold"): (run_sweep_experiment, "sem_threshold"),
     ("spinchain-run", "n_min"): (run_sweep_experiment, "n_min"),
     ("spinchain-run", "max_steps"): (run_sweep_experiment, "max_steps"),
+    ("spinchain-run", "pe_sem_target"): (run_sweep_experiment, "pe_sem_target"),
     ("spinchain-run", "seed"): (run_sweep_experiment, "seed"),
 }
 # options with a default of their own that no library parameter takes
