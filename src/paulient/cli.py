@@ -56,7 +56,9 @@ from .stats import RunningMean
 
 
 def _digest(command: str, cfg: dict) -> str:
-    payload = {k: v for k, v in cfg.items() if k != "out"}
+    """Hash of the settings that determine the results; where they are
+    written and how many workers compute them do not change them."""
+    payload = {k: v for k, v in cfg.items() if k not in ("out", "workers")}
     blob = json.dumps({"command": command, **payload}, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -24,6 +24,7 @@ the rest.  Pipeline:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,13 @@ def _generators(n: int) -> list[PauliString]:
     return gens
 
 
+def _check_tol(tol: float) -> None:
+    """tol bounds second Schmidt coefficients: NaN or inf accepts every
+    unitary, and zero or less rejects product images for their round-off."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def _evolve(p: PauliString, u: np.ndarray, udag: np.ndarray) -> np.ndarray:
     return udag @ pauli_mul_matrix(p, u)
 
@@ -94,6 +102,7 @@ def check_pauli_product_preserving(
     the first violating generator together with its second Schmidt
     coefficient.
     """
+    _check_tol(tol)
     if u.shape[0] != bp.d or not is_unitary(u):
         raise NotUnitary("need a unitary matching the bipartition")
     udag = u.conj().T
@@ -275,6 +284,7 @@ def factorize(
     u: np.ndarray, bp: Bipartition, tol: float = RANK_TOL
 ) -> LocalCliffordFactorization:
     """Recover U^dag = global_phase * (V x W) C for a product-preserving U."""
+    _check_tol(tol)
     n = bp.n_qubits
     if u.shape[0] != bp.d or not is_unitary(u):
         raise NotUnitary("need a unitary matching the bipartition")

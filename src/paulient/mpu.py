@@ -12,21 +12,24 @@ with site 1 the most significant tensor factor.
 Transfer matrices for the entangling-power contraction
 P_E = 1 - d^-4 Tr(T^A_(12)(34) Udag^x4 Lam^xN U^x4):
 per site, four copies of A (from U^x4), four of conj(A) (from Udag^x4),
-the 16x16 single-site insert Lam = sum_sigma sigma^x4, and on A sites the
-copy permutation (12)(34) applied to the in-legs of the U copies.  In index
-form (per copy c: A[l_c, r_c, p_c, i_c] and conj(A)[m_c, n_c, k_c, j_c],
-Lam[k_1..k_4, p_1..p_4]):
+the single-site insert Lam = sum_sigma sigma^x4, and on A sites the copy
+permutation (12)(34) applied to the in-legs of the U copies.  Lam is a sum
+of products over the copies, so with copy c carrying A[l_c, r_c, p_c, i_c]
+and conj(A)[m_c, n_c, k_c, j_c] the transfer matrices are Kronecker sums
 
-    E[(l,m),(r,n)] = sum A1 A2 A3 A4 conj(A)1..4 Lam,   with
-    B sites: j_c = i_c;   A sites: (j_1 j_2 j_3 j_4) = (i_2 i_1 i_4 i_3),
+    E_B = sum_sigma M_sigma^x4,    E_A = sum_sigma N_sigma (x) N_sigma,
+    M_sigma[(l,m),(r,n)] = sum_{p,k,i} A[l,r,p,i] sigma[k,p] conj(A)[m,n,k,i],
+    N_sigma = copies 1 and 2 with j_1 = i_2, j_2 = i_1 (chi^4 x chi^4),
 
-giving chi^8 x chi^8 matrices and
-    Tr(...) = Tr(E_A^(N_A) E_B^(N_B)).
+laid out as (l_1..l_4, m_1..m_4; r_1..r_4, n_1..n_4), and
+Tr(...) = Tr(E_A^(N_A) E_B^(N_B)).  Both modes keep these chi^8 x chi^8
+matrices dense, so bond dimensions above TRANSFER_CHI_LIMIT = 2 are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +39,7 @@ from .operators import UNITARITY_TOL, is_unitary
 from .paulis import DENSE_LIMIT, SINGLE_QUBIT_PAULIS
 
 GAP_TOL = 1e-8
+_PAULI_STACK = np.stack([SINGLE_QUBIT_PAULIS[name] for name in "IXZY"])
 
 
 @dataclass
@@ -82,19 +86,13 @@ def build_lambda_site_tensor() -> np.ndarray:
     """The bond-4 tensor whose 4-copy periodic closure is the single-site
     insert Lam = sum_sigma sigma^x4: Pi[alpha, beta] = delta_ab sigma_alpha."""
     pi = np.zeros((4, 4, 2, 2), dtype=complex)
-    for idx, name in enumerate("IXZY"):
-        pi[idx, idx] = SINGLE_QUBIT_PAULIS[name]
+    pi[range(4), range(4)] = _PAULI_STACK
     return pi
 
 
 def lambda_site_operator() -> np.ndarray:
     """Lam = sum_sigma sigma^x4 as a 16x16 matrix (copy-major bits)."""
-    lam = np.zeros((16, 16), dtype=complex)
-    for name in "IXZY":
-        s = SINGLE_QUBIT_PAULIS[name]
-        s2 = np.kron(s, s)
-        lam += np.kron(s2, s2)
-    return lam
+    return sum(reduce(np.kron, [s] * 4) for s in _PAULI_STACK)
 
 
 def lambda_closure(n_sites: int) -> np.ndarray:
@@ -109,30 +107,32 @@ def lambda_closure(n_sites: int) -> np.ndarray:
     arr = full.reshape((2,) * (2 * n_axes))
     # site-major source axis (site s, copy c) sits at s*4 + c; copy-major
     # target position is c*n_sites + s
-    perm = [0] * n_axes
-    for s in range(n_sites):
-        for c in range(4):
-            perm[c * n_sites + s] = s * 4 + c
+    perm = [s * 4 + c for c in range(4) for s in range(n_sites)]
     arr = arr.transpose(perm + [n_axes + p for p in perm])
     dim = 1 << n_axes
     return arr.reshape(dim, dim)
 
 
-_EINSUM_A = "aequ,bfrv,cgsw,dhtx,imyv,jnzu,koAx,lpBw,yzABqrst->abcdijklefghmnop"
-_EINSUM_B = "aequ,bfrv,cgsw,dhtx,imyu,jnzv,koAw,lpBx,yzABqrst->abcdijklefghmnop"
+# E_A, E_B are chi^8 x chi^8 complex: 1 MiB each at chi = 2, 0.69 GB at 3, 69 GB at 4
+TRANSFER_CHI_LIMIT = 2
 
 
 def transfer_matrix_pair(a: MPUTensor) -> TransferMatrixPair:
-    """Per-site transfer matrices of the entangling-power contraction."""
-    t = a.tensor
-    tc = t.conj()
-    lam8 = lambda_site_operator().reshape((2,) * 8)
-    chi8 = a.chi**8
-    t_a = np.einsum(_EINSUM_A, t, t, t, t, tc, tc, tc, tc, lam8,
-                    optimize="greedy").reshape(chi8, chi8)
-    t_b = np.einsum(_EINSUM_B, t, t, t, t, tc, tc, tc, tc, lam8,
-                    optimize="greedy").reshape(chi8, chi8)
-    return TransferMatrixPair(t_a=t_a, t_b=t_b)
+    """E_A and E_B of the module docstring, from N_sigma and M_sigma; raises
+    SizeLimitExceeded above TRANSFER_CHI_LIMIT before allocating them."""
+    chi, t = a.chi, a.tensor
+    if chi > TRANSFER_CHI_LIMIT:
+        raise SizeLimitExceeded(f"bond dimension {chi} exceeds the dense "
+                                f"transfer-matrix limit {TRANSFER_CHI_LIMIT}")
+    # one copy, sigma on its out-leg, in-legs i (of A) and j (of conj A) open
+    f = np.einsum("skp,lrpi,mnkj->slmrnij", _PAULI_STACK, t, t.conj())
+    # copies 1, 2 as [sigma, (l1 l2), (m1 m2), (r1 r2), (n1 n2)]: N_sigma, M_sigma^x2
+    pairs = np.stack([np.einsum("sacegij,sbdfhji->sabcdefgh", f, f),
+                      np.einsum("sacegii,sbdfhjj->sabcdefgh", f, f)]).reshape(2, 4, -1)
+    # sum over sigma of pair (x) pair, then each leg of copies 1, 2 beside copies 3, 4
+    e = (pairs.transpose(0, 2, 1) @ pairs).reshape((2,) + (chi**2,) * 8)
+    e = e.transpose(0, 1, 5, 2, 6, 3, 7, 4, 8).reshape(2, chi**8, chi**8)
+    return TransferMatrixPair(t_a=e[0], t_b=e[1])
 
 
 def _dominant_pair(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
@@ -186,7 +186,6 @@ def pauli_power_mpu(
     if mode == "finite":
         if n_a < 1 or n_b < 1:
             raise ValueError("finite mode needs n_a, n_b >= 1")
-        n = n_a + n_b
         ea = np.linalg.matrix_power(pair.t_a / 16.0, n_a)
         eb = np.linalg.matrix_power(pair.t_b / 16.0, n_b)
         val = np.trace(ea @ eb)

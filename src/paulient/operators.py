@@ -72,19 +72,22 @@ def realign(op: np.ndarray, bp: Bipartition) -> np.ndarray:
     )
 
 
+def _realigned_gram(op: np.ndarray, bp: Bipartition) -> np.ndarray:
+    """R R^dag or R^dag R of the realignment R, on its smaller side: its
+    eigenvalues are the operator-Schmidt coefficients."""
+    r = realign(op, bp)
+    return r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
+
+
 def operator_schmidt_spectrum(op: np.ndarray, bp: Bipartition) -> np.ndarray:
     """Operator-Schmidt coefficients (squared singular values of the
     realignment), sorted descending; sums to 1 for unitary input."""
-    r = realign(op, bp)
-    gram = r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
-    lam = np.linalg.eigvalsh(gram)[::-1]
+    lam = np.linalg.eigvalsh(_realigned_gram(op, bp))[::-1]
     return np.clip(lam.real, 0.0, None)
 
 
 def _sum_lambda_sq(op: np.ndarray, bp: Bipartition) -> float:
-    r = realign(op, bp)
-    gram = r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
-    return float(np.sum(np.abs(gram) ** 2))
+    return float(np.sum(np.abs(_realigned_gram(op, bp)) ** 2))
 
 
 def _hermitian_basis(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -179,6 +179,19 @@ class TestFactorize:
             factorize(u_xx(), BP11)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_unusable_tol_rejected_before_any_generator(monkeypatch, tol):
+    # NaN and inf used to pass exp(-i pi/8 XX), -1 to fail the identity
+    def evolve(*args):
+        raise AssertionError("a generator was evolved")
+
+    monkeypatch.setattr("paulient.factorization._evolve", evolve)
+    for fn in (check_pauli_product_preserving, factorize):
+        for u in (u_xx(), np.eye(4)):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                fn(u, BP11, tol=tol)
+
+
 class TestVerify:
     def test_identity_factorization_of_identity(self):
         fac = LocalCliffordFactorization(

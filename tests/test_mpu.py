@@ -8,6 +8,7 @@ from paulient.errors import (
     SizeLimitExceeded,
 )
 from paulient.mpu import (
+    TRANSFER_CHI_LIMIT,
     MPUTensor,
     build_lambda_site_tensor,
     lambda_closure,
@@ -21,7 +22,7 @@ from paulient.mpu import (
     transfer_matrix_pair,
     _dominant_pair,
 )
-from paulient.operators import Bipartition
+from paulient.operators import Bipartition, haar_random_unitary
 
 from conftest import HADAMARD, T_GATE
 
@@ -99,7 +100,40 @@ TENSORS = [
 ]
 
 
+def _haar_gate(seed):
+    return haar_random_unitary(2, np.random.default_rng(seed))
+
+
+# the per-site contraction over all four copies, kept as the reference for the
+# factored construction: copy c takes A[l_c, r_c, p_c, i_c] (letters from a-d,
+# e-h, q-t, u-x) and conj(A)[m_c, n_c, k_c, j_c] (from i-l, m-p, y-B, u-x), then
+# Lam[k_1..k_4, p_1..p_4]; B sites read j_c = i_c, A sites swap the in-legs of
+# copies 1, 2 and of copies 3, 4
+_CONTRACTION_A = "aequ,bfrv,cgsw,dhtx,imyv,jnzu,koAx,lpBw,yzABqrst->abcdijklefghmnop"
+_CONTRACTION_B = "aequ,bfrv,cgsw,dhtx,imyu,jnzv,koAw,lpBx,yzABqrst->abcdijklefghmnop"
+
+FACTOR_TENSORS = TENSORS + [
+    ("single-haar", mpu_single_gate(_haar_gate(11))),
+    ("cz-haar-1", mpu_cz_chain(_haar_gate(12))),
+    ("cz-haar-2", mpu_cz_chain(_haar_gate(13))),
+    ("zz-0.3-haar", mpu_zz_chain(0.3, _haar_gate(14))),
+    ("zz-1.1-haar", mpu_zz_chain(1.1, _haar_gate(15))),
+]
+
+
 class TestTransferMatrices:
+    @pytest.mark.parametrize("name,tensor", FACTOR_TENSORS)
+    def test_factors_match_the_contraction(self, name, tensor):
+        t, tc = tensor.tensor, tensor.tensor.conj()
+        lam8 = lambda_site_operator().reshape((2,) * 8)
+        chi8 = tensor.chi**8
+        pair = transfer_matrix_pair(tensor)
+        for spec, got in ((_CONTRACTION_A, pair.t_a), (_CONTRACTION_B, pair.t_b)):
+            want = np.einsum(spec, t, t, t, t, tc, tc, tc, tc, lam8,
+                             optimize="greedy").reshape(chi8, chi8)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), name
+
     @pytest.mark.parametrize("name,tensor", TENSORS)
     def test_finite_mode_matches_dense_exact(self, name, tensor):
         for n in (4, 5, 6):
@@ -115,8 +149,18 @@ class TestTransferMatrices:
             assert abs(pauli_power_mpu(mpu_single_gate(T_GATE), n // 2, n - n // 2)) < 1e-12
 
     def test_bond_dimension_of_pair(self):
-        pair = transfer_matrix_pair(mpu_cz_chain())
-        assert pair.t_a.shape == (256, 256) and pair.t_b.shape == (256, 256)
+        for tensor, dim in ((mpu_single_gate(T_GATE), 1), (mpu_cz_chain(), 256)):
+            pair = transfer_matrix_pair(tensor)
+            assert pair.t_a.shape == (dim, dim) and pair.t_b.shape == (dim, dim)
+
+    @pytest.mark.parametrize("mode", ["finite", "thermodynamic"])
+    def test_bond_above_the_dense_limit_rejected(self, mode):
+        chi = TRANSFER_CHI_LIMIT + 1
+        tensor = MPUTensor(chi, np.zeros((chi, chi, 2, 2)))
+        with pytest.raises(SizeLimitExceeded, match="transfer-matrix limit 2"):
+            transfer_matrix_pair(tensor)
+        with pytest.raises(SizeLimitExceeded, match="transfer-matrix limit 2"):
+            pauli_power_mpu(tensor, 2, 2, mode=mode)
 
 
 class TestThermodynamic:

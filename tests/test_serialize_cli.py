@@ -205,6 +205,21 @@ class TestCli:
         text = report.read_text()
         assert "product-preserving: false" in text and "witness:" in text
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    def test_thm1_commands_reject_unusable_tol(self, tmp_path, capsys, tol):
+        # exp(-i pi/8 XX) is not product-preserving; the identity is
+        xx = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+        for name, u in (("xx", np.cos(np.pi / 8) * np.eye(4) - 1j * np.sin(np.pi / 8) * xx),
+                        ("eye", np.eye(4))):
+            mfile = tmp_path / f"{name}.txt"
+            save_matrix(str(mfile), u)
+            for command in ("thm1-check", "thm1-factorize"):
+                assert main([command, "--matrix", str(mfile), "--na", "1", "--nb", "1",
+                             f"--tol={tol}"]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "tol must be finite and positive" in captured.err, (command, name)
+
     def test_thm1_factorize_report(self, tmp_path, rng):
         bp = Bipartition(1, 2)
         u, _, _, _ = make_product_preserving(bp, rng)
@@ -256,6 +271,15 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: ")
             assert "bond.txt" in captured.err
+
+    @pytest.mark.parametrize("mode", ["finite", "thermodynamic"])
+    def test_mpu_pe_bond_above_the_dense_limit_exits_one(self, tmp_path, capsys, mode):
+        tfile = tmp_path / "chi3.txt"
+        save_mpu(str(tfile), MPUTensor(3, np.zeros((3, 3, 2, 2))))
+        assert main(["mpu-pe", "--tensor", str(tfile), "--na", "1", "--nb", "1",
+                     "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "transfer-matrix limit 2" in captured.err
 
     def test_mpu_pe_command(self, tmp_path):
         tfile = tmp_path / "tensor.txt"
@@ -327,6 +351,15 @@ class TestCli:
         lines = text.splitlines()
         assert lines[0] == "# command: spinchain-run"
         assert len([ln for ln in lines if not ln.startswith("#")]) == 3
+
+    def test_spinchain_run_output_independent_of_workers(self, capsys):
+        args = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0,1", "--n", "3",
+                "--mode", "exact"]
+        texts = []
+        for workers in ("1", "2"):
+            assert main(args + ["--workers", workers]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
 
     def test_spinchain_run_csv_matches_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
