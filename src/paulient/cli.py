@@ -105,8 +105,8 @@ def _bipartition(cfg: dict) -> Bipartition:
 
 def _write_estimate(command: str, cfg: dict, est: PauliPowerEstimate, wall: float) -> None:
     _write_csv(cfg.get("out"), _header(command, cfg),
-               ["value", "sem", "n_samples", "wall_time_s"],
-               [[est.value, est.sem, est.n_samples, wall]])
+               ["value", "sem", "n_samples", "converged", "wall_time_s"],
+               [[est.value, est.sem, est.n_samples, est.converged, wall]])
 
 
 def _cmd_pe_exact(cfg: dict) -> int:
@@ -432,9 +432,32 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
+_FLOAT_FLAGS = {flag for _, opts in _SCHEMAS.values() for opt in opts
+                if opt["type"] is float for flag in opt["flags"]}
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """`--tol -1e-3` as `--tol=-1e-3` for every float flag.  argparse takes a
+    word after a flag that starts with '-' and is not a plain negative number
+    (-1e-3, -inf) for another flag and reports the flag's value as missing;
+    joined, the value reaches its own check."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_FLAGS and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     handler, _ = _SCHEMAS[args.command]
     try:
         cfg = _merge_config(args.command, args)

@@ -47,10 +47,30 @@ d^3 + d_A^4 d_B^2 / 2 real multiply-adds, where a complex product U^dag (P U)
 and a complex realigned Gram matrix take about 4 d^3 + 4 d_A^4 d_B^2.  The
 identity gives exactly 0.
 
+Where U has parity sectors S_0, S_1 (paulis._parity_sectors: exact zeros
+between even and odd basis states, as in every U_t of the XYZ chain), K maps
+S_s into S_(s ^ par(x)), and the same steps run on its nonzero blocks only
+(operators._SectorLayout), with U's two diagonal blocks U_s:
+
+- even x: K[S_s, S_s] from the rows of B in S_s, which read U_s alone; two
+  syrk blocks of half size (for x = 0 from the fewer of the +1 and the -1
+  rows, K = -(2 B-^dag B- - I)), about 3 d^3 / 8;
+- odd x: each row of B reads U_0 on S_0 and U_1 on S_1, one term each, and
+  K[S_0, S_1] = B_0^dag B_1 is [Re B_0; Im B_0]^T times [Re B_1; Im B_1] and
+  [Im B_1; -Re B_1], two d/2 x d x d/2 products (d^3 / 2); K[S_1, S_0] is its
+  adjoint;
+- the purity gathers only the nonzero half of C and squares it as two
+  blocks, a quarter of the Gram flops.
+
+A U without sectors is the one-sector case of the same steps.
+
 From N = 8 the strings of one sampled call run through _threads.buffered_map,
-one buffer set per thread (4 d^2 floats and a Gram matrix: 8.5 MiB at N = 9,
-4|5) within the pool's memory budget, so up to nine threads at N = 8, two at
-N = 9 and one from N = 10; u and the purity's gather indices are shared.  The
+one buffer set per thread within the pool's memory budget.  A set is 4 d^2
+floats and a Gram matrix without sectors (8.5 MiB at N = 9, 4|5: up to nine
+threads at N = 8, two at N = 9) and 1.75 d^2 floats and a quarter of that
+Gram matrix with them (3.6 MiB: up to five threads at N = 9); from N = 10
+one set fills the budget.  u, or its sector blocks, and the purity's gather
+indices are shared.  The
 caller's thread draws every string and pushes the values into the stopping
 rule in draw order, so the result does not depend on the number of threads.
 The pool draws a few strings ahead; when the rule stops, the call drops them
@@ -69,13 +89,14 @@ import numpy as np
 
 from . import _threads
 from .errors import NotUnitary, SizeLimitExceeded
-from .operators import Bipartition, _HermitianPurity, is_unitary
+from .operators import Bipartition, _HermitianPurity, _SectorLayout, is_unitary
 from .paulis import (
     PauliString,
     _operator_pauli_probs,
     _parity_signs,
     _pauli_columns,
     _pauli_entries,
+    _sector_blocks,
     _xor_index,
     pauli_mul_matrix,
     pauli_to_dense,
@@ -95,15 +116,20 @@ class PauliPowerEstimate:
     mode: str  # "exact" | "sampled"
     n_samples: int
     sem: float
+    converged: bool  # the sampled rule fired (always True in exact mode)
 
 
 # Sampled calls below this many qubits evaluate their strings on the caller's
 # thread.  Per string on a 2-core Xeon (numpy 2.4, OpenBLAS), serial on two
-# BLAS threads / serial on one / pooled on two cores: N = 6 0.11/0.12/0.14-0.20
-# ms and N = 7 0.45/0.42/0.38-0.48 ms, where the pool gains nothing; N = 8
-# 2.4/1.9/1.25 ms and N = 9 9.5/12.3/6.5 ms.  From N = 10 one buffer set
-# exceeds the pool's memory budget, so a call keeps to one thread (74 ms per
-# string on two BLAS threads, 107 ms on one once another call has pinned it).
+# BLAS threads / serial on one / pooled on two cores, two runs each, for an
+# XYZ U_t (two parity sectors) and then a Haar U (one sector): N = 6
+# 0.15/0.15-0.17/0.25-0.30 and 0.11-0.12/0.11/0.30-0.32 ms and N = 7
+# 0.20-0.22/0.19-0.23/0.42-0.48 and 0.40-0.49/0.36-0.38/0.47-0.61 ms, where
+# the pool loses; N = 8 1.1-1.2/1.0-1.6/0.9-1.0 and 2.2-3.1/2.2-2.3/1.5-1.8 ms
+# and N = 9 4.6-5.8/5.3-6.2/3.3 and 13-14/14-19/9.4-9.6 ms.  From N = 10 one
+# buffer set fills the pool's memory budget, so a call keeps to one thread
+# (31-34 and 87-98 ms per string on two BLAS threads, 40-47 and 115-138 ms on
+# one once another call has pinned it).
 _POOLED_STRINGS_MIN_QUBITS = 8
 
 
@@ -196,45 +222,91 @@ def _string_elin(u: np.ndarray, bp: Bipartition) -> tuple[
         Callable[[PauliString, tuple], float], Callable[[], tuple]]:
     """(value, new_set): value(p, buffers) is E_lin(U^dag P U) for a phase-0
     string P, by the sampled-mode identities of the module docstring, worked
-    in one set of buffers from new_set().  The contiguous u and the purity's
-    gather indices are built once and only read, so calls with sets of their
-    own may run at once."""
-    d, half = bp.d, bp.d // 2
-    u = np.ascontiguousarray(u, dtype=complex)
-    purity = _HermitianPurity(bp)
+    in one set of buffers from new_set().  The sector blocks of u and the
+    purity's gather indices are built once and only read, so calls with sets
+    of their own may run at once."""
+    sectors, blocks = _sector_blocks(u)
+    layout = _SectorLayout.of(bp.d, parity=sectors is not None)
+    blocks = [np.ascontiguousarray(b, dtype=complex) for b in blocks]
+    purity = _HermitianPurity(bp, layout)
+    h = layout.h
+    hh = h * h
 
     def new_set() -> tuple:
-        return (np.empty((2, d, d)), *purity.new_set())  # [Re K, Im K], scratch, gram
+        # an odd x with sectors works in 3 h^2 floats: [Re B; Im B; -Re B]
+        scratch, gram = purity.new_set((len(blocks) + 1) * hh)
+        return layout.new_parts(), scratch, gram
+
+    def within(p: PauliString, parts: np.ndarray, work: np.ndarray) -> None:
+        """K[S_s, S_s] for each sector s: Re = X^T X - I, Im = M - M^T."""
+        _, _, values = _pauli_entries(p)
+        for s, (u_s, index) in enumerate(zip(blocks, layout.index)):
+            sign = 1.0
+            if p.x:
+                rows = index[index & (1 << (p.x.bit_length() - 1)) == 0]
+            else:
+                # K_s = 2 B+^dag B+ - I = -(2 B-^dag B- - I) over the rows
+                # with P = +1 or -1: the fewer, so X fits in Im K's block
+                plus = values[index].real > 0
+                if 2 * np.count_nonzero(plus) > index.size:
+                    plus, sign = ~plus, -1.0
+                rows = index[plus]
+            k = rows.size
+            re_k, im_k = parts[s]
+            # B in the first h^2 floats of work, its partner rows (and then M)
+            # in the next; X = [Re B; Im B] in Im K until Im K overwrites it
+            b_rows = work[:2 * k * h].view(complex).reshape(k, h)
+            u_s.take(layout.rank[rows], axis=0, out=b_rows, mode="clip")
+            if p.x:
+                partners = work[hh:hh + 2 * k * h].view(complex).reshape(k, h)
+                u_s.take(layout.rank[rows ^ p.x], axis=0, out=partners, mode="clip")
+                np.multiply(partners, values[rows].conj()[:, None], out=partners)
+                np.add(b_rows, partners, out=b_rows)
+            else:
+                np.multiply(b_rows, math.sqrt(2.0), out=b_rows)
+            x_rows = im_k.reshape(-1)[:2 * k * h].reshape(2 * k, h)
+            np.copyto(x_rows[:k], b_rows.real)
+            np.copyto(x_rows[k:], b_rows.imag)
+            np.matmul(x_rows.T, x_rows, out=re_k)
+            diag = re_k.reshape(-1)[::h + 1]
+            np.subtract(diag, 1.0, out=diag)
+            m_prod = work[hh:2 * hh].reshape(h, h)
+            np.matmul(x_rows[:k].T, x_rows[k:], out=m_prod)
+            np.subtract(m_prod, m_prod.T, out=im_k)
+            if sign < 0:
+                np.negative(parts[s], out=parts[s])
+
+    def across(p: PauliString, parts: np.ndarray, work: np.ndarray) -> None:
+        """K[S_0, S_1] = B_0^dag B_1 for odd x, and K[S_1, S_0] its adjoint."""
+        _, cols, values = _pauli_entries(p)
+        rows = cols[cols & (1 << (p.x.bit_length() - 1)) == 0]
+        phases = values[rows].conj()
+        b_rows = parts[0].reshape(-1).view(complex).reshape(h, h)  # free until K is written
+        stacked = work[:3 * hh].reshape(3 * h, h)  # [Re B_1; Im B_1; -Re B_1]
+        x_0 = parts[1].reshape(2 * h, h)  # [Re B_0; Im B_0] until K[S_1, S_0] is written
+        for s, dest in ((1, stacked), (0, x_0)):
+            # B_s[c] = U_s[rank c] where c is in sector s, else the partner's
+            # row conj(P[c^x, c]) U_s[rank(c^x)]
+            own = layout.sector[rows] == s
+            u_rows = np.where(own, rows, rows ^ p.x)
+            blocks[s].take(layout.rank[u_rows], axis=0, out=b_rows, mode="clip")
+            np.multiply(b_rows, np.where(own, 1.0, phases)[:, None], out=b_rows)
+            np.copyto(dest[:h], b_rows.real)
+            np.copyto(dest[h:2 * h], b_rows.imag)
+        np.negative(stacked[:h], out=stacked[2 * h:])
+        (re_01, im_01), (re_10, im_10) = parts
+        np.matmul(x_0.T, stacked[:2 * h], out=re_01)
+        np.matmul(x_0.T, stacked[h:], out=im_01)
+        np.copyto(re_10, re_01.T)
+        np.negative(im_01.T, out=im_10)
 
     def value(p: PauliString, buffers: tuple) -> float:
         if p.is_identity:
             return 0.0
-        parts, scratch, gram = buffers
-        re_k, im_k = parts
-        re_k_diag = re_k.reshape(-1)[::d + 1]
-        x_rows = im_k  # [Re B; Im B] until Im K overwrites it
-        # B and the partner rows live in the purity scratch, which is free
-        # until the purity call, and so does M once B is spent
-        b_rows, partners = (s.reshape(-1).view(complex).reshape(half, d) for s in scratch)
-        m_prod = scratch[0].reshape(d, d)
-        partner_rows, cols, values = _pauli_entries(p)
-        if p.x:
-            rows = cols[cols & (1 << (p.x.bit_length() - 1)) == 0]
-            # the indices are in range; mode="clip" writes straight into out
-            u.take(rows, axis=0, out=b_rows, mode="clip")
-            u.take(partner_rows[rows], axis=0, out=partners, mode="clip")
-            np.multiply(partners, values[rows].conj()[:, None], out=partners)
-            np.add(b_rows, partners, out=b_rows)
-        else:
-            u.take(cols[values.real > 0], axis=0, out=b_rows, mode="clip")
-            np.multiply(b_rows, math.sqrt(2.0), out=b_rows)
-        np.copyto(x_rows[:half], b_rows.real)
-        np.copyto(x_rows[half:], b_rows.imag)
-        np.matmul(x_rows.T, x_rows, out=re_k)
-        np.subtract(re_k_diag, 1.0, out=re_k_diag)
-        np.matmul(x_rows[:half].T, x_rows[half:], out=m_prod)
-        np.subtract(m_prod, m_prod.T, out=im_k)
-        return 1.0 - purity(parts, scratch, gram)
+        parts, work, gram = buffers
+        odd = int(layout.sector[p.x])  # par(x) with sectors, else 0
+        (across if odd else within)(p, parts, work)
+        return 1.0 - purity(parts, work, gram, odd)
 
     return value, new_set
 
@@ -290,7 +362,8 @@ def _pauli_entangling_power(
                 f"exact mode enumerates 4^{bp.n_qubits} strings; limit is {exact_limit} qubits"
             )
         value = _exact_value(u, bp)
-        return PauliPowerEstimate(value=value, mode="exact", n_samples=4**bp.n_qubits, sem=0.0)
+        return PauliPowerEstimate(value=value, mode="exact", n_samples=4**bp.n_qubits, sem=0.0,
+                                  converged=True)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
@@ -309,7 +382,7 @@ def _pauli_entangling_power(
     n_tasks = cap if bp.n_qubits >= _POOLED_STRINGS_MIN_QUBITS else 1
     threads, values = _threads.buffered_map(string_elin, strings, n_tasks, new_set)
     with contextlib.closing(values):  # returns once no pool thread runs a string
-        acc, _ = run_until_converged(values, sem_target, 1.0, n_min, cap)
+        acc, converged = run_until_converged(values, sem_target, 1.0, n_min, cap)
     if threads > 1:
         # the pool draws a few strings past the last one pushed; redrawing
         # acc.n from the start leaves the rng where the serial loop leaves it
@@ -317,7 +390,7 @@ def _pauli_entangling_power(
         for _ in range(acc.n):
             random_pauli(bp.n_qubits, rng)
     return PauliPowerEstimate(value=acc.mean, mode="sampled", n_samples=acc.n,
-                              sem=acc.half_width())
+                              sem=acc.half_width(), converged=converged)
 
 
 # ---------------------------------------------------------------------------

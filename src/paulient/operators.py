@@ -1,6 +1,12 @@
 """Dense operator linear algebra over a bipartitioned qubit register:
 realignment, operator-Schmidt spectra, operator entanglement, Haar sampling.
 
+An operator that is exactly zero between the even- and odd-popcount basis
+states (paulis._parity_sectors), such as every U_t of the XYZ chain, is
+checked for unitarity and realigned block by block: U^dag U and the
+realignment's Gram matrix are then block-diagonal, and only their two
+diagonal blocks are computed.  Any other operator is the one-block case.
+
 All entropies are base-2 (bits).
 """
 
@@ -12,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary
+from .paulis import _parity_index, _parity_sectors, _sector_blocks
 
 UNITARITY_TOL = 1e-8
 
@@ -45,13 +52,16 @@ class Bipartition:
 
 
 def is_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """False for anything but a square 2-D array within tol of unitary."""
+    """False for anything but a square 2-D array within tol of unitary:
+    ||U^dag U - I||_F / sqrt(d) <= tol.  Where U has parity sectors
+    (paulis._parity_sectors), U^dag U is exactly zero between them, so the
+    norm is summed over the diagonal blocks U_s^dag U_s - I."""
     if np.ndim(matrix) != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    d = matrix.shape[0]
-    return bool(
-        np.linalg.norm(matrix.conj().T @ matrix - np.eye(d)) / np.sqrt(d) <= tol
-    )
+    squares = 0.0
+    for block in _sector_blocks(matrix)[1]:
+        squares += np.linalg.norm(block.conj().T @ block - np.eye(block.shape[0])) ** 2
+    return bool(np.sqrt(squares) / np.sqrt(matrix.shape[0]) <= tol)
 
 
 def _require_unitary(matrix: np.ndarray) -> None:
@@ -72,38 +82,81 @@ def realign(op: np.ndarray, bp: Bipartition) -> np.ndarray:
     )
 
 
-def _realigned_gram(op: np.ndarray, bp: Bipartition) -> np.ndarray:
-    """R R^dag or R^dag R of the realignment R, on its smaller side: its
-    eigenvalues are the operator-Schmidt coefficients."""
+def _realigned_grams(op: np.ndarray, bp: Bipartition) -> list[np.ndarray]:
+    """R R^dag or R^dag R, on the smaller side, of each block of the
+    realignment R; together their eigenvalues are the operator-Schmidt
+    coefficients.  R is one block, or two where op has parity sectors: then
+    R[(a,a'), (b,b')] is nonzero only where par(a) ^ par(a') = par(b) ^ par(b'),
+    the parities of R's row and column indices, and each block is a quarter
+    of the Gram flops of R."""
     r = realign(op, bp)
-    return r @ r.conj().T if r.shape[0] <= r.shape[1] else r.conj().T @ r
+    blocks = [r]
+    if _parity_sectors(op) is not None:
+        blocks = [r[np.ix_(rows, cols)]
+                  for rows, cols in zip(_parity_index(r.shape[0]), _parity_index(r.shape[1]))]
+    return [b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b for b in blocks]
 
 
 def operator_schmidt_spectrum(op: np.ndarray, bp: Bipartition) -> np.ndarray:
     """Operator-Schmidt coefficients (squared singular values of the
     realignment), sorted descending; sums to 1 for unitary input."""
-    lam = np.linalg.eigvalsh(_realigned_gram(op, bp))[::-1]
-    return np.clip(lam.real, 0.0, None)
+    lam = np.concatenate([np.linalg.eigvalsh(g) for g in _realigned_grams(op, bp)])
+    return np.clip(np.sort(lam.real)[::-1], 0.0, None)
 
 
 def _sum_lambda_sq(op: np.ndarray, bp: Bipartition) -> float:
-    return float(np.sum(np.abs(_realigned_gram(op, bp)) ** 2))
+    return float(sum(np.sum(np.abs(g) ** 2) for g in _realigned_grams(op, bp)))
 
 
-def _hermitian_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of the Hermitian orthonormal basis of n x n matrices, in the
-    order |a><a|, then (|a><a'| + h.c.)/sqrt2 and then i(|a><a'| - h.c.)/sqrt2
-    for each a < a'; the last n(n-1)/2 elements are the antisymmetric ones."""
+@dataclass(frozen=True)
+class _SectorLayout:
+    """How a Hermitian d x d operator K is stored that maps each parity
+    sector s only into sector s ^ p, with p = 0 or 1 fixed per operator: as
+    one float array of shape (sectors, 2, h, h) holding, for each row sector
+    s, Re K and Im K of the h x h block K[S_s, S_(s^p)].  K[i, j] is entry
+    (rank[i], rank[j]) of block sector[i].  With one sector (h = d, rank[i] =
+    i) this is the plain [Re K, Im K] of any K."""
+
+    index: tuple[np.ndarray, ...]  # each sector's indices, in rank order
+    sector: np.ndarray  # the sector of each index
+    rank: np.ndarray  # the position of each index within its sector
+    h: int
+
+    @classmethod
+    def of(cls, d: int, parity: bool) -> "_SectorLayout":
+        ys = np.arange(d)
+        if not parity:
+            return cls((ys,), np.zeros(d, dtype=np.intp), ys, d)
+        # of 2k and 2k+1 exactly one is even, so i is number i >> 1 of its sector
+        return cls(_parity_index(d), (np.bitwise_count(ys) & 1).astype(np.intp), ys >> 1,
+                   d // 2)
+
+    def new_parts(self) -> np.ndarray:
+        return np.empty((len(self.index), 2, self.h, self.h))
+
+
+def _hermitian_bases(n: int, parity: bool) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """The Hermitian orthonormal basis of n x n matrices as
+    (lo, hi, n_diagonal, n_symmetric): |a><a|, then (|a><a'| + h.c.)/sqrt2
+    and then i(|a><a'| - h.c.)/sqrt2 for each a < a', so the antisymmetric
+    ones come last.  One list, or with parity one for each q = par(a) ^
+    par(a'), 0 then 1, in the same order within each."""
     lo, hi = np.triu_indices(n, 1)
-    diag = np.arange(n)
-    return np.concatenate([diag, lo, lo]), np.concatenate([diag, hi, hi])
+    q = np.bitwise_count(lo ^ hi) & 1 if parity else np.zeros(lo.size, dtype=np.uint8)
+    bases = []
+    for value in (0, 1) if parity else (0,):
+        diag = np.arange(n if value == 0 else 0)
+        lo_q, hi_q = lo[q == value], hi[q == value]
+        bases.append((np.concatenate([diag, lo_q, lo_q]), np.concatenate([diag, hi_q, hi_q]),
+                      diag.size, diag.size + lo_q.size))
+    return bases
 
 
 class _HermitianPurity:
     """sum lambda^2 of Hermitian d x d operators K across one bipartition, in
-    real arithmetic.
+    real arithmetic, read from K stored in a _SectorLayout.
 
-    With E_k and F_l the _hermitian_basis elements of the two blocks, the
+    With E_k and F_l the _hermitian_bases elements of the two blocks, the
     coefficients C[k, l] = Tr(K E_k (x) F_l) are real, and C is the realigned
     K up to a unitary change of basis on each side.  So the operator-Schmidt
     coefficients of K are lambda = sigma(C)^2 / d, and
@@ -117,52 +170,87 @@ class _HermitianPurity:
         w (Re beta - Re alpha)   both antisymmetric,
 
     with w = 1/sqrt2 for each diagonal element among E_k, F_l.  A call reads
-    parts = [Re K, Im K], a contiguous (2, d, d) float64 array, through two
-    flat gathers built once here, one per term; -Im beta is read as
-    Im conj(beta).  The caller passes in the scratch and Gram matrix a call
-    works in (one new_set()), which the call overwrites; the gather indices
-    are only read, so calls with scratch of their own may run at once.
+    the layout's parts through two flat gathers built once here, one per
+    term; -Im beta is read as Im conj(beta).
+
+    With parity sectors, K[(a,b), (a',b')] is nonzero only where
+    q_A ^ q_B = p, with q_A = par(a) ^ par(a') and q_B likewise, so C is
+    nonzero only on the blocks of basis elements with q_k ^ q_l = p.  Those
+    two blocks give C C^T two diagonal blocks, and a call with parity p
+    gathers and squares only them: half of C and a quarter of the Gram
+    flops.  Without sectors C is one block.  The caller passes in the
+    scratch and Gram matrix a call works in (one new_set()), which the call
+    overwrites; the gather indices are only read, so calls with scratch of
+    their own may run at once.
     """
 
-    def __init__(self, bp: Bipartition):
+    def __init__(self, bp: Bipartition, layout: _SectorLayout | None = None):
         da, db, d = bp.d_a, bp.d_b, bp.d
-        lo_a, hi_a = _hermitian_basis(da)
-        lo_b, hi_b = _hermitian_basis(db)
-        sym_a, sym_b = da * (da + 1) // 2, db * (db + 1) // 2  # the symmetric ones lead
-        # flat index of K[(a,b), (a',b')] = row (a, a') + col (b, b')
-        row, row_t = lo_a * (db * d) + hi_a * db, hi_a * (db * d) + lo_a * db
-        col, col_t = lo_b * d + hi_b, hi_b * d + lo_b
-        self._first = row[:, None] + col  # alpha
-        self._second = row[:, None] + col_t  # beta
-        self._second[:sym_a, sym_b:] = row_t[:sym_a, None] + col[sym_b:]  # conj(beta)
-        # exactly one antisymmetric element: read Im K, the second slot of parts
-        for block in ((slice(sym_a), slice(sym_b, None)), (slice(sym_a, None), slice(sym_b))):
-            self._first[block] += d * d
-            self._second[block] += d * d
-        self._both_anti = (slice(sym_a, None), slice(sym_b, None))
-        self._da, self._db, self._d = da, db, d
+        layout = _SectorLayout.of(d, parity=False) if layout is None else layout
+        parity = len(layout.index) == 2
+        hh = layout.h * layout.h
 
-    def new_set(self) -> tuple[np.ndarray, np.ndarray]:
-        """(scratch, gram): the coefficient scratch and the Gram matrix on
-        the smaller side that one call works in."""
-        side = min(self._da, self._db) ** 2
-        return np.empty((2, self._da**2, self._db**2)), np.empty((side, side))
+        def side(lo, hi, n_sym, scale):
+            # per element: the rank part of its flat offset and its block code
+            # 2 sector + (antisymmetric), for (lo, hi) and for (hi, lo); the
+            # two sides' codes XOR, since sector and part each XOR
+            anti = np.arange(lo.size) >= n_sym
+            i, j = lo * scale, hi * scale
+            return [(layout.rank[i] * layout.h + layout.rank[j], 2 * layout.sector[i] + anti),
+                    (layout.rank[j] * layout.h + layout.rank[i], 2 * layout.sector[j] + anti)]
 
-    def __call__(self, parts: np.ndarray, scratch: np.ndarray, gram: np.ndarray) -> float:
-        coeffs, second = scratch
+        def offsets(rows, cols):
+            (row_rank, row_code), (col_rank, col_code) = rows, cols
+            out = np.bitwise_xor.outer(row_code, col_code)
+            out *= hh
+            out += row_rank[:, None]
+            out += col_rank
+            return out
+
+        self._blocks: list[list] = [[], []]  # by p
+        for q_a, (lo_a, hi_a, diag_a, sym_a) in enumerate(_hermitian_bases(da, parity)):
+            rows, rows_t = side(lo_a, hi_a, sym_a, db)
+            for q_b, (lo_b, hi_b, diag_b, sym_b) in enumerate(_hermitian_bases(db, parity)):
+                cols, cols_t = side(lo_b, hi_b, sym_b, 1)
+                first = offsets(rows, cols)  # alpha
+                second = offsets(rows, cols_t)  # beta
+                second[:sym_a, sym_b:] = offsets(  # conj(beta)
+                    [a[:sym_a] for a in rows_t], [b[sym_b:] for b in cols])
+                self._blocks[q_a ^ q_b].append((first, second, diag_a, sym_a, diag_b, sym_b))
+        self._d = d
+
+    def new_set(self, scratch_floats: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(scratch, gram): the flat coefficient scratch, of at least
+        scratch_floats, and the flat Gram matrix that one call works in."""
+        blocks = self._blocks[0] + self._blocks[1]
+        size = max(b[0].size for b in blocks)
+        side = max(min(b[0].shape) for b in blocks)
+        return np.empty(max(2 * size, scratch_floats)), np.empty(side * side)
+
+    def __call__(self, parts: np.ndarray, scratch: np.ndarray, gram: np.ndarray,
+                 p: int = 0) -> float:
         flat = parts.reshape(-1)
-        # the indices are in range; mode="clip" writes straight into out
-        flat.take(self._first, out=coeffs, mode="clip")
-        np.negative(coeffs[self._both_anti], out=coeffs[self._both_anti])
-        flat.take(self._second, out=second, mode="clip")
-        coeffs += second
-        coeffs[:self._da] *= math.sqrt(0.5)
-        coeffs[:, :self._db] *= math.sqrt(0.5)
-        if self._da <= self._db:
-            np.matmul(coeffs, coeffs.T, out=gram)
-        else:
-            np.matmul(coeffs.T, coeffs, out=gram)
-        return float(np.vdot(gram, gram)) / self._d**2
+        total = 0.0
+        for first, second, diag_a, sym_a, diag_b, sym_b in self._blocks[p]:
+            rows, cols = first.shape
+            coeffs = scratch[:first.size].reshape(rows, cols)
+            beta = scratch[first.size:2 * first.size].reshape(rows, cols)
+            # the indices are in range; mode="clip" writes straight into out
+            flat.take(first, out=coeffs, mode="clip")
+            both_anti = coeffs[sym_a:, sym_b:]
+            np.negative(both_anti, out=both_anti)
+            flat.take(second, out=beta, mode="clip")
+            coeffs += beta
+            coeffs[:diag_a] *= math.sqrt(0.5)
+            coeffs[:, :diag_b] *= math.sqrt(0.5)
+            side = min(rows, cols)
+            g = gram[:side * side].reshape(side, side)
+            if rows <= cols:
+                np.matmul(coeffs, coeffs.T, out=g)
+            else:
+                np.matmul(coeffs.T, coeffs, out=g)
+            total += float(np.vdot(g, g))
+        return total / self._d**2
 
 
 def linear_entanglement_unitary(op: np.ndarray, bp: Bipartition) -> float:

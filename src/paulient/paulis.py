@@ -213,6 +213,46 @@ def _parity_signs(values: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(values) & 1)
 
 
+@lru_cache(maxsize=16)
+def _parity_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd): the indices 0..d-1 of even and of odd popcount, each in
+    increasing order, read-only.  Of 2k and 2k+1 exactly one is even, so
+    index i sits at position i >> 1 of its own set."""
+    ys = np.arange(d)
+    odd = np.bitwise_count(ys) & 1 == 1
+    even, odd = ys[~odd], ys[odd]
+    even.flags.writeable = odd.flags.writeable = False
+    return even, odd
+
+
+def _parity_sectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """_parity_index(d) when every entry of the square m between an even and
+    an odd index is exactly 0.0, else None.
+
+    No tolerance: a coupling however small, or a NaN, keeps the sectors
+    joined.  Operators that commute with Z^N (the XYZ chain and its U_t) have
+    these sectors; each block is read a few rows at a time, so a generic m
+    stops at its first rows and no block is ever copied whole."""
+    d = m.shape[0]
+    even, odd = _parity_index(d)
+    step = max(1, (1 << 16) // d)
+    for rows, cols in ((even, odd), (odd, even)):
+        for k in range(0, rows.size, step):
+            if m[rows[k:k + step, None], cols].any():  # a NaN is truthy too
+                return None
+    return even, odd
+
+
+def _sector_blocks(m: np.ndarray) -> tuple[tuple[np.ndarray, ...] | None, list[np.ndarray]]:
+    """(sectors, blocks): the non-empty parity sectors of the square m and
+    its diagonal blocks m[s, s] on them, or (None, [m]) when m has none."""
+    sectors = _parity_sectors(m)
+    if sectors is None:
+        return None, [m]
+    sectors = tuple(s for s in sectors if s.size)
+    return sectors, [m[np.ix_(s, s)] for s in sectors]
+
+
 def random_pauli(n_qubits: int, rng: np.random.Generator) -> PauliString:
     """One uniform draw from the 4^N phase-0 strings, identity included."""
     return PauliString.from_index(n_qubits, int(rng.integers(0, 4**n_qubits)))

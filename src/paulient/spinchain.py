@@ -6,7 +6,11 @@ a standard-error stopping rule.
 One rule stops every long-time average: stats.run_until_converged with
 z = 1.96, reached through long_time_average.  A sweep point feeds it the
 pairs (P_E(U_t), E_lin(U_t)) at t = k dt, one timestep at a time, and stops
-once both half-widths are below the threshold.  run_sweep_experiment
+once both half-widths are below the threshold.  The XYZ chain commutes
+with Z^N: its H and every U_t are exactly zero between the two parity
+sectors, and HamiltonianPropagator, E_lin and the sampled strings work on
+their blocks (see HamiltonianPropagator and entpower's docstring); the TFIM
+with g != 0 is one sector.  run_sweep_experiment
 returns one SweepRow per sweep value; the CLI's spinchain-run writes them as
 CSV under SWEEP_COLUMNS.
 """
@@ -24,7 +28,7 @@ from . import _threads
 from .entpower import DEFAULT_EXACT_LIMIT, DEFAULT_SEM_TARGET, _pauli_entangling_power
 from .errors import NotHermitian, NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, is_unitary, linear_entanglement_unitary
-from .paulis import DENSE_LIMIT, PauliString, _pauli_entries
+from .paulis import DENSE_LIMIT, PauliString, _pauli_entries, _sector_blocks
 from .stats import run_until_converged
 
 DEFAULT_DT = 0.2
@@ -84,23 +88,46 @@ def build_hamiltonian(model: SpinChainModel) -> np.ndarray:
 
 
 class HamiltonianPropagator:
-    """exp(-i H t) for many t from a single eigendecomposition."""
+    """exp(-i H t) for many t from one eigendecomposition per parity sector.
+
+    Where H has parity sectors (paulis._parity_sectors: every entry between
+    an even and an odd basis state exactly 0, as in the XYZ chain, which
+    commutes with Z^N), each sector's block is diagonalized on its own;
+    otherwise H is one sector.  A real H (H.imag exactly 0) gets real eigh.
+    energies and modes hold one array per sector.  unitary_at writes each
+    sector's V exp(-i E t) V^dag into its block of a zero d x d matrix, so
+    U_t is exactly 0 between sectors; with real modes that block is A - iB,
+    A = (V cos Et) V^T and B = (V sin Et) V^T, two real products."""
 
     def __init__(self, ham: np.ndarray):
         if np.linalg.norm(ham - ham.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(ham)):
             raise NotHermitian("propagator needs a Hermitian generator")
-        self.energies, self.modes = np.linalg.eigh(ham)
+        self.dim = ham.shape[0]
+        if not np.any(ham.imag):
+            ham = ham.real
+        self.sectors, blocks = _sector_blocks(ham)
+        self.energies, self.modes = zip(*(np.linalg.eigh(b) for b in blocks))
 
     def unitary_at(self, t: float) -> np.ndarray:
         if t == 0.0:
-            return np.eye(self.energies.size, dtype=complex)
-        phases = np.exp(-1j * self.energies * t)
-        return (self.modes * phases) @ self.modes.conj().T
+            return np.eye(self.dim, dtype=complex)
+        blocks = [_evolve_block(e, v, t) for e, v in zip(self.energies, self.modes)]
+        if self.sectors is None:
+            return blocks[0]
+        u = np.zeros((self.dim, self.dim), dtype=complex)
+        for index, block in zip(self.sectors, blocks):
+            u[np.ix_(index, index)] = block
+        return u
 
 
-def evolve_unitary(ham: np.ndarray, t: float) -> np.ndarray:
-    """U_t = exp(-i H t) through the eigendecomposition of H."""
-    return HamiltonianPropagator(ham).unitary_at(t)
+def _evolve_block(energies: np.ndarray, modes: np.ndarray, t: float) -> np.ndarray:
+    """V exp(-i E t) V^dag; from real V as (V cos Et) V^T - i (V sin Et) V^T."""
+    if np.iscomplexobj(modes):
+        return (modes * np.exp(-1j * energies * t)) @ modes.conj().T
+    out = np.empty(modes.shape, dtype=complex)
+    out.real = (modes * np.cos(energies * t)) @ modes.T
+    out.imag = (modes * np.sin(-energies * t)) @ modes.T
+    return out
 
 
 @dataclass
@@ -199,8 +226,9 @@ def _sweep_point(
         # built on the first step, so a rejected step cap costs no eigh
         prop = HamiltonianPropagator(build_hamiltonian(model))
         # U_t = V diag(phases) V^dag is unitary whenever the modes V are, so
-        # one check here stands for the per-step checks of the public calls
-        if not is_unitary(prop.modes):
+        # one check per sector here stands for the per-step checks of the
+        # public calls
+        if not all(is_unitary(modes) for modes in prop.modes):
             raise NotUnitary("propagator modes are not unitary within tolerance")
         for k in itertools.count():
             u_t = prop.unitary_at(k * dt)
@@ -247,8 +275,8 @@ def run_sweep_experiment(
     error is below pe_sem_target, which must be positive.  These conditions,
     a finite positive dt and workers >= 1 are checked before any Hamiltonian
     is built (SizeLimitExceeded, ValueError).  Each point checks its
-    propagator's modes for unitarity once (NotUnitary) and runs
-    long_time_average on its (P_E, E_lin) pairs: it stops once n_min steps
+    propagator's modes for unitarity once per parity sector (NotUnitary)
+    and runs long_time_average on its (P_E, E_lin) pairs: it stops once n_min steps
     are in and both 1.96 sigma / sqrt(N_t) are below sem_threshold, or at
     max_steps with converged=False.  max_steps < 1 raises ValueError.  With
     workers > 1, each worker process runs the exact g-table on

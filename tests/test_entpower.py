@@ -22,6 +22,7 @@ from paulient.errors import NotUnitary, SizeLimitExceeded
 from paulient.operators import Bipartition, haar_random_unitary, random_local_unitary
 from paulient.paulis import (
     PauliString,
+    _parity_sectors,
     _wht_real,
     clifford_to_dense,
     random_clifford,
@@ -225,12 +226,19 @@ class TestSampledMode:
     def test_pooled_strings_match_the_serial_loop(self):
         # the loop that draws and evaluates one string at a time on the
         # caller's thread; a GEMM's summation order follows the BLAS thread
-        # count, so values agree to 1e-14 and counts and draws exactly
-        for n_a, n_b in [(4, 4), (4, 5), (5, 4)]:
+        # count, so values agree to 1e-14 and counts and draws exactly.  The
+        # XYZ U_t has two parity sectors, a Haar U one.
+        for (n_a, n_b), kind in itertools.product([(4, 4), (4, 5), (5, 4)], ("xyz", "haar")):
             bp = Bipartition(n_a, n_b)
             model = XYZModel(n_sites=bp.n_qubits, j_z=0.3)
-            u = HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0)
-            for fixed, sem_target in ((None, 7e-4), (20, 2e-2)):
+            u = (HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0) if kind == "xyz"
+                 else haar_random_unitary(bp.d, np.random.default_rng(bp.n_a)))
+            assert (_parity_sectors(u) is not None) == (kind == "xyz")
+            # Haar strings spread far less (a standard error of 1.4e-5 after
+            # 8 strings at N = 8, 2.7e-6 at N = 9), so their rule needs a
+            # lower target to stop past the first n_min strings
+            target = 7e-4 if kind == "xyz" else {8: 5e-6, 9: 1e-6}[bp.n_qubits]
+            for fixed, sem_target in ((None, target), (20, 2e-2)):
                 rng = np.random.default_rng(43)
                 est = pauli_entangling_power(u, bp, mode="sampled", rng=rng, min_samples=8,
                                              sem_target=sem_target, n_samples=fixed)
@@ -243,21 +251,58 @@ class TestSampledMode:
                 acc, _ = run_until_converged(draws, sem_target, 1.0, n_min, cap)
                 assert est.n_samples == acc.n and (fixed is not None or acc.n > 8)
                 assert rng.integers(1 << 62) == serial_rng.integers(1 << 62)
-                assert abs(est.value - acc.mean) <= 1e-14, (n_a, n_b, fixed)
+                assert abs(est.value - acc.mean) <= 1e-14, (n_a, n_b, kind, fixed)
 
     def test_sampled_peak_memory_at_nine_qubits(self):
-        # one buffer set is 8.5 MiB at 4|5 and the budget fits two, which
-        # share one contiguous u and one pair of 2 MiB gather indices: 21.3
-        # MiB measured; a third set, or indices per thread, would not fit
-        u = haar_random_unitary(512, np.random.default_rng(3))
-        tracemalloc.start()
-        try:
-            pauli_entangling_power(u, Bipartition(4, 5), mode="sampled",
-                                   rng=np.random.default_rng(1), n_samples=12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        # without sectors one buffer set is 8.5 MiB at 4|5 and the budget
+        # fits two, which share one contiguous u and one pair of 2 MiB gather
+        # indices: 21.3 MiB measured; a third set, or indices per thread,
+        # would not fit.  With parity sectors a set is 3.6 MiB, and the two
+        # sector blocks of u (2 MiB) are shared too.
+        model = XYZModel(n_sites=9, j_z=0.3)
+        for u in (haar_random_unitary(512, np.random.default_rng(3)),
+                  HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0)):
+            tracemalloc.start()
+            try:
+                pauli_entangling_power(u, Bipartition(4, 5), mode="sampled",
+                                       rng=np.random.default_rng(1), n_samples=12)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 24 * 2**20
+
+    def test_sector_strings_match_oracle(self):
+        # every string class on a U_t with two parity sectors and on a Haar U
+        # (one sector): the identity, x = 0 (including z = 1...1, whose +1
+        # rows fill one sector), even x, odd x; and both cuts
+        rng = np.random.default_rng(909)
+        for n in range(5, 10):
+            model = XYZModel(n_sites=n, j_z=0.4)
+            xyz = HamiltonianPropagator(build_hamiltonian(model)).unitary_at(1.7)
+            full = (1 << n) - 1
+            xs = [int(x) for x in rng.integers(1, full + 1, 40)]
+            even = [x for x in xs if x.bit_count() % 2 == 0][:2]
+            odd = [x for x in xs if x.bit_count() % 2 == 1][:2]
+            picks = [PauliString(n, 0, full), PauliString(n, 0, int(rng.integers(1, full)))]
+            picks += [PauliString(n, x, int(rng.integers(0, full + 1))) for x in even + odd]
+            for u, n_a in itertools.product((xyz, haar_random_unitary(2**n, rng)),
+                                            (n // 2, n - n // 2)):
+                string_elin, new_set = _string_elin(u, Bipartition(n_a, n - n_a))
+                buffers = new_set()
+                assert string_elin(PauliString.identity(n), buffers) == 0.0
+                for p in picks:
+                    want = oracle_string_elin(u, p, n_a, n - n_a)
+                    assert abs(string_elin(p, buffers) - want) <= 1e-12, (n, n_a, str(p))
+
+    def test_capped_call_says_the_rule_did_not_fire(self):
+        u = haar_random_unitary(16, np.random.default_rng(4))
+        bp = Bipartition(2, 2)
+        capped = pauli_entangling_power(u, bp, mode="sampled", rng=np.random.default_rng(1),
+                                        sem_target=1e-6, max_samples=40)
+        assert capped.n_samples == 40 and not capped.converged
+        assert pauli_entangling_power(u, bp, mode="sampled", rng=np.random.default_rng(1),
+                                      sem_target=2e-1).converged
+        assert pauli_entangling_power(u, bp).converged
 
     def test_rng_required(self, rng):
         with pytest.raises(ValueError):

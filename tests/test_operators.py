@@ -5,6 +5,7 @@ from paulient.errors import NotUnitary
 from paulient.operators import (
     Bipartition,
     _HermitianPurity,
+    _SectorLayout,
     _sum_lambda_sq,
     haar_random_unitary,
     is_unitary,
@@ -13,7 +14,8 @@ from paulient.operators import (
     random_local_unitary,
     realign,
 )
-from paulient.paulis import pauli_to_dense, random_pauli
+from paulient.paulis import _parity_sectors, pauli_to_dense, random_pauli
+from paulient.spinchain import HamiltonianPropagator, XYZModel, build_hamiltonian
 
 from conftest import CNOT, SWAP, dense_pauli, oracle_schmidt_values
 
@@ -90,6 +92,51 @@ class TestHermitianPurity:
                 scratch[:] = np.nan
                 gram[:] = np.nan
                 assert abs(purity(np.stack([h.real, h.imag]), scratch, gram) - want) <= 1e-12 * want
+
+
+    def test_sector_layout_matches_complex_gram(self, rng):
+        # K maps parity sector s into s ^ p; the layout keeps its two nonzero
+        # blocks, and a call with p squares only C's two nonzero blocks
+        for n in range(2, 8):
+            for n_a in range(1, n):
+                bp = Bipartition(n_a, n - n_a)
+                layout = _SectorLayout.of(bp.d, parity=True)
+                purity = _HermitianPurity(bp, layout)
+                scratch, gram = purity.new_set()
+                for p in (0, 1):
+                    h = rng.standard_normal((bp.d, bp.d)) + 1j * rng.standard_normal((bp.d, bp.d))
+                    h = h + h.conj().T
+                    h[layout.sector[:, None] ^ layout.sector[None, :] != p] = 0.0
+                    parts = layout.new_parts()
+                    for sector, index in enumerate(layout.index):
+                        block = h[np.ix_(index, layout.index[sector ^ p])]
+                        parts[sector] = block.real, block.imag
+                    want = _sum_lambda_sq(h, bp)
+                    assert abs(purity(parts, scratch, gram, p) - want) <= 1e-12 * want
+
+
+class TestSectors:
+    def test_sector_blocks_match_dense_oracles(self):
+        for n, t in ((4, 0.7), (5, 1.9), (6, 3.1)):
+            h = build_hamiltonian(XYZModel(n_sites=n, j_z=0.6))
+            u = HamiltonianPropagator(h).unitary_at(t)
+            assert _parity_sectors(u) is not None
+            for n_a in range(1, n):
+                bp = Bipartition(n_a, n - n_a)
+                lam = operator_schmidt_spectrum(u, bp)
+                ref = oracle_schmidt_values(u, n_a, n - n_a)
+                assert np.abs(lam[:ref.size] - ref).max() <= 1e-12
+                assert abs(operator_entanglement(u, bp, "linear")
+                           - (1.0 - np.sum(ref**2))) <= 1e-12
+
+    def test_unitarity_norm_summed_over_the_sector_blocks(self):
+        # ||(1 + delta)^2 U^dag U - I|| / sqrt(d) = 2 delta + delta^2: the
+        # tolerance 1e-8 falls between delta = 4e-9 and 6e-9, as without sectors
+        u = HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=4))).unitary_at(1.1)
+        haar = haar_random_unitary(16, np.random.default_rng(2))
+        assert _parity_sectors(u) is not None and _parity_sectors(haar) is None
+        for m in (u, haar):
+            assert is_unitary(m * (1 + 4e-9)) and not is_unitary(m * (1 + 6e-9))
 
 
 class TestEntanglement:

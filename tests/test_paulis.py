@@ -7,6 +7,7 @@ from paulient.errors import InvalidGeneratorImages, SizeLimitExceeded
 from paulient.paulis import (
     CliffordTableau,
     PauliString,
+    _parity_sectors,
     _phase_grid,
     _phase_power,
     _wht_real,
@@ -25,6 +26,7 @@ from paulient.paulis import (
     random_clifford,
     random_pauli,
 )
+from paulient.spinchain import TFIMModel, XYZModel, build_hamiltonian
 
 from conftest import HADAMARD, S_GATE, CNOT, dense_pauli
 
@@ -391,3 +393,21 @@ class TestLabels:
         assert str(PauliString.from_label("+XIZY")) == "+XIZY"
         with pytest.raises(ValueError):
             PauliString.from_label("XQ")
+
+
+class TestParitySectors:
+    def test_only_exact_zeros_split(self):
+        h = build_hamiltonian(XYZModel(n_sites=4, j_z=0.3))
+        even, odd = _parity_sectors(h)
+        assert list(even) == [i for i in range(16) if i.bit_count() % 2 == 0]
+        assert list(odd) == [i for i in range(16) if i.bit_count() % 2 == 1]
+        for coupling in (1e-300, -0.0 + 1e-300j, np.nan):
+            joined = h.copy()
+            joined[3, 7] = coupling  # 3 is even, 7 odd
+            assert _parity_sectors(joined) is None
+        signed = h.copy()
+        signed[3, 7] = -0.0
+        assert _parity_sectors(signed) is not None
+        assert _parity_sectors(build_hamiltonian(TFIMModel(n_sites=4))) is None
+        assert [list(s) for s in _parity_sectors(np.diag([1.0, -1.0]))] == [[0], [1]]
+        assert [list(s) for s in _parity_sectors(np.eye(1))] == [[0], []]

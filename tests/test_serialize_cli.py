@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -147,6 +148,39 @@ class TestCli:
         assert strip_wall_time(out1.read_text()) == strip_wall_time(out2.read_text())
         assert "seed: 5" in out1.read_text()
 
+    def test_estimate_rows_say_whether_the_rule_fired(self, tmp_path, rng, capsys):
+        mfile = tmp_path / "u.txt"
+        save_matrix(str(mfile), haar_random_unitary(8, rng))
+        matrix = ["--matrix", str(mfile), "--na", "1", "--nb", "2"]
+        for args, converged in ((["pe-exact"], "true"),
+                                (["pe-sample", "--seed", "5", "--count", "200"], "true"),
+                                (["pe-sample", "--seed", "5", "--sem-target", "1e-6",
+                                  "--max-samples", "40"], "false")):
+            assert main(args + matrix) == 0
+            columns, row = capsys.readouterr().out.splitlines()[-2:]
+            assert columns == "value,sem,n_samples,converged,wall_time_s"
+            assert row.split(",")[3] == converged, args
+
+    @pytest.mark.parametrize("joined", [True, False])
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+    def test_negative_float_words_reach_their_checks(self, tmp_path, rng, capsys, value,
+                                                     joined):
+        # argparse reads `--flag -1e-3` as two flags unless the value is joined on
+        mfile = tmp_path / "u.txt"
+        save_matrix(str(mfile), haar_random_unitary(8, rng))
+        sample = ["pe-sample", "--matrix", str(mfile), "--na", "1", "--nb", "2", "--seed", "5"]
+        chain = ["spinchain-run", "--model", "xyz", "--sweep", "Jz=0", "--n", "3",
+                 "--workers", "1", "--mode", "sampled", "--seed", "1"]
+        cases = ((sample, "--sem-target", "threshold must be positive"),
+                 (chain, "--threshold", "threshold must be positive"),
+                 (chain, "--dt", "dt must be finite and positive"),
+                 (chain, "--pe-sem-target", "pe_sem_target must be positive"))
+        for args, flag, message in cases:
+            spelled = [f"{flag}={value}"] if joined else [flag, value]
+            assert main(args + spelled) == 1, flag
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err, flag
+
     def test_pe_sample_rejects_unusable_counts(self, tmp_path, rng, capsys):
         u = haar_random_unitary(8, rng)
         mfile = tmp_path / "u.txt"
@@ -205,7 +239,7 @@ class TestCli:
         text = report.read_text()
         assert "product-preserving: false" in text and "witness:" in text
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "-1e-3"])
     def test_thm1_commands_reject_unusable_tol(self, tmp_path, capsys, tol):
         # exp(-i pi/8 XX) is not product-preserving; the identity is
         xx = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])
@@ -213,9 +247,10 @@ class TestCli:
                         ("eye", np.eye(4))):
             mfile = tmp_path / f"{name}.txt"
             save_matrix(str(mfile), u)
-            for command in ("thm1-check", "thm1-factorize"):
+            for command, spelled in itertools.product(("thm1-check", "thm1-factorize"),
+                                                      ([f"--tol={tol}"], ["--tol", tol])):
                 assert main([command, "--matrix", str(mfile), "--na", "1", "--nb", "1",
-                             f"--tol={tol}"]) == 1
+                             *spelled]) == 1
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert "tol must be finite and positive" in captured.err, (command, name)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,23 @@ from paulient.entpower import pauli_entangling_power
 from paulient.errors import NotHermitian, NotUnitary, SizeLimitExceeded
 from paulient.mpu import mpu_shift, mpu_to_dense
 from paulient.operators import Bipartition, operator_entanglement
+from paulient.paulis import random_pauli
 from paulient.spinchain import (
     HamiltonianPropagator,
     TFIMModel,
     XYZModel,
     build_hamiltonian,
-    evolve_unitary,
     long_time_average,
     run_sweep_experiment,
 )
 
-from conftest import dense_pauli
+from conftest import dense_pauli, oracle_elin
+
+
+def dense_unitary(ham, t):
+    """exp(-i H t) from one dense complex eigh."""
+    energies, modes = np.linalg.eigh(ham.astype(complex))
+    return (modes * np.exp(-1j * energies * t)) @ modes.conj().T
 
 
 class TestHamiltonians:
@@ -64,7 +72,7 @@ class TestHamiltonians:
 class TestEvolution:
     def test_time_zero_is_identity(self):
         h = build_hamiltonian(XYZModel(n_sites=2, j_z=0.5))
-        assert np.array_equal(evolve_unitary(h, 0.0), np.eye(4))
+        assert np.array_equal(HamiltonianPropagator(h).unitary_at(0.0), np.eye(4))
 
     def test_one_parameter_group(self):
         prop = HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=3, j_z=0.7)))
@@ -72,7 +80,8 @@ class TestEvolution:
         assert np.linalg.norm(u1 @ u2 - prop.unitary_at(0.83)) < 1e-10
 
     def test_sigma_z_closed_form(self):
-        u = evolve_unitary(np.diag([1.0, -1.0]).astype(complex), np.pi / 2)
+        # two 1 x 1 parity sectors
+        u = HamiltonianPropagator(np.diag([1.0, -1.0]).astype(complex)).unitary_at(np.pi / 2)
         assert np.allclose(u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]))
 
     def test_energy_conservation(self, rng):
@@ -90,6 +99,41 @@ class TestEvolution:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitian):
             HamiltonianPropagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_sector_propagator_matches_dense_eigh(self):
+        # XYZ has two real parity sectors, TFIM with g != 0 one real sector;
+        # a complex H (adding XY - YX on one bond keeps the sectors)
+        for n in range(1, 10):
+            for model in (XYZModel(n_sites=n, j_z=0.3), TFIMModel(n_sites=n, h=0.5)):
+                h = build_hamiltonian(model)
+                prop = HamiltonianPropagator(h)
+                assert (prop.sectors is not None) == isinstance(model, XYZModel)
+                assert all(np.isrealobj(v) for v in prop.modes)
+                for t in (0.2, 1.3, 7.9):
+                    assert np.abs(prop.unitary_at(t) - dense_unitary(h, t)).max() <= 1e-12
+        h = build_hamiltonian(XYZModel(n_sites=4))
+        h = h + 0.3 * (dense_pauli("XYII") - dense_pauli("YXII"))
+        prop = HamiltonianPropagator(h)
+        assert prop.sectors is not None and all(np.iscomplexobj(v) for v in prop.modes)
+        assert np.abs(prop.unitary_at(1.3) - dense_unitary(h, 1.3)).max() <= 1e-12
+
+    def test_tiny_cross_sector_coupling_joins_the_sectors(self):
+        # no tolerance: a 1e-300 coupling between the sectors is kept
+        n = 6
+        h = build_hamiltonian(XYZModel(n_sites=n, j_z=0.3))
+        h[0, 1] = h[1, 0] = 1e-300
+        prop = HamiltonianPropagator(h)
+        assert prop.sectors is None and len(prop.modes) == 1
+        u = prop.unitary_at(1.3)
+        assert np.abs(u - dense_unitary(h, 1.3)).max() <= 1e-12
+        bp = Bipartition(3, 3)
+        assert abs(operator_entanglement(u, bp, "linear") - oracle_elin(u, 3, 3)) <= 1e-12
+        est = pauli_entangling_power(u, bp, mode="sampled", rng=np.random.default_rng(2),
+                                     n_samples=16)
+        rng = np.random.default_rng(2)
+        want = np.mean([oracle_elin(u.conj().T @ dense_pauli(str(random_pauli(n, rng))[1:]) @ u,
+                                    3, 3) for _ in range(16)])
+        assert abs(est.value - want) <= 1e-12
 
 
 class TestLongTimeAverage:
@@ -273,18 +317,43 @@ class TestSweep:
         monkeypatch.setattr(operators, "_require_unitary",
                             lambda matrix, *args: counts.__setitem__("public", counts["public"] + 1))
         rows = run_sweep_experiment("xyz", [0.0, 1.0], 4, mode="exact", seed=7, max_steps=30)
-        assert counts == {"sweep": 2, "public": 0}
+        # one check per parity sector of each point's propagator
+        assert counts == {"sweep": 2 * 2, "public": 0}
         assert all(r.n_steps == 30 for r in rows)
 
     def test_non_unitary_modes_rejected(self, monkeypatch):
         class Skewed(HamiltonianPropagator):
             def __init__(self, ham):
                 super().__init__(ham)
-                self.modes = self.modes * 1.01
+                self.modes = tuple(modes * 1.01 for modes in self.modes)
 
         monkeypatch.setattr(spinchain, "HamiltonianPropagator", Skewed)
         with pytest.raises(NotUnitary):
             run_sweep_experiment("xyz", [0.0], 3, mode="exact", seed=1, workers=1)
+
+    def test_sector_rows_match_dense_eigh_rows(self, monkeypatch):
+        # XYZ (two parity sectors) and TFIM h = 0.5 (one sector) against a
+        # propagator from dense complex eigh, whose U_t has no exact zeros
+        class DenseEigh:
+            def __init__(self, ham):
+                self.ham = ham
+                self.modes = (np.linalg.eigh(ham.astype(complex))[1],)
+
+            def unitary_at(self, t):
+                return dense_unitary(self.ham, t)
+
+        for n, (family, value) in itertools.product(range(4, 9), [("xyz", 0.4), ("tfim", 0.5)]):
+            mode = "exact" if n < 8 else "sampled"
+            kwargs = dict(mode=mode, seed=3, max_steps=4, n_min=5, workers=1)
+            (row,) = run_sweep_experiment(family, [value], n, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(spinchain, "HamiltonianPropagator", DenseEigh)
+                (dense,) = run_sweep_experiment(family, [value], n, **kwargs)
+            assert (row.n_steps, row.total_samples) == (dense.n_steps, dense.total_samples)
+            for a, b in ((row.mean_pe, dense.mean_pe), (row.mean_e, dense.mean_e),
+                         (row.pe_half_width, dense.pe_half_width),
+                         (row.e_half_width, dense.e_half_width)):
+                assert abs(a - b) <= 1e-12, (n, family)
 
     def test_seeded_determinism(self):
         a = run_sweep_experiment("tfim", [0.5], 3, mode="sampled", seed=11)
