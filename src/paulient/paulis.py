@@ -231,10 +231,12 @@ def _parity_sectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     No tolerance: a coupling however small, or a NaN, keeps the sectors
     joined.  Operators that commute with Z^N (the XYZ chain and its U_t) have
-    these sectors; each block is read a few rows at a time, so a generic m
-    stops at its first rows and no block is ever copied whole."""
+    these sectors.  Row 0 is read first, where most matrices without sectors
+    stop; then each block a few rows at a time, never copied whole."""
     d = m.shape[0]
     even, odd = _parity_index(d)
+    if m[0, odd].any():
+        return None
     step = max(1, (1 << 16) // d)
     for rows, cols in ((even, odd), (odd, even)):
         for k in range(0, rows.size, step):
