@@ -438,9 +438,9 @@ _FLOAT_FLAGS = {flag for _, opts in _SCHEMAS.values() for opt in opts
 
 def _join_float_values(argv: list[str]) -> list[str]:
     """`--tol -1e-3` as `--tol=-1e-3` for every float flag.  argparse takes a
-    word after a flag that starts with '-' and is not a plain negative number
-    (-1e-3, -inf) for another flag and reports the flag's value as missing;
-    joined, the value reaches its own check."""
+    word that starts with '-' and is not a plain negative integer or decimal,
+    such as -1e-3 or -inf, for a flag, and reports the value of the flag
+    before it as missing; joined, the value reaches its own check."""
     out: list[str] = []
     for arg in argv:
         if out and out[-1] in _FLOAT_FLAGS and arg.startswith("-"):

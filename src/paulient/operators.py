@@ -52,11 +52,11 @@ class Bipartition:
 
 
 def is_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """False for anything but a square 2-D array within tol of unitary:
-    ||U^dag U - I||_F / sqrt(d) <= tol.  Where U has parity sectors
+    """False for anything but a non-empty square 2-D array within tol of
+    unitary: ||U^dag U - I||_F / sqrt(d) <= tol.  Where U has parity sectors
     (paulis._parity_sectors), U^dag U is exactly zero between them, so the
     norm is summed over the diagonal blocks U_s^dag U_s - I."""
-    if np.ndim(matrix) != 2 or matrix.shape[0] != matrix.shape[1]:
+    if np.ndim(matrix) != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.shape[0]:
         return False
     squares = 0.0
     for block in _sector_blocks(matrix)[1]:

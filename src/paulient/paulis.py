@@ -235,9 +235,9 @@ def _parity_sectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     stop; then each block a few rows at a time, never copied whole."""
     d = m.shape[0]
     even, odd = _parity_index(d)
-    if m[0, odd].any():
+    if d and m[0, odd].any():
         return None
-    step = max(1, (1 << 16) // d)
+    step = max(1, (1 << 16) // max(d, 1))
     for rows, cols in ((even, odd), (odd, even)):
         for k in range(0, rows.size, step):
             if m[rows[k:k + step, None], cols].any():  # a NaN is truthy too

@@ -72,7 +72,7 @@ class TestSchmidtSpectrum:
 class TestIsUnitary:
     def test_only_square_matrices(self):
         assert is_unitary(np.eye(4)) and is_unitary(np.eye(1))
-        for shape in [(4, 2), (4, 8), (2, 4), (4,), (2, 2, 2), ()]:
+        for shape in [(4, 2), (4, 8), (2, 4), (4,), (2, 2, 2), (), (0, 0)]:
             assert not is_unitary(np.ones(shape)), shape
             assert not is_unitary(np.zeros(shape, dtype=complex)), shape
 
