@@ -14,16 +14,27 @@ oracle).  For fixed x bits all z values are handled at once:
     K_(x,z)[a1,a2] = (-i)^(x.z) sum_y (-1)^(z.y) sum_b
                       conj(u[y, a1, b]) u[y^x, a2, b]
 
-The pairs (a1 <= a2) are taken a block at a time.  For each block, one
-batched matrix product gives the inner sums over b for every (y, v); the
-step of the Pauli-basis tables (paulis._pauli_columns) gathers the entries
-at v = y^x for every x at once and transforms them over y into the whole z
-axis; and |.|^2, weighted over the block's pairs, gives the block's share of
-the g-table.  The shares are added in block order.  Neither the quadrupled
-space nor the full pair-correlation array is materialized.  Calls with two
-or more blocks (never at N <= 5) run them through _threads.buffered_map, one
-set of block buffers per thread, on as many cores as a fixed memory budget
-allows; the table does not depend on the number of threads.
+Where U has parity sectors (paulis._parity_sectors: exact zeros between
+even and odd basis states, as in every U_t of the XYZ chain), u[y, a, b] is
+nonzero only where par(b) = par(y) ^ par(a).  So the inner sum over b is
+zero unless par(y) ^ par(y^x) = par(x) equals q = par(a1) ^ par(a2): a pair
+of one q contributes only to the strings with par(x) = q, and its products
+over b run on the nonzero half of u, in two blocks of a quarter of the
+flops.  A U without sectors is the one-sector case (q = 0, every x) of the
+same kernel.
+
+The pairs (a1 <= a2) are taken a block of one q at a time.  For each block,
+one batched matrix product gives the inner sums over b for every (y, v) with
+par(y) ^ par(v) = q; the step of the Pauli-basis tables
+(paulis._pauli_columns) gathers the entries at v = y^x for every x of class
+q at once and transforms them over y into the whole z axis; and |.|^2,
+weighted over the block's pairs, gives the block's share of those columns
+of the g-table.  The shares are added per q in block order.  Neither the
+quadrupled space nor the full pair-correlation array is materialized.
+Calls whose pairs fill two or more blocks of the one-sector case (never at
+N <= 5) run their blocks through _threads.buffered_map, one set of block
+buffers per thread, on as many cores as a fixed memory budget allows; the
+table does not depend on the number of threads.
 
 Sampled mode evaluates E_lin(K) for K = U^dag P U one drawn string at a
 time, in real arithmetic, from two identities that hold because P is a
@@ -70,12 +81,13 @@ floats and a Gram matrix without sectors (8.5 MiB at N = 9, 4|5: up to nine
 threads at N = 8, two at N = 9) and 1.75 d^2 floats and a quarter of that
 Gram matrix with them (3.6 MiB: up to five threads at N = 9); from N = 10
 one set fills the budget.  u, or its sector blocks, and the purity's gather
-indices are shared.  The
-caller's thread draws every string and pushes the values into the stopping
-rule in draw order, so the result does not depend on the number of threads.
-The pool draws a few strings ahead; when the rule stops, the call drops them
-and redraws the strings the rule took from the rng's starting state, which
-leaves the rng where a serial loop would have left it.
+indices are shared; the indices are kept from one call to the next on the
+same bipartition (_sector_purity).  The caller's thread draws every string
+and pushes the values into the stopping rule in draw order, so the result
+does not depend on the number of threads.  The pool draws a few strings
+ahead; when the rule stops, the call drops them and redraws the strings the
+rule took from the rng's starting state, which leaves the rng where a serial
+loop would have left it.
 """
 
 from __future__ import annotations
@@ -83,6 +95,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -93,11 +106,11 @@ from .operators import Bipartition, _HermitianPurity, _SectorLayout, is_unitary
 from .paulis import (
     PauliString,
     _operator_pauli_probs,
+    _parity_sectors,
     _parity_signs,
     _pauli_columns,
     _pauli_entries,
     _sector_blocks,
-    _xor_index,
     pauli_mul_matrix,
     pauli_to_dense,
     random_pauli,
@@ -139,30 +152,39 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     With u reshaped to u[y, k, t] (k = kept block, t = traced block), the
     larger side is traced, so "Tr_B" above means the larger block.  Single
     entries depend on that choice, but sum_P g_P^2, and so P_E, is the same
-    from either block.  Per block of pairs, one batched matrix product gives
-    the pair correlations
+    from either block.  The pair correlations are
 
-        W[p, y, v] = sum_t conj(u[y, k1, t]) u[v, k2, t],   p = (k1 <= k2).
+        W_p[y, v] = sum_t conj(u[y, k1, t]) u[v, k2, t],   p = (k1 <= k2).
 
-    The pairs are taken in blocks of max(1, 2^17 // d^2), so a block's W and
-    its gather each hold about 2^17 complex entries and the full W is never
-    resident.  For each block, all x and z at once: paulis._pauli_columns
-    gathers S[p, y, x] = W[p, y, y^x] and applies the Walsh-Hadamard
-    transform along y (with W's buffer as its scratch), and the block's slot
-    is
+    u's parity sectors (paulis._parity_sectors) are read once.  With them,
+    u[y, k, t] is nonzero only where par(t) = par(y) ^ par(k), so u is stored
+    once as A[k, a] = u[S_a, k, T_(a ^ par(k))] (operators._SectorLayout of
+    y and of t: S_a and T_b the indices of parity a and b), and W_p is
+    nonzero only where par(y) ^ par(v) = q = par(k1) ^ par(k2): its block
+    on y in S_a is conj(A[k1, a]) A[k2, a ^ q]^T, two (d/2 x d_t/2) products
+    where one would be d x d_t.  Without sectors there is one: S_0 and T_0
+    hold every index, par(k) = 0, and A[k, 0] = u[:, k, :].
+
+    The pairs are taken in blocks of one q, of max(1, 2^17 sectors // d^2)
+    pairs, so a block's W and its gather each hold about 2^17 complex entries
+    and the full W is never resident.  S[y, x] = W[y, y^x] is nonzero only
+    where par(x) = q, so for each block paulis._pauli_columns gathers only
+    the columns x of class q, from the compact W, and applies the
+    Walsh-Hadamard transform along y (with W's buffer as its scratch); the
+    block's slot is
 
         g_block(x, z) = sum_p weight_p |WHT_y(S[p, ., x])[z]|^2
 
-    as a [z, x] table.  The slots are added in block order, and the sum is
-    transposed once at the end.
+    as a [z, x in class q] table.  The slots are added per q in block order
+    and scattered into g[x, z] at the end.
 
     The blocks run through _threads.buffered_map, which lends each running
     block a set of block buffers of its own.  The sets and the unsummed slots
     (at most threads + 2) stay within the pool's memory budget, which caps
-    the threads by the sizes (three at N = 8, 4|4; one from N = 9), not by
-    the cores.  The block size depends on the sizes alone and the slots are
-    summed in block order, so the table does not depend on the number of
-    threads.
+    the threads by the sizes, not by the cores: at N = 8 (4|4) three without
+    sectors and four with them; from N = 9 one without and two with.  The
+    blocks depend on the sizes and the sectors alone and the slots are summed
+    in block order, so the table does not depend on the number of threads.
 
     The |.|^2 form follows from S[(k2, k1), y, x] = conj(S[(k1, k2), y^x, x]),
     which also means only k1 <= k2 pairs are needed (weight 2 off the
@@ -175,41 +197,70 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     else:
         dk, dt = bp.d_b, bp.d_a
         u3 = u.reshape(d, dt, dk).transpose(0, 2, 1)
+    parity = _parity_sectors(u) is not None
+    rows, keep, traced = (_SectorLayout.of(n, parity) for n in (d, dk, dt))
+    sectors, h = len(rows.index), rows.h
+    # A[k, a, rank y, rank t] = u3[S_a, k, T_(a ^ par(k))], contiguous
+    t_of = np.stack(traced.index)[np.arange(sectors) ^ keep.sector[:, None]]
+    byk = u3[np.stack(rows.index)[None, :, :, None], np.arange(dk)[:, None, None, None],
+             t_of[:, :, None, :]].astype(complex, copy=False)
     ka, kc = np.triu_indices(dk)
+    q = keep.sector[ka] ^ keep.sector[kc]
+    order = np.argsort(q, kind="stable")  # the pairs of one q together, in triu order
+    ka, kc, q = ka[order], kc[order], q[order]
     weights = np.where(ka == kc, 1.0, 2.0)
-    byk = np.ascontiguousarray(u3.transpose(1, 0, 2), dtype=complex)  # [keep, y, traced]
-    index = _xor_index(d)  # fetched once: above d = 64 every call builds it
-    block = max(1, (1 << 17) // (d * d))  # pairs per block: ~2^17 entries of W
-    starts = range(0, len(ka), block)
-    width = min(block, len(ka))
+    block = max(1, (sectors << 17) // (d * d))  # pairs per block: ~2^17 entries of W
+    bounds = np.searchsorted(q, np.arange(sectors + 1))
+    tasks = [(p0, min(p0 + block, hi)) for lo, hi in zip(bounds, bounds[1:])
+             for p0 in range(lo, hi, block)]
+    width = max(p1 - p0 for p0, p1 in tasks)
+    # index[q][y, j] is W's flat entry (sector y, rank y, rank y^x) for the
+    # j-th x of class q; without sectors it is paulis._xor_index(d)
+    ys = np.arange(d)[:, None]
+    index = [(rows.sector[ys] * h + rows.rank[ys]) * h + rows.rank[ys ^ cols]
+             for cols in rows.index]
+    operand = (sectors, h, dt // sectors)  # one pair's A[k]
 
     def new_set() -> tuple:
-        return (np.empty((width, d, dt), complex),  # conj(u) rows of k1
-                np.empty((width, d, dt), complex),  # u rows of k2
-                np.empty((width, d, d), complex),  # W, then WHT scratch
-                np.empty((width, d, d), complex))  # gather, then |WHT|^2
+        return (np.empty((width, sectors, h, h), complex),  # W, then WHT scratch
+                np.empty((width, d, h), complex))  # operands, then gather, then |WHT|^2
 
-    def block_slot(p0: int, buffers: tuple) -> np.ndarray:
-        pa, pc = ka[p0:p0 + block], kc[p0:p0 + block]
-        n = len(pa)
-        lhs, rhs, wp, s = (b[:n] for b in buffers)
+    def block_slot(task: tuple[int, int], buffers: tuple) -> np.ndarray:
+        p0, p1 = task
+        n = p1 - p0
+        wp, s = (b[:n] for b in buffers)
+        # conj(A[k1]) and A[k2] are read only by the product, so they take the
+        # front of the gather's buffer (2 d d_t / sectors <= d^2 / sectors)
+        size = n * math.prod(operand)
+        lhs, rhs = (s.reshape(-1)[i * size:(i + 1) * size].reshape(n, *operand) for i in (0, 1))
         # the indices are in range; mode="clip" writes straight into out,
         # where the default mode="raise" goes through a temporary
-        np.take(byk, pa, axis=0, out=lhs, mode="clip")
+        np.take(byk, ka[p0:p1], axis=0, out=lhs, mode="clip")
         np.conjugate(lhs, out=lhs)
-        np.take(byk, pc, axis=0, out=rhs, mode="clip")
-        np.matmul(lhs, rhs.transpose(0, 2, 1), out=wp)  # [pair, y, v]
-        _pauli_columns(wp, out=s, scratch=wp, index=index)  # [pair, z, x]
-        sq = s.view(np.float64)  # x re/im
+        np.take(byk, kc[p0:p1], axis=0, out=rhs, mode="clip")
+        if q[p0]:
+            rhs = rhs[:, ::-1]  # A[k2, a ^ 1] beside A[k1, a]
+        np.matmul(lhs, rhs.swapaxes(-1, -2), out=wp)  # [pair, a, rank y, rank v]
+        _pauli_columns(wp.reshape(n, d, h), out=s, scratch=wp, index=index[q[p0]])
+        sq = s.view(np.float64)  # [pair, z, x re/im]
         np.multiply(sq, sq, out=sq)
-        return weights[p0:p0 + n] @ sq.reshape(n, -1)
+        return weights[p0:p1] @ sq.reshape(n, -1)
 
-    acc = np.zeros(2 * d * d)  # [z, x] with re^2 and im^2 interleaved, as each slot
-    _, slots = _threads.buffered_map(block_slot, starts, len(starts), new_set, acc.nbytes)
-    for slot in slots:
-        acc += slot
-    acc = acc.reshape(d, 2 * d)
-    return (acc[:, 0::2] + acc[:, 1::2]).T
+    # per q, [z, x in class q] with re^2 and im^2 interleaved, as each slot
+    acc = np.zeros((sectors, 2 * d * h))
+    # a call goes to the pool where the one-sector blocks would be two or
+    # more (from N = 6), with or without sectors: a pooled call pins the
+    # process's OpenBLAS to one thread, and that choice must not follow U's
+    # sectors.  (Unpinned, the small BLAS calls of a perfbench desk-mix round
+    # took it to 1.04-1.21 s against 0.69-0.83 s pinned, on a 2-core Xeon.)
+    n_tasks = len(tasks) if len(ka) > max(1, (1 << 17) // (d * d)) else 1
+    _, slots = _threads.buffered_map(block_slot, tasks, n_tasks, new_set, acc[0].nbytes)
+    for (p0, _), slot in zip(tasks, slots):
+        acc[q[p0]] += slot
+    g = np.empty((d, d))
+    for part, cols in zip(acc.reshape(sectors, d, 2 * h), rows.index):
+        g[cols] = (part[:, 0::2] + part[:, 1::2]).T
+    return g
 
 
 def _exact_value(u: np.ndarray, bp: Bipartition) -> float:
@@ -218,17 +269,28 @@ def _exact_value(u: np.ndarray, bp: Bipartition) -> float:
     return 1.0 - total / float(bp.d) ** 4
 
 
+@lru_cache(maxsize=1)
+def _sector_purity(n_a: int, n_b: int, parity: bool) -> tuple[_SectorLayout, _HermitianPurity]:
+    """The layout and the purity of sampled strings on one bipartition, kept
+    for the next call: a sweep asks for the same one at every step, and its
+    gather indices take 5 ms to build at N = 9 (4 MiB at 4|5, 64 MiB at
+    N = 11), so only the most recent is kept."""
+    bp = Bipartition(n_a, n_b)
+    layout = _SectorLayout.of(bp.d, parity)
+    return layout, _HermitianPurity(bp, layout)
+
+
 def _string_elin(u: np.ndarray, bp: Bipartition) -> tuple[
         Callable[[PauliString, tuple], float], Callable[[], tuple]]:
     """(value, new_set): value(p, buffers) is E_lin(U^dag P U) for a phase-0
     string P, by the sampled-mode identities of the module docstring, worked
-    in one set of buffers from new_set().  The sector blocks of u and the
-    purity's gather indices are built once and only read, so calls with sets
-    of their own may run at once."""
+    in one set of buffers from new_set().  The sector blocks of u are copied
+    once per call and the purity's gather indices once per bipartition
+    (_sector_purity); both are only read, so calls with sets of their own
+    may run at once."""
     sectors, blocks = _sector_blocks(u)
-    layout = _SectorLayout.of(bp.d, parity=sectors is not None)
+    layout, purity = _sector_purity(bp.n_a, bp.n_b, sectors is not None)
     blocks = [np.ascontiguousarray(b, dtype=complex) for b in blocks]
-    purity = _HermitianPurity(bp, layout)
     h = layout.h
     hh = h * h
 

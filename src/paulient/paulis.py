@@ -21,7 +21,9 @@ Encoding conventions used throughout the package:
 * Pauli-basis tables come from one step, _pauli_columns: Tr(op P(x, z)) =
   i^(x.z) sum_y (-1)^(z.y) op[y, y^x], gathered into [..., y, x] by
   _xor_index and transformed over y by _wht_real.  pauli_trace_table, its
-  adjoint operator_from_pauli_table and the exact P_E g-table all run it.
+  adjoint operator_from_pauli_table and the exact P_E g-table all run it;
+  the g-table passes its own index, into the nonzero blocks of its pair
+  correlations, for the x of one parity class.
 """
 
 from __future__ import annotations
@@ -326,17 +328,18 @@ def _phase_grid(d: int) -> np.ndarray:
 def _pauli_columns(ops: np.ndarray, out: np.ndarray | None = None,
                    scratch: np.ndarray | None = None,
                    index: np.ndarray | None = None) -> np.ndarray:
-    """T[..., z, x] = sum_y (-1)^(z.y) ops[..., y, y^x] for a complex
-    (..., d, d) stack: one gather into [..., y, x], one transform along y.
-    out (the shape of ops) takes both; scratch (the size of ops, and ops
-    itself once gathered) takes the transform's first product.  index is
-    _xor_index(d), passed by a caller that runs many stacks of one d above
-    the cache limit."""
-    d = ops.shape[-1]
-    index = _xor_index(d) if index is None else index
+    """T[..., z, c] = sum_y (-1)^(z.y) flat[..., index[y, c]] for a complex
+    stack, with flat its last two axes flattened: one gather into
+    [..., y, c], one transform along y.  index defaults to _xor_index(d) for
+    a (..., d, d) stack, which gives T[..., z, x] = sum_y (-1)^(z.y)
+    ops[..., y, y^x]; any other [y, cols] index into the flat entries works
+    the same way (the g-table passes one per parity class of x).  out (the
+    gathered shape) takes both; scratch (the size of out, and ops itself
+    once gathered if it has that size) takes the transform's first
+    product."""
+    index = _xor_index(ops.shape[-1]) if index is None else index
     # in-range indices: mode="clip" writes straight into out, "raise" via a temporary
-    cols = np.take(ops.reshape(*ops.shape[:-2], d * d), index, axis=-1,
-                   out=out, mode="clip")
+    cols = np.take(ops.reshape(*ops.shape[:-2], -1), index, axis=-1, out=out, mode="clip")
     reals = cols.view(np.float64)  # [..., y -> z, x re/im]
     _wht_real(reals, scratch=scratch, out=reals)
     return cols

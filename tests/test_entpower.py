@@ -77,26 +77,60 @@ class TestExactMode:
             assert abs(est.value - oracle_pauli_power(u, n_a, n_b)) < 1e-12
 
     def test_g_table_across_pair_blocks_matches_partial_trace(self):
-        # At N = 7 the smaller block has 8 states: 36 pairs in blocks of
-        # 2^17 // 128^2 = 8, so the last block (4 pairs) is ragged.  4|3 keeps
-        # B and takes the transpose branch.  The table traces the larger
-        # block, so the oracle does too.
+        # At N = 7 the smaller block has 8 states: 36 pairs.  A Haar U (one
+        # sector) takes them in blocks of 2^17 // 128^2 = 8, so the last block
+        # (4 pairs) is ragged; an XYZ U_t (two parity sectors) in blocks of 16
+        # of one q = par(k1) ^ par(k2), 20 with q = 0 (the last block ragged)
+        # and 16 with q = 1.  4|3 keeps B and takes the transpose branch.  The
+        # table traces the larger block, so the oracle does too.
         rng = np.random.default_rng(77)
         n, d = 7, 128
-        u = haar_random_unitary(d, rng)
+        model = XYZModel(n_sites=n, j_z=0.4)
+        xyz = HamiltonianPropagator(build_hamiltonian(model)).unitary_at(1.3)
+        assert _parity_sectors(xyz) is not None
         entries = [(0, 0), (0, 1 + int(rng.integers(d - 1))),
                    (1 + int(rng.integers(d - 1)), 0), (d - 1, d - 1)]
         entries += [tuple(int(v) for v in rng.integers(0, d, size=2)) for _ in range(36)]
-        for n_a in (3, 4):
-            da, db = 2**n_a, 2 ** (n - n_a)
-            table = _pauli_g_table(u, Bipartition(n_a, n - n_a))
-            for x, z in entries:
-                label = "".join("IZXY"[2 * ((x >> s) & 1) + ((z >> s) & 1)]
-                                for s in range(n - 1, -1, -1))
-                evolved = (u.conj().T @ dense_pauli(label) @ u).reshape(da, db, da, db)
-                k = np.einsum("ibjb->ij" if da <= db else "aiaj->ij", evolved)
-                want = np.trace(k @ k).real
-                assert abs(table[x, z] - want) <= 1e-10 * want, (n_a, x, z)
+        for u in (haar_random_unitary(d, rng), xyz):
+            for n_a in (3, 4):
+                da, db = 2**n_a, 2 ** (n - n_a)
+                table = _pauli_g_table(u, Bipartition(n_a, n - n_a))
+                for x, z in entries:
+                    label = "".join("IZXY"[2 * ((x >> s) & 1) + ((z >> s) & 1)]
+                                    for s in range(n - 1, -1, -1))
+                    evolved = (u.conj().T @ dense_pauli(label) @ u).reshape(da, db, da, db)
+                    k = np.einsum("ibjb->ij" if da <= db else "aiaj->ij", evolved)
+                    want = np.trace(k @ k).real
+                    assert abs(table[x, z] - want) <= 1e-10 * want, (n_a, x, z)
+
+    def test_sector_g_table_matches_one_sector_path(self):
+        # one 1e-300 entry between the sectors joins them (no tolerance) but
+        # moves no digit of U, so the joined U takes the one-sector case of
+        # the same kernel on the same numbers
+        for n in range(4, 10):
+            model = XYZModel(n_sites=n, j_z=0.3)
+            u = HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0)
+            joined = u.copy()
+            joined[0, 1] = 1e-300
+            assert _parity_sectors(u) is not None and _parity_sectors(joined) is None
+            for n_a in range(1, n):
+                bp = Bipartition(n_a, n - n_a)
+                want = _pauli_g_table(joined, bp)
+                got = _pauli_g_table(u, bp)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want), (n, n_a)
+
+    def test_sector_path_gives_exact_zero_on_diagonal_phases(self):
+        # U_0 = I and a product of diagonal phase gates diag(1, i^k): every
+        # entry of the kernel is a Gaussian integer, so P_E is exactly 0
+        rng = np.random.default_rng(78)
+        for n in range(2, 9):
+            phases = np.ones(1)
+            for k in rng.integers(0, 4, n):
+                phases = np.kron(phases, [1.0, 1j**k])
+            for u in (np.eye(2**n, dtype=complex), np.diag(phases)):
+                assert _parity_sectors(u) is not None
+                for n_a in range(1, n):
+                    assert pauli_entangling_power(u, Bipartition(n_a, n - n_a)).value == 0.0
 
     def test_real_orthogonal_input(self, rng):
         # a real dtype takes the same complex kernel

@@ -59,6 +59,10 @@ rng = np.random.default_rng(0)
 if sys.argv[1] == "exact":
     small = lambda: pauli_entangling_power(haar_random_unitary(32, rng), Bipartition(2, 3))
     large = lambda: pauli_entangling_power(haar_random_unitary(64, rng), Bipartition(3, 3))
+elif sys.argv[1] == "sectors":  # diagonal, so two parity sectors: one block of each q
+    phases = lambda d: np.diag(np.exp(2j * np.pi * rng.random(d)))
+    small = lambda: pauli_entangling_power(phases(32), Bipartition(2, 3))
+    large = lambda: pauli_entangling_power(phases(64), Bipartition(3, 3))
 else:  # a sampled call below the size floor of the pool, and one at it
     small = lambda: pauli_entangling_power(haar_random_unitary(128, rng), Bipartition(3, 4),
                                            mode="sampled", rng=rng, n_samples=4)
@@ -83,24 +87,40 @@ def _xyz_unitary(n_sites: int) -> np.ndarray:
 
 class TestThreadPool:
     def test_g_table_independent_of_thread_count(self, thread_limit):
-        # blocks of 2^17 // d^2 pairs: N = 6 has 2 blocks, N = 7 five (36 pairs
-        # in blocks of 8, the last one ragged), N = 8 sixty-eight; a limit of
-        # 16 is cut to what the memory budget allows
+        # a Haar U takes blocks of 2^17 // d^2 pairs: N = 6 has 2 blocks, N = 7
+        # five (36 pairs in blocks of 8, the last one ragged), N = 8
+        # sixty-eight.  An XYZ U_t takes blocks of 2^18 // d^2 pairs of one
+        # q = par(k1) ^ par(k2): N = 6 one of each q, N = 7 three, N = 8
+        # thirty-four, so blocks of both q run on the pool at once.  A limit
+        # of 16 is cut to what the memory budget allows.
         rng = np.random.default_rng(505)
         for n_a, n_b in [(3, 3), (3, 4), (4, 3), (4, 4)]:
             bp = Bipartition(n_a, n_b)
-            u = haar_random_unitary(bp.d, rng)
-            thread_limit(1)
-            one = _pauli_g_table(u, bp)
-            for limit in (None, 2, 16):
-                thread_limit(limit)
-                assert np.array_equal(one, _pauli_g_table(u, bp)), (n_a, n_b, limit)
+            for u in (haar_random_unitary(bp.d, rng), _xyz_unitary(bp.n_qubits)):
+                thread_limit(1)
+                one = _pauli_g_table(u, bp)
+                for limit in (None, 2, 16):
+                    thread_limit(limit)
+                    assert np.array_equal(one, _pauli_g_table(u, bp)), (n_a, n_b, limit)
 
     def test_memory_budget_caps_threads(self, thread_limit):
         # without the budget, sixteen threads' buffers and slots take about
         # 78 MiB at 4|4; with it, one call stays where the one-thread kernel was
         thread_limit(16)
         u = haar_random_unitary(256, np.random.default_rng(508))
+        tracemalloc.start()
+        try:
+            pauli_entangling_power(u, Bipartition(4, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21.5 * 2**20
+
+    def test_memory_budget_caps_threads_with_sectors(self, thread_limit):
+        # an XYZ U_t: sets of 4 MiB and slots of 0.5 MiB give four threads
+        # at 4|4 within the same budget; 19.3-20.6 MiB measured
+        thread_limit(16)
+        u = _xyz_unitary(8)
         tracemalloc.start()
         try:
             pauli_entangling_power(u, Bipartition(4, 4))
@@ -283,12 +303,13 @@ class TestThreadPool:
 
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
     def test_openblas_pinned_by_multi_block_calls_only(self):
-        # exact: one block does not pin, two do; sampled: strings below the
-        # pool's size floor do not pin, strings at it do
+        # exact: one block does not pin, two do, and a U with parity sectors
+        # pins where a U without them does; sampled: strings below the pool's
+        # size floor do not pin, strings at it do
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for kind in ("exact", "sampled"):
+        for kind in ("exact", "sectors", "sampled"):
             out = subprocess.run([sys.executable, "-c", _BLAS_PROBE, kind], env=env, check=True,
                                  capture_output=True, text=True, timeout=300)
             before, single, pooled, late, after = json.loads(out.stdout.splitlines()[-1])
