@@ -12,9 +12,10 @@ two BLAS threads than on one, and a sampled string gains more from a second
 string in parallel than from a second BLAS thread, while OpenBLAS threads
 left spinning after a GEMM take the cores the pool needs.  So every call
 that uses the pool first sets each OpenBLAS library loaded since the last
-such call to one thread, for the rest of the process.  Where that cannot be
-done (another BLAS, or no /proc/self/maps to find the libraries), every call
-runs on its caller's thread.
+such call to one thread, for the rest of the process (a library is mapped
+by an import, so the maps are read again only once sys.modules has changed).
+Where that cannot be done (another BLAS, or no /proc/self/maps to find the
+libraries), every call runs on its caller's thread.
 
 A process forked after the pool exists gets a fresh one on first use; the
 inherited executor's threads do not exist in the child.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import os
 import queue
+import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -49,6 +51,7 @@ _lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
 _blas_seen: set[str] = set()  # OpenBLAS paths already set (or tried)
 _blas_pinned = False  # whether any of them took the setting
+_modules_at_read = -1  # len(sys.modules) when /proc/self/maps was last read
 _limit: int | None = None  # set by set_thread_limit; None means every core
 
 
@@ -70,7 +73,10 @@ def set_thread_limit(limit: int | None) -> None:
 def _pin_openblas() -> bool:
     """Set each loaded OpenBLAS library not seen before to one thread; True
     if any library so far took the setting."""
-    global _blas_pinned
+    global _blas_pinned, _modules_at_read
+    if len(sys.modules) == _modules_at_read:
+        return _blas_pinned
+    _modules_at_read = len(sys.modules)
     try:
         with open("/proc/self/maps", "rb") as fh:
             maps = fh.read().decode(errors="replace")

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, acceptance
 from ._threads import available_cores
 from .entpower import (
     DEFAULT_EXACT_LIMIT,
@@ -42,7 +42,6 @@ from .factorization import (
 )
 from .mpu import pauli_power_mpu
 from .operators import Bipartition, haar_random_unitary
-from .selftest import run_selftest
 from .serialize import load_matrix, load_mpu, matrix_to_text, tableau_to_text
 from .spinchain import (
     DEFAULT_DT,
@@ -264,7 +263,19 @@ def _cmd_spinchain_run(cfg: dict) -> int:
 
 
 def _cmd_selftest(cfg: dict) -> int:
-    return 1 if run_selftest(verbose=True) else 0
+    """One PASS/FAIL line per acceptance criterion; one that raises fails."""
+    failed_any = False
+    for num, (label, criterion) in acceptance.CRITERIA.items():
+        started = time.perf_counter()
+        try:
+            failed = acceptance.failures(criterion())
+        except Exception as exc:  # noqa: BLE001 - report, do not crash the table
+            failed = [f"raised {exc!r}"]
+        failed_any = failed_any or bool(failed)
+        detail = " - " + "; ".join(failed) if failed else ""
+        print(f"criterion {num} ({label}): {'FAIL' if failed else 'PASS'} "
+              f"[{time.perf_counter() - started:.2f}s]{detail}")
+    return 1 if failed_any else 0
 
 
 _COMMON_OUT = dict(flags=["--out"], type=str, default=None,
@@ -472,7 +483,3 @@ def main(argv: list[str] | None = None) -> int:
     except (PaulientError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

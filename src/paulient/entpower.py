@@ -477,6 +477,8 @@ def q_projector_basis(n_qubits: int) -> np.ndarray:
     """Orthonormal vectors spanning the image of Q: rows are the doubled
     maximally-entangled Pauli frame |psi_xz> (x) |psi_xz>, with
     |psi_xz> = d^-1/2 sum_y (-1)^(z.y) |y> (x) |y^x>."""
+    if n_qubits > 3:
+        raise SizeLimitExceeded("Q image basis is limited to 3 qubits (d^2 x d^4 = 64 x 4096)")
     d = 1 << n_qubits
     ys = np.arange(d)
     basis = np.empty((d * d, d**4), dtype=complex)
@@ -521,6 +523,8 @@ def pauli_power_via_q(u: np.ndarray, bp: Bipartition) -> float:
         raise SizeLimitExceeded("quadrupled-space evaluation is limited to 3 qubits")
     if u.shape[0] != bp.d:
         raise ValueError("operator dimension does not match the bipartition")
+    if not is_unitary(u):
+        raise NotUnitary("quadrupled-space P_E needs a unitary")
     d = bp.d
     basis = q_projector_basis(n)
     t = _copy_permutation_indices(n, (1, 0, 3, 2), a_only=bp.n_a)

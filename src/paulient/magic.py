@@ -125,11 +125,6 @@ def _chart(theta: np.ndarray, n_qubits: int):
     return u, vals, vecs
 
 
-def unitary_from_params(theta: np.ndarray, n_qubits: int) -> np.ndarray:
-    """exp(i sum_k theta_k P_k) over the Hermitian Pauli basis."""
-    return _chart(theta, n_qubits)[0]
-
-
 def params_from_unitary(u: np.ndarray) -> np.ndarray:
     """Chart coordinates whose exponential reproduces u (principal branch)."""
     g = -1j * logm(u)

@@ -82,14 +82,6 @@ def mpu_to_dense(a: MPUTensor, n_sites: int) -> np.ndarray:
     return u
 
 
-def build_lambda_site_tensor() -> np.ndarray:
-    """The bond-4 tensor whose 4-copy periodic closure is the single-site
-    insert Lam = sum_sigma sigma^x4: Pi[alpha, beta] = delta_ab sigma_alpha."""
-    pi = np.zeros((4, 4, 2, 2), dtype=complex)
-    pi[range(4), range(4)] = _PAULI_STACK
-    return pi
-
-
 def lambda_site_operator() -> np.ndarray:
     """Lam = sum_sigma sigma^x4 as a 16x16 matrix (copy-major bits)."""
     return sum(reduce(np.kron, [s] * 4) for s in _PAULI_STACK)

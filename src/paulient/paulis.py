@@ -195,14 +195,6 @@ def pauli_to_dense(p: PauliString) -> np.ndarray:
     return m
 
 
-def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """P @ vec in O(d), without building the dense matrix."""
-    if vec.shape[0] != 1 << p.n_qubits:
-        raise ValueError("dimension mismatch")
-    rows, _, values = _pauli_entries(p)
-    return values[rows] * vec[rows]
-
-
 def pauli_mul_matrix(p: PauliString, m: np.ndarray) -> np.ndarray:
     """P @ m in O(d^2): a signed row permutation of m."""
     if m.shape[0] != 1 << p.n_qubits:
@@ -671,7 +663,8 @@ def clifford_to_dense(c: CliffordTableau) -> np.ndarray:
         img, phase = pauli_multiply(rest, img)
         sgn = rest_sgn * q_sgn * (1 if phase == 1 else -1)
         images.append((img, sgn))
-        u[:, b] = sgn * apply_pauli(img, psi0)
+        rows, _, values = _pauli_entries(img)
+        u[:, b] = sgn * (values[rows] * psi0[rows])
     return fix_global_phase(u)
 
 

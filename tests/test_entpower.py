@@ -372,6 +372,11 @@ class TestQProjector:
         with pytest.raises(SizeLimitExceeded):
             q_projector_build(4)
 
+    def test_basis_size_limit(self):
+        # raised before the d^2 x d^4 array (256 MiB at N = 4) is allocated
+        with pytest.raises(SizeLimitExceeded):
+            q_projector_basis(4)
+
     def test_permutation_traces(self):
         for n in (1, 2):
             d = float(2**n)
@@ -395,6 +400,11 @@ class TestViaQ:
             u = haar_random_unitary(4, rng)
             exact = pauli_entangling_power(u, BP11).value
             assert abs(pauli_power_via_q(u, BP11) - exact) < 1e-10
+
+    @pytest.mark.parametrize("m", [2 * np.eye(4), np.ones((4, 4))], ids=["2I", "ones"])
+    def test_non_unitary_rejected(self, m):
+        with pytest.raises(NotUnitary):
+            pauli_power_via_q(m, BP11)
 
     def test_asymmetric_three_qubits(self, rng):
         u = haar_random_unitary(8, rng)

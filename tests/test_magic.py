@@ -4,15 +4,16 @@ import pytest
 from paulient.errors import NotUnitary
 from paulient.magic import (
     SearchConfig,
+    _chart,
     _on_charts,
     _operator_magic_objective,
     _state_magic_objective,
+    _state_pauli_probs,
     local_min_operator_magic,
     nonlocal_stabilizer_entropy,
     operator_coherence_2,
     operator_stabilizer_entropy,
     stabilizer_renyi_entropy,
-    unitary_from_params,
     params_from_unitary,
 )
 from paulient.operators import (
@@ -22,6 +23,7 @@ from paulient.operators import (
     random_local_unitary,
 )
 from paulient.paulis import clifford_to_dense, pauli_to_dense, random_clifford, random_pauli
+from paulient.paulis import _operator_pauli_probs
 
 from conftest import CNOT, SWAP, T_GATE, dense_pauli
 
@@ -131,6 +133,14 @@ class TestCoherenceIdentity:
             assert abs(operator_coherence_2(u)
                        - operator_stabilizer_entropy(u, "linear")) < 1e-14
 
+    def test_pauli_distributions_sum_to_one(self, rng):
+        for _ in range(10):
+            u = haar_random_unitary(8, rng)
+            assert abs(_operator_pauli_probs(u).sum() - 1.0) < 1e-10
+            psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            psi /= np.linalg.norm(psi)
+            assert abs(_state_pauli_probs(psi).sum() - 1.0) < 1e-10
+
 
 class TestNonlocalStabilizerEntropy:
     def test_stabilizer_state_is_free(self, rng):
@@ -212,10 +222,10 @@ class TestParameterChart:
     def test_round_trip(self, rng):
         u = haar_random_unitary(4, rng)
         theta = params_from_unitary(u)
-        assert np.linalg.norm(unitary_from_params(theta, 2) - u) < 1e-10
+        assert np.linalg.norm(_chart(theta, 2)[0] - u) < 1e-10
 
     def test_zero_is_identity(self):
-        assert np.allclose(unitary_from_params(np.zeros(16), 2), np.eye(4))
+        assert np.allclose(_chart(np.zeros(16), 2)[0], np.eye(4))
 
 
 SPLITS = [(1, 1), (1, 2), (2, 1), (2, 2)]

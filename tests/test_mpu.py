@@ -10,7 +10,6 @@ from paulient.errors import (
 from paulient.mpu import (
     TRANSFER_CHI_LIMIT,
     MPUTensor,
-    build_lambda_site_tensor,
     lambda_closure,
     lambda_site_operator,
     mpu_cz_chain,
@@ -24,7 +23,12 @@ from paulient.mpu import (
 )
 from paulient.operators import Bipartition, haar_random_unitary
 
-from conftest import HADAMARD, T_GATE
+from conftest import HADAMARD, LETTER, T_GATE
+
+# Pi[alpha, beta] = delta_ab sigma_alpha: its 4-copy periodic closure is the
+# single-site insert Lam = sum_sigma sigma^x4
+LAMBDA_SITE_TENSOR = np.zeros((4, 4, 2, 2), dtype=complex)
+LAMBDA_SITE_TENSOR[range(4), range(4)] = [LETTER[c] for c in "IXZY"]
 
 
 class TestDenseClosure:
@@ -72,14 +76,14 @@ class TestDenseClosure:
 
 class TestLambdaTensor:
     def test_diagonal_bond_structure(self):
-        pi = build_lambda_site_tensor()
+        pi = LAMBDA_SITE_TENSOR
         for a in range(4):
             for b in range(4):
                 if a != b:
                     assert not pi[a, b].any()
 
     def test_four_copy_closure_is_the_site_insert(self):
-        pi = build_lambda_site_tensor()
+        pi = LAMBDA_SITE_TENSOR
         chain = np.einsum("abst,bcuv,cdwx,dayz->suwytvxz", pi, pi, pi, pi).reshape(16, 16)
         lam = lambda_site_operator()
         assert np.allclose(chain, lam)

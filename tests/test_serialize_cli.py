@@ -2,13 +2,14 @@ import importlib.util
 import inspect
 import itertools
 import json
+import runpy
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paulient import cli
+from paulient import acceptance, cli
 from paulient.cli import main
 from paulient.entpower import pauli_entangling_power
 from paulient.factorization import (
@@ -513,6 +514,30 @@ class TestCli:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert len(out.splitlines()) == len(acceptance.CRITERIA)
+
+    @pytest.mark.parametrize("faulty, shown", [
+        (lambda: [("worst residual", 1e-6, 1e-8)], "worst residual: 1e-06 > 1e-08"),
+        (lambda: 1 / 0, "raised ZeroDivisionError"),
+    ], ids=["above-bound", "raises"])
+    def test_selftest_failing_criterion(self, capsys, monkeypatch, faulty, shown):
+        label, _ = acceptance.CRITERIA[1]
+        monkeypatch.setitem(acceptance.CRITERIA, 1, (label, faulty))
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [f"criterion {k}"
+                                                           for k in acceptance.CRITERIA]
+        assert lines[0].startswith(f"criterion 1 ({label}): FAIL [") and shown in lines[0]
+        assert all(": PASS [" in line for line in lines[1:])
+
+    def test_python_dash_m_runs_the_cli(self, capsys, monkeypatch):
+        argv = ["pe-typical", "--d", "16", "--da", "4"]
+        assert main(argv) == 0
+        direct = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["paulient", *argv])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("paulient", run_name="__main__")
+        assert stop.value.code == 0 and capsys.readouterr().out == direct
 
 
 # every CLI option whose value feeds a library parameter: (function, parameter)

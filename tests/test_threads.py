@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -318,3 +319,18 @@ class TestThreadPool:
             assert single == before, kind
             assert pooled == [1] * len(before), kind
             assert after == [1] * len(late), kind
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    def test_maps_read_again_only_after_an_import(self, thread_limit, monkeypatch):
+        thread_limit(2)
+        opened = []  # paths _threads opens
+        monkeypatch.setattr(_threads, "open", lambda path, *args: opened.append(path)
+                            or open(path, *args), raising=False)
+        u = haar_random_unitary(64, np.random.default_rng(0))
+        pauli_entangling_power(u, Bipartition(3, 3))  # two blocks: pooled
+        opened.clear()
+        pauli_entangling_power(u, Bipartition(3, 3))
+        assert opened == []
+        monkeypatch.setitem(sys.modules, "paulient_probe_import", types.ModuleType("probe"))
+        pauli_entangling_power(u, Bipartition(3, 3))
+        assert opened == ["/proc/self/maps"]
