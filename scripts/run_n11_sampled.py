@@ -7,21 +7,24 @@ below the threshold, and the time series stops under the usual
 1.96 sigma / sqrt(N_t) rule.
 
 This is far outside the test budget on a laptop CPU.  Each Pauli sample
-works in real arithmetic: the Hermitian U^dag P U takes one 2048x2048 syrk
-and one 2048x1024x2048 product, and its Schmidt purity one syrk of the
-1024x4096 real coefficient matrix across the 5|6 cut, about 0.43 s per
-sample on a 2-core Xeon.  A timestep draws at least 32 samples (the
-estimator's minimum) and rarely more: on that machine one XYZ point
-(Jz = 0, one worker) drew 5061 samples over 154 steps in 63 s at N = 9 and
-5130 over 156 steps in 599 s at N = 10, so an N = 11 point needs about
-5 x 10^3 samples, over half an hour.  Run it on a beefy machine or chunk the
-sweep values.  Not part of the acceptance gate.
+works in real arithmetic on the two parity-sector blocks of the XYZ U_t
+(1024 x 1024 each at N = 11): U^dag P U is two half-size syrk blocks for an
+even x, or two 1024 x 2048 x 1024 products for an odd one, and its Schmidt
+purity across the 5|6 cut squares only the nonzero half of the real
+coefficient matrix, as two Gram blocks.  One string of an XYZ U_t (Jz = 0.5,
+t = 1) took 0.14-0.25 s, median 0.18 s, on a 2-core Xeon with two
+BLAS threads.  A timestep draws at least 32 samples (the estimator's
+minimum) and rarely more: one XYZ point (Jz = 0, one worker) drew 5061
+samples over 154 steps at N = 9 and 5130 over 156 steps at N = 10, so an
+N = 11 point needs about 5 x 10^3 samples, about a quarter of an hour of
+strings.  Run it on a beefy machine or chunk the sweep values.  Not part of
+the acceptance gate.
 
 The strings of one timestep do not share the thread pool at this size: one
-buffer set per thread is 128 MiB ([Re K, Im K] and the purity scratch) plus
-an 8 MiB Gram matrix, past the pool's 20 MiB budget, so each call keeps to
-one thread and BLAS keeps its threads.  Use --workers to spread sweep values
-over cores instead.
+buffer set per thread is 58 MiB ([Re K, Im K] of the two sector blocks, the
+purity scratch and a 2 MiB Gram matrix), past the pool's 20 MiB budget, so
+each call keeps to one thread and BLAS keeps its threads.  Use --workers to
+spread sweep values over cores instead.
 
 The script is a thin wrapper over `paulient spinchain-run`: it fixes --n 11
 and --mode sampled, and the CLI writes the CSV.  Its defaults for the other

@@ -14,27 +14,16 @@ oracle).  For fixed x bits all z values are handled at once:
     K_(x,z)[a1,a2] = (-i)^(x.z) sum_y (-1)^(z.y) sum_b
                       conj(u[y, a1, b]) u[y^x, a2, b]
 
-Where U has parity sectors (paulis._parity_sectors: exact zeros between
+Where U has two parity sectors (paulis._SectorLayout: exact zeros between
 even and odd basis states, as in every U_t of the XYZ chain), u[y, a, b] is
-nonzero only where par(b) = par(y) ^ par(a).  So the inner sum over b is
-zero unless par(y) ^ par(y^x) = par(x) equals q = par(a1) ^ par(a2): a pair
-of one q contributes only to the strings with par(x) = q, and its products
-over b run on the nonzero half of u, in two blocks of a quarter of the
-flops.  A U without sectors is the one-sector case (q = 0, every x) of the
-same kernel.
-
-The pairs (a1 <= a2) are taken a block of one q at a time.  For each block,
-one batched matrix product gives the inner sums over b for every (y, v) with
-par(y) ^ par(v) = q; the step of the Pauli-basis tables
-(paulis._pauli_columns) gathers the entries at v = y^x for every x of class
-q at once and transforms them over y into the whole z axis; and |.|^2,
-weighted over the block's pairs, gives the block's share of those columns
-of the g-table.  The shares are added per q in block order.  Neither the
-quadrupled space nor the full pair-correlation array is materialized.
-Calls whose pairs fill two or more blocks of the one-sector case (never at
-N <= 5) run their blocks through _threads.buffered_map, one set of block
-buffers per thread, on as many cores as a fixed memory budget allows; the
-table does not depend on the number of threads.
+nonzero only where par(b) = par(y) ^ par(a), so a pair a1 <= a2 with
+q = par(a1) ^ par(a2) contributes only to the strings with par(x) = q, from
+the nonzero half of u; a U without sectors is the one-sector case (q = 0,
+every x).  _pauli_g_table takes the pairs in blocks of one q, gathers and
+transforms each block's products with the step of the Pauli-basis tables
+(paulis._pauli_columns), and runs the blocks on the _threads pool; neither
+the quadrupled space nor the full pair-correlation array is materialized,
+and the table does not depend on the number of threads.
 
 Sampled mode evaluates E_lin(K) for K = U^dag P U one drawn string at a
 time, in real arithmetic, from two identities that hold because P is a
@@ -58,10 +47,9 @@ d^3 + d_A^4 d_B^2 / 2 real multiply-adds, where a complex product U^dag (P U)
 and a complex realigned Gram matrix take about 4 d^3 + 4 d_A^4 d_B^2.  The
 identity gives exactly 0.
 
-Where U has parity sectors S_0, S_1 (paulis._parity_sectors: exact zeros
-between even and odd basis states, as in every U_t of the XYZ chain), K maps
-S_s into S_(s ^ par(x)), and the same steps run on its nonzero blocks only
-(operators._SectorLayout), with U's two diagonal blocks U_s:
+Where U has two parity sectors S_0, S_1, K maps S_s into S_(s ^ par(x)),
+and the same steps run on its nonzero blocks only (stored as in
+paulis._SectorLayout), with U's two diagonal blocks U_s:
 
 - even x: K[S_s, S_s] from the rows of B in S_s, which read U_s alone; two
   syrk blocks of half size (for x = 0 from the fewer of the +1 and the -1
@@ -74,6 +62,9 @@ S_s into S_(s ^ par(x)), and the same steps run on its nonzero blocks only
   blocks, a quarter of the Gram flops.
 
 A U without sectors is the one-sector case of the same steps.
+
+Both modes take U's sectors as a layout and scan nothing: a call finds
+them once for its unitarity check and its kernel, a sweep point once, on H.
 
 From N = 8 the strings of one sampled call run through _threads.buffered_map,
 one buffer set per thread within the pool's memory budget.  A set is 4 d^2
@@ -102,15 +93,14 @@ import numpy as np
 
 from . import _threads
 from .errors import NotUnitary, SizeLimitExceeded
-from .operators import Bipartition, _HermitianPurity, _SectorLayout, is_unitary
+from .operators import Bipartition, _HermitianPurity, _unitary_layout, is_unitary
 from .paulis import (
     PauliString,
+    _SectorLayout,
     _operator_pauli_probs,
-    _parity_sectors,
     _parity_signs,
     _pauli_columns,
     _pauli_entries,
-    _sector_blocks,
     pauli_mul_matrix,
     pauli_to_dense,
     random_pauli,
@@ -146,7 +136,7 @@ class PauliPowerEstimate:
 _POOLED_STRINGS_MIN_QUBITS = 8
 
 
-def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
+def _pauli_g_table(u: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> np.ndarray:
     """g[x, z] = Tr((Tr_B(U^dag P(x,z) U))^2) for every phase-0 string.
 
     With u reshaped to u[y, k, t] (k = kept block, t = traced block), the
@@ -156,14 +146,13 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
 
         W_p[y, v] = sum_t conj(u[y, k1, t]) u[v, k2, t],   p = (k1 <= k2).
 
-    u's parity sectors (paulis._parity_sectors) are read once.  With them,
+    layout holds u's parity sectors, found by the caller; with two,
     u[y, k, t] is nonzero only where par(t) = par(y) ^ par(k), so u is stored
-    once as A[k, a] = u[S_a, k, T_(a ^ par(k))] (operators._SectorLayout of
-    y and of t: S_a and T_b the indices of parity a and b), and W_p is
-    nonzero only where par(y) ^ par(v) = q = par(k1) ^ par(k2): its block
-    on y in S_a is conj(A[k1, a]) A[k2, a ^ q]^T, two (d/2 x d_t/2) products
-    where one would be d x d_t.  Without sectors there is one: S_0 and T_0
-    hold every index, par(k) = 0, and A[k, 0] = u[:, k, :].
+    once as A[k, a] = u[S_a, k, T_(a ^ par(k))] (S_a and T_b the sectors of
+    y and of t), and W_p is nonzero only where par(y) ^ par(v) = q =
+    par(k1) ^ par(k2): its block on y in S_a is conj(A[k1, a]) A[k2, a ^ q]^T,
+    two (d/2 x d_t/2) products where one would be d x d_t.  With one sector,
+    S_0 and T_0 hold every index, par(k) = 0, and A[k, 0] = u[:, k, :].
 
     The pairs are taken in blocks of one q, of max(1, 2^17 sectors // d^2)
     pairs, so a block's W and its gather each hold about 2^17 complex entries
@@ -197,9 +186,8 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     else:
         dk, dt = bp.d_b, bp.d_a
         u3 = u.reshape(d, dt, dk).transpose(0, 2, 1)
-    parity = _parity_sectors(u) is not None
-    rows, keep, traced = (_SectorLayout.of(n, parity) for n in (d, dk, dt))
-    sectors, h = len(rows.index), rows.h
+    rows, sectors, h = layout, len(layout.index), layout.h
+    keep, traced = (_SectorLayout.of(n, sectors == 2) for n in (dk, dt))
     # A[k, a, rank y, rank t] = u3[S_a, k, T_(a ^ par(k))], contiguous
     t_of = np.stack(traced.index)[np.arange(sectors) ^ keep.sector[:, None]]
     byk = u3[np.stack(rows.index)[None, :, :, None], np.arange(dk)[:, None, None, None],
@@ -263,34 +251,25 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition) -> np.ndarray:
     return g
 
 
-def _exact_value(u: np.ndarray, bp: Bipartition) -> float:
-    g = _pauli_g_table(u, bp)
-    total = math.fsum((g**2).ravel().tolist())
-    return 1.0 - total / float(bp.d) ** 4
-
-
 @lru_cache(maxsize=1)
-def _sector_purity(n_a: int, n_b: int, parity: bool) -> tuple[_SectorLayout, _HermitianPurity]:
-    """The layout and the purity of sampled strings on one bipartition, kept
-    for the next call: a sweep asks for the same one at every step, and its
-    gather indices take 5 ms to build at N = 9 (4 MiB at 4|5, 64 MiB at
-    N = 11), so only the most recent is kept."""
-    bp = Bipartition(n_a, n_b)
-    layout = _SectorLayout.of(bp.d, parity)
-    return layout, _HermitianPurity(bp, layout)
+def _sector_purity(bp: Bipartition, parity: bool) -> _HermitianPurity:
+    """The purity of sampled strings on one bipartition, kept for the next
+    call: a sweep asks for the same one at every step, and its gather
+    indices take 5 ms to build at N = 9 (4 MiB at 4|5, 64 MiB at N = 11), so
+    only the most recent is kept."""
+    return _HermitianPurity(bp, _SectorLayout.of(bp.d, parity))
 
 
-def _string_elin(u: np.ndarray, bp: Bipartition) -> tuple[
+def _string_elin(u: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> tuple[
         Callable[[PauliString, tuple], float], Callable[[], tuple]]:
     """(value, new_set): value(p, buffers) is E_lin(U^dag P U) for a phase-0
     string P, by the sampled-mode identities of the module docstring, worked
-    in one set of buffers from new_set().  The sector blocks of u are copied
-    once per call and the purity's gather indices once per bipartition
-    (_sector_purity); both are only read, so calls with sets of their own
-    may run at once."""
-    sectors, blocks = _sector_blocks(u)
-    layout, purity = _sector_purity(bp.n_a, bp.n_b, sectors is not None)
-    blocks = [np.ascontiguousarray(b, dtype=complex) for b in blocks]
+    in one set of buffers from new_set().  The blocks of u on the layout's
+    sectors are copied once per call and the purity's gather indices once
+    per bipartition (_sector_purity); both are only read, so calls with sets
+    of their own may run at once."""
+    purity = _sector_purity(bp, len(layout.index) == 2)
+    blocks = [np.ascontiguousarray(b, dtype=complex) for b in layout.blocks(u)]
     h = layout.h
     hh = h * h
 
@@ -399,15 +378,17 @@ def pauli_entangling_power(
     """
     if u.shape[0] != bp.d:
         raise ValueError("operator dimension does not match the bipartition")
-    if not is_unitary(u):
+    layout = _unitary_layout(u)
+    if layout is None:
         raise NotUnitary("Pauli-entangling power needs a unitary")
-    return _pauli_entangling_power(u, bp, mode, rng, sem_target, n_samples, min_samples,
-                                   max_samples, exact_limit)
+    return _pauli_entangling_power(u, bp, layout, mode, rng, sem_target, n_samples,
+                                   min_samples, max_samples, exact_limit)
 
 
 def _pauli_entangling_power(
     u: np.ndarray,
     bp: Bipartition,
+    layout: _SectorLayout,
     mode: str = "exact",
     rng: np.random.Generator | None = None,
     sem_target: float = DEFAULT_SEM_TARGET,
@@ -417,13 +398,15 @@ def _pauli_entangling_power(
     exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> PauliPowerEstimate:
     """pauli_entangling_power without its dimension and unitarity checks, for
-    callers whose u is unitary by construction."""
+    callers whose u is unitary by construction and whose sectors they know
+    (layout: u is exactly zero between them)."""
     if mode == "exact":
         if bp.n_qubits > exact_limit:
             raise SizeLimitExceeded(
                 f"exact mode enumerates 4^{bp.n_qubits} strings; limit is {exact_limit} qubits"
             )
-        value = _exact_value(u, bp)
+        g = _pauli_g_table(u, bp, layout)
+        value = 1.0 - math.fsum((g**2).ravel().tolist()) / float(bp.d) ** 4
         return PauliPowerEstimate(value=value, mode="exact", n_samples=4**bp.n_qubits, sem=0.0,
                                   converged=True)
     if mode != "sampled":
@@ -438,7 +421,7 @@ def _pauli_entangling_power(
         raise ValueError(f"min_samples must be at least 2, got {min_samples}")
     # with a fixed count the rule can only fire at the cap itself
     n_min, cap = (min_samples, max_samples) if n_samples is None else (n_samples, n_samples)
-    string_elin, new_set = _string_elin(u, bp)
+    string_elin, new_set = _string_elin(u, bp, layout)
     start = rng.bit_generator.state
     strings = (random_pauli(bp.n_qubits, rng) for _ in range(cap))
     n_tasks = cap if bp.n_qubits >= _POOLED_STRINGS_MIN_QUBITS else 1

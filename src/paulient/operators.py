@@ -1,10 +1,10 @@
 """Dense operator linear algebra over a bipartitioned qubit register:
 realignment, operator-Schmidt spectra, operator entanglement, Haar sampling.
 
-An operator that is exactly zero between the even- and odd-popcount basis
-states (paulis._parity_sectors), such as every U_t of the XYZ chain, is
-checked for unitarity and realigned block by block: U^dag U and the
-realignment's Gram matrix are then block-diagonal, and only their two
+An operator with two parity sectors (paulis._SectorLayout, found once per
+public call for its check and its kernel), such as every U_t of the XYZ
+chain, is checked for unitarity and realigned block by block: U^dag U and
+the realignment's Gram matrix are then block-diagonal, and only their two
 diagonal blocks are computed.  Any other operator is the one-block case.
 
 All entropies are base-2 (bits).
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary
-from .paulis import _parity_index, _parity_sectors, _sector_blocks
+from .paulis import _SectorLayout
 
 UNITARITY_TOL = 1e-8
 
@@ -53,20 +53,27 @@ class Bipartition:
 
 def is_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     """False for anything but a non-empty square 2-D array within tol of
-    unitary: ||U^dag U - I||_F / sqrt(d) <= tol.  Where U has parity sectors
-    (paulis._parity_sectors), U^dag U is exactly zero between them, so the
-    norm is summed over the diagonal blocks U_s^dag U_s - I."""
+    unitary: ||U^dag U - I||_F / sqrt(d) <= tol."""
+    return _unitary_layout(matrix, tol) is not None
+
+
+def _unitary_layout(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> _SectorLayout | None:
+    """The parity sectors of matrix (_SectorLayout.find) where
+    is_unitary(matrix, tol) holds, else None: the check of a public call,
+    whose kernel then takes the same layout."""
     if np.ndim(matrix) != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.shape[0]:
-        return False
+        return None
+    layout = _SectorLayout.find(matrix)
+    return layout if _within_unitary(matrix, layout, tol) else None
+
+
+def _within_unitary(matrix: np.ndarray, layout: _SectorLayout, tol: float = UNITARITY_TOL) -> bool:
+    """is_unitary's norm for a square matrix with the given sectors, summed
+    over the blocks U_s^dag U_s - I: U^dag U is exactly zero between them."""
     squares = 0.0
-    for block in _sector_blocks(matrix)[1]:
+    for block in layout.blocks(matrix):
         squares += np.linalg.norm(block.conj().T @ block - np.eye(block.shape[0])) ** 2
     return bool(np.sqrt(squares) / np.sqrt(matrix.shape[0]) <= tol)
-
-
-def _require_unitary(matrix: np.ndarray) -> None:
-    if not is_unitary(matrix):
-        raise NotUnitary("operator is not unitary within tolerance")
 
 
 def realign(op: np.ndarray, bp: Bipartition) -> np.ndarray:
@@ -82,69 +89,48 @@ def realign(op: np.ndarray, bp: Bipartition) -> np.ndarray:
     )
 
 
-def _realigned_grams(op: np.ndarray, bp: Bipartition) -> list[np.ndarray]:
+def _realigned_grams(op: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> list[np.ndarray]:
     """R R^dag or R^dag R, on the smaller side, of each block of the
     realignment R; together their eigenvalues are the operator-Schmidt
-    coefficients.  R is one block, or two where op has parity sectors: then
+    coefficients.  R is one block, or two where op has two sectors: then
     R[(a,a'), (b,b')] is nonzero only where par(a) ^ par(a') = par(b) ^ par(b'),
     the parities of R's row and column indices, and each block is a quarter
     of the Gram flops of R."""
     r = realign(op, bp)
     blocks = [r]
-    if _parity_sectors(op) is not None:
-        blocks = [r[np.ix_(rows, cols)]
-                  for rows, cols in zip(_parity_index(r.shape[0]), _parity_index(r.shape[1]))]
+    if len(layout.index) == 2:
+        rows, cols = (_SectorLayout.of(n, True).index for n in r.shape)
+        blocks = [r[np.ix_(i, j)] for i, j in zip(rows, cols)]
     return [b @ b.conj().T if b.shape[0] <= b.shape[1] else b.conj().T @ b for b in blocks]
 
 
 def operator_schmidt_spectrum(op: np.ndarray, bp: Bipartition) -> np.ndarray:
     """Operator-Schmidt coefficients (squared singular values of the
     realignment), sorted descending; sums to 1 for unitary input."""
-    lam = np.concatenate([np.linalg.eigvalsh(g) for g in _realigned_grams(op, bp)])
+    return _schmidt_spectrum(op, bp, _SectorLayout.find(op))
+
+
+def _schmidt_spectrum(op: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> np.ndarray:
+    lam = np.concatenate([np.linalg.eigvalsh(g) for g in _realigned_grams(op, bp, layout)])
     return np.clip(np.sort(lam.real)[::-1], 0.0, None)
 
 
-def _sum_lambda_sq(op: np.ndarray, bp: Bipartition) -> float:
-    return float(sum(np.sum(np.abs(g) ** 2) for g in _realigned_grams(op, bp)))
+def _sum_lambda_sq(op: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> float:
+    return float(sum(np.sum(np.abs(g) ** 2) for g in _realigned_grams(op, bp, layout)))
 
 
-@dataclass(frozen=True)
-class _SectorLayout:
-    """How a Hermitian d x d operator K is stored that maps each parity
-    sector s only into sector s ^ p, with p = 0 or 1 fixed per operator: as
-    one float array of shape (sectors, 2, h, h) holding, for each row sector
-    s, Re K and Im K of the h x h block K[S_s, S_(s^p)].  K[i, j] is entry
-    (rank[i], rank[j]) of block sector[i].  With one sector (h = d, rank[i] =
-    i) this is the plain [Re K, Im K] of any K."""
-
-    index: tuple[np.ndarray, ...]  # each sector's indices, in rank order
-    sector: np.ndarray  # the sector of each index
-    rank: np.ndarray  # the position of each index within its sector
-    h: int
-
-    @classmethod
-    def of(cls, d: int, parity: bool) -> "_SectorLayout":
-        ys = np.arange(d)
-        if not parity:
-            return cls((ys,), np.zeros(d, dtype=np.intp), ys, d)
-        # of 2k and 2k+1 exactly one is even, so i is number i >> 1 of its sector
-        return cls(_parity_index(d), (np.bitwise_count(ys) & 1).astype(np.intp), ys >> 1,
-                   d // 2)
-
-    def new_parts(self) -> np.ndarray:
-        return np.empty((len(self.index), 2, self.h, self.h))
-
-
-def _hermitian_bases(n: int, parity: bool) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
-    """The Hermitian orthonormal basis of n x n matrices as
-    (lo, hi, n_diagonal, n_symmetric): |a><a|, then (|a><a'| + h.c.)/sqrt2
-    and then i(|a><a'| - h.c.)/sqrt2 for each a < a', so the antisymmetric
-    ones come last.  One list, or with parity one for each q = par(a) ^
-    par(a'), 0 then 1, in the same order within each."""
+def _hermitian_bases(layout: _SectorLayout) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """The Hermitian orthonormal basis of n x n matrices, n the layout's
+    size, as (lo, hi, n_diagonal, n_symmetric): |a><a|, then
+    (|a><a'| + h.c.)/sqrt2 and then i(|a><a'| - h.c.)/sqrt2 for each a < a',
+    so the antisymmetric ones come last.  One list for each
+    q = sector(a) ^ sector(a'), 0 then 1 with two sectors, in the same order
+    within each."""
+    n = layout.sector.size
     lo, hi = np.triu_indices(n, 1)
-    q = np.bitwise_count(lo ^ hi) & 1 if parity else np.zeros(lo.size, dtype=np.uint8)
+    q = layout.sector[lo] ^ layout.sector[hi]
     bases = []
-    for value in (0, 1) if parity else (0,):
+    for value in range(len(layout.index)):
         diag = np.arange(n if value == 0 else 0)
         lo_q, hi_q = lo[q == value], hi[q == value]
         bases.append((np.concatenate([diag, lo_q, lo_q]), np.concatenate([diag, hi_q, hi_q]),
@@ -184,9 +170,8 @@ class _HermitianPurity:
     their own may run at once.
     """
 
-    def __init__(self, bp: Bipartition, layout: _SectorLayout | None = None):
+    def __init__(self, bp: Bipartition, layout: _SectorLayout):
         da, db, d = bp.d_a, bp.d_b, bp.d
-        layout = _SectorLayout.of(d, parity=False) if layout is None else layout
         parity = len(layout.index) == 2
         hh = layout.h * layout.h
 
@@ -207,10 +192,11 @@ class _HermitianPurity:
             out += col_rank
             return out
 
+        bases_a, bases_b = (_hermitian_bases(_SectorLayout.of(n, parity)) for n in (da, db))
         self._blocks: list[list] = [[], []]  # by p
-        for q_a, (lo_a, hi_a, diag_a, sym_a) in enumerate(_hermitian_bases(da, parity)):
+        for q_a, (lo_a, hi_a, diag_a, sym_a) in enumerate(bases_a):
             rows, rows_t = side(lo_a, hi_a, sym_a, db)
-            for q_b, (lo_b, hi_b, diag_b, sym_b) in enumerate(_hermitian_bases(db, parity)):
+            for q_b, (lo_b, hi_b, diag_b, sym_b) in enumerate(bases_b):
                 cols, cols_t = side(lo_b, hi_b, sym_b, 1)
                 first = offsets(rows, cols)  # alpha
                 second = offsets(rows, cols_t)  # beta
@@ -256,7 +242,7 @@ class _HermitianPurity:
 def linear_entanglement_unitary(op: np.ndarray, bp: Bipartition) -> float:
     """E_lin = 1 - sum of squared Schmidt coefficients; assumes unitary input
     (no check), for use in hot loops over evolved Paulis."""
-    return 1.0 - _sum_lambda_sq(op, bp)
+    return 1.0 - _sum_lambda_sq(op, bp, _SectorLayout.find(op))
 
 
 def operator_entanglement(
@@ -274,13 +260,15 @@ def operator_entanglement(
     if measure == "schmidt_rank":
         lam = operator_schmidt_spectrum(op, bp)
         return float(np.count_nonzero(lam > rank_tol * lam[0]))
-    _require_unitary(op)
+    layout = _unitary_layout(op)
+    if layout is None:
+        raise NotUnitary("operator is not unitary within tolerance")
     if measure == "linear":
-        return linear_entanglement_unitary(op, bp)
+        return 1.0 - _sum_lambda_sq(op, bp, layout)
     if measure == "renyi":
         if alpha is None:
             raise ValueError("renyi measure needs alpha")
-        lam = operator_schmidt_spectrum(op, bp)
+        lam = _schmidt_spectrum(op, bp, layout)
         lam = lam[lam > 1e-300]
         if abs(alpha - 1.0) < 1e-12:
             return float(-np.sum(lam * np.log2(lam)))

@@ -24,6 +24,9 @@ Encoding conventions used throughout the package:
   adjoint operator_from_pauli_table and the exact P_E g-table all run it;
   the g-table passes its own index, into the nonzero blocks of its pair
   correlations, for the x of one parity class.
+* Parity sectors, the indices of even and of odd popcount, are described by
+  one _SectorLayout; a public call finds its operator's once, a spin-chain
+  sweep point its H's once, and every kernel takes the layout it is given.
 """
 
 from __future__ import annotations
@@ -207,46 +210,64 @@ def _parity_signs(values: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(values) & 1)
 
 
-@lru_cache(maxsize=16)
-def _parity_index(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd): the indices 0..d-1 of even and of odd popcount, each in
-    increasing order, read-only.  Of 2k and 2k+1 exactly one is even, so
-    index i sits at position i >> 1 of its own set."""
-    ys = np.arange(d)
-    odd = np.bitwise_count(ys) & 1 == 1
-    even, odd = ys[~odd], ys[odd]
-    even.flags.writeable = odd.flags.writeable = False
-    return even, odd
+@dataclass(frozen=True, eq=False)
+class _SectorLayout:
+    """The parity sectors of d x d operators: S_0 and S_1, the indices of
+    even and of odd popcount, or one sector S_0 of every index.  An operator
+    exactly zero between S_0 and S_1, as is every one that commutes with Z^N
+    (the XYZ chain's H and U_t), is worked on by its blocks on the two;
+    every operator is the one-sector case.  A public call finds the layout
+    of its operator once (find) for its check and its kernel.
 
+    new_parts stores a Hermitian K that maps each sector s only into s ^ p,
+    p = 0 or 1, as the h x h blocks K[S_s, S_(s^p)], Re and Im, for each s:
+    K[i, j] is entry (rank[i], rank[j]) of block sector[i]."""
 
-def _parity_sectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """_parity_index(d) when every entry of the square m between an even and
-    an odd index is exactly 0.0, else None.
+    index: tuple[np.ndarray, ...]  # each sector's indices, in rank order
+    sector: np.ndarray  # the sector of each index
+    rank: np.ndarray  # the position of each index within its sector
+    h: int
 
-    No tolerance: a coupling however small, or a NaN, keeps the sectors
-    joined.  Operators that commute with Z^N (the XYZ chain and its U_t) have
-    these sectors.  Row 0 is read first, where most matrices without sectors
-    stop; then each block a few rows at a time, never copied whole."""
-    d = m.shape[0]
-    even, odd = _parity_index(d)
-    if d and m[0, odd].any():
-        return None
-    step = max(1, (1 << 16) // max(d, 1))
-    for rows, cols in ((even, odd), (odd, even)):
-        for k in range(0, rows.size, step):
-            if m[rows[k:k + step, None], cols].any():  # a NaN is truthy too
-                return None
-    return even, odd
+    @classmethod
+    @lru_cache(maxsize=16)
+    def of(cls, d: int, parity: bool) -> "_SectorLayout":
+        """The two sectors of d indices, or with parity False the one;
+        shared and read-only."""
+        ys, parity = np.arange(d), int(parity)
+        # of 2k and 2k+1 exactly one is even, so i is number i >> 1 of its sector
+        sector = (np.bitwise_count(ys) & parity).astype(np.intp)
+        layout = cls(tuple(ys[sector == s] for s in range(1 + parity)), sector, ys >> parity,
+                     d >> parity)
+        for array in (*layout.index, layout.sector, layout.rank):
+            array.flags.writeable = False
+        return layout
 
+    @classmethod
+    def find(cls, m: np.ndarray) -> "_SectorLayout":
+        """The two sectors when every entry of the square m between an even
+        and an odd index is exactly 0.0, else one (also where m is not
+        square or a sector would be empty).
 
-def _sector_blocks(m: np.ndarray) -> tuple[tuple[np.ndarray, ...] | None, list[np.ndarray]]:
-    """(sectors, blocks): the non-empty parity sectors of the square m and
-    its diagonal blocks m[s, s] on them, or (None, [m]) when m has none."""
-    sectors = _parity_sectors(m)
-    if sectors is None:
-        return None, [m]
-    sectors = tuple(s for s in sectors if s.size)
-    return sectors, [m[np.ix_(s, s)] for s in sectors]
+        No tolerance: a coupling however small, or a NaN, keeps the sectors
+        joined.  Row 0 is read first, where most matrices without sectors
+        stop; then each block a few rows at a time, never copied whole."""
+        d = len(m)
+        even, odd = cls.of(d, True).index
+        if d < 2 or m.shape != (d, d) or m[0, odd].any():
+            return cls.of(d, False)
+        step = max(1, (1 << 16) // d)
+        for rows, cols in ((even, odd), (odd, even)):
+            for k in range(0, rows.size, step):
+                if m[rows[k:k + step, None], cols].any():  # a NaN is truthy too
+                    return cls.of(d, False)
+        return cls.of(d, True)
+
+    def blocks(self, m: np.ndarray) -> list[np.ndarray]:
+        """The diagonal blocks m[S_s, S_s]: [m] itself for one sector."""
+        return [m] if len(self.index) == 1 else [m[np.ix_(s, s)] for s in self.index]
+
+    def new_parts(self) -> np.ndarray:
+        return np.empty((len(self.index), 2, self.h, self.h))
 
 
 def random_pauli(n_qubits: int, rng: np.random.Generator) -> PauliString:

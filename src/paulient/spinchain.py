@@ -8,11 +8,12 @@ z = 1.96, reached through long_time_average.  A sweep point feeds it the
 pairs (P_E(U_t), E_lin(U_t)) at t = k dt, one timestep at a time, and stops
 once both half-widths are below the threshold.  The XYZ chain commutes
 with Z^N: its H and every U_t are exactly zero between the two parity
-sectors, and HamiltonianPropagator, E_lin and the sampled strings work on
-their blocks (see HamiltonianPropagator and entpower's docstring); the TFIM
-with g != 0 is one sector.  run_sweep_experiment
-returns one SweepRow per sweep value; the CLI's spinchain-run writes them as
-CSV under SWEEP_COLUMNS.
+sectors, and HamiltonianPropagator, E_lin and P_E work on their blocks (see
+HamiltonianPropagator and entpower's docstring); the TFIM with g != 0 is
+one sector.  A sweep point finds the sectors once, from H, and passes them
+to the P_E and E_lin kernels at every step.  run_sweep_experiment returns
+one SweepRow per sweep value; the CLI's spinchain-run writes them as CSV
+under SWEEP_COLUMNS.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 from . import _threads
 from .entpower import DEFAULT_EXACT_LIMIT, DEFAULT_SEM_TARGET, _pauli_entangling_power
 from .errors import NotHermitian, NotUnitary, SizeLimitExceeded
-from .operators import Bipartition, is_unitary, linear_entanglement_unitary
-from .paulis import DENSE_LIMIT, PauliString, _pauli_entries, _sector_blocks
+from .operators import Bipartition, _sum_lambda_sq, _within_unitary
+from .paulis import DENSE_LIMIT, PauliString, _pauli_entries, _SectorLayout
 from .stats import run_until_converged
 
 DEFAULT_DT = 0.2
@@ -90,32 +91,35 @@ def build_hamiltonian(model: SpinChainModel) -> np.ndarray:
 class HamiltonianPropagator:
     """exp(-i H t) for many t from one eigendecomposition per parity sector.
 
-    Where H has parity sectors (paulis._parity_sectors: every entry between
-    an even and an odd basis state exactly 0, as in the XYZ chain, which
-    commutes with Z^N), each sector's block is diagonalized on its own;
-    otherwise H is one sector.  A real H (H.imag exactly 0) gets real eigh.
-    energies and modes hold one array per sector.  unitary_at writes each
-    sector's V exp(-i E t) V^dag into its block of a zero d x d matrix, so
-    U_t is exactly 0 between sectors; with real modes that block is A - iB,
-    A = (V cos Et) V^T and B = (V sin Et) V^T, two real products."""
+    sectors is H's paulis._SectorLayout, found once: two where H is exactly
+    0 between even and odd basis states (the XYZ chain commutes with Z^N),
+    else one.  energies and modes hold one array per sector, from real eigh
+    of its block where H.imag is exactly 0.  unitary_at writes each
+    sector's V exp(-i E t) V^dag into a zero d x d matrix, so U_t has H's
+    sectors; real modes give A - iB, A = (V cos Et) V^T and
+    B = (V sin Et) V^T.  A non-square H raises ValueError, and one that is
+    not Hermitian (NaN and inf entries included) NotHermitian."""
 
     def __init__(self, ham: np.ndarray):
-        if np.linalg.norm(ham - ham.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(ham)):
+        if np.ndim(ham) != 2 or ham.shape[0] != ham.shape[1]:
+            raise ValueError(f"propagator needs a square generator, got shape {np.shape(ham)}")
+        # "not <=" so that a NaN norm, from a NaN or inf entry, fails too
+        if not np.linalg.norm(ham - ham.conj().T) <= HERMITIAN_TOL * max(1.0, np.linalg.norm(ham)):
             raise NotHermitian("propagator needs a Hermitian generator")
         self.dim = ham.shape[0]
         if not np.any(ham.imag):
             ham = ham.real
-        self.sectors, blocks = _sector_blocks(ham)
-        self.energies, self.modes = zip(*(np.linalg.eigh(b) for b in blocks))
+        self.sectors = _SectorLayout.find(ham)
+        self.energies, self.modes = zip(*(np.linalg.eigh(b) for b in self.sectors.blocks(ham)))
 
     def unitary_at(self, t: float) -> np.ndarray:
         if t == 0.0:
             return np.eye(self.dim, dtype=complex)
         blocks = [_evolve_block(e, v, t) for e, v in zip(self.energies, self.modes)]
-        if self.sectors is None:
+        if len(blocks) == 1:
             return blocks[0]
         u = np.zeros((self.dim, self.dim), dtype=complex)
-        for index, block in zip(self.sectors, blocks):
+        for index, block in zip(self.sectors.index, blocks):
             u[np.ix_(index, index)] = block
         return u
 
@@ -225,16 +229,17 @@ def _sweep_point(
     def steps():
         # built on the first step, so a rejected step cap costs no eigh
         prop = HamiltonianPropagator(build_hamiltonian(model))
-        # U_t = V diag(phases) V^dag is unitary whenever the modes V are, so
-        # one check per sector here stands for the per-step checks of the
-        # public calls
-        if not all(is_unitary(modes) for modes in prop.modes):
+        # U_t = V diag(phases) V^dag is unitary whenever the modes V are, and
+        # exactly 0 between H's sectors: one check per sector and prop.sectors
+        # stand for the per-step checks and scans of the public calls
+        if not all(_within_unitary(v, _SectorLayout.of(len(v), False)) for v in prop.modes):
             raise NotUnitary("propagator modes are not unitary within tolerance")
         for k in itertools.count():
             u_t = prop.unitary_at(k * dt)
-            est = _pauli_entangling_power(u_t, bp, mode=mode, rng=rng, sem_target=pe_sem_target)
+            est = _pauli_entangling_power(u_t, bp, prop.sectors, mode=mode, rng=rng,
+                                          sem_target=pe_sem_target)
             samples.append(est.n_samples)
-            yield est.value, linear_entanglement_unitary(u_t, bp)
+            yield est.value, 1.0 - _sum_lambda_sq(u_t, bp, prop.sectors)
 
     (mean_pe, mean_e), ts = long_time_average(steps(), dt, sem_threshold, n_min, max_steps)
     pe_half_width, e_half_width = ts.running_sem
@@ -273,19 +278,21 @@ def run_sweep_experiment(
     strings per timestep, for n_sites <= DEFAULT_EXACT_LIMIT only;
     mode="sampled" draws strings per timestep until the estimator's standard
     error is below pe_sem_target, which must be positive.  These conditions,
-    a finite positive dt and workers >= 1 are checked before any Hamiltonian
-    is built (SizeLimitExceeded, ValueError).  Each point checks its
-    propagator's modes for unitarity once per parity sector (NotUnitary)
-    and runs long_time_average on its (P_E, E_lin) pairs: it stops once n_min steps
-    are in and both 1.96 sigma / sqrt(N_t) are below sem_threshold, or at
-    max_steps with converged=False.  max_steps < 1 raises ValueError.  With
-    workers > 1, each worker process runs the exact g-table on
-    max(1, cores // workers) threads.
+    finite sweep values, a finite positive dt and workers >= 1 are checked
+    before any Hamiltonian is built (SizeLimitExceeded, ValueError).  Each
+    point checks its propagator's modes for unitarity once per parity sector
+    (NotUnitary) and runs long_time_average on its (P_E, E_lin) pairs: it
+    stops once n_min steps are in and both 1.96 sigma / sqrt(N_t) are below
+    sem_threshold, or at max_steps with converged=False.  max_steps < 1
+    raises ValueError.  With workers > 1, each worker process runs the exact
+    g-table on max(1, cores // workers) threads.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if not 0 < dt < np.inf:  # also rejects NaN
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not np.all(np.isfinite(sweep_values)):
+        raise ValueError(f"sweep values must be finite, got {list(sweep_values)}")
     if mode == "sampled" and not pe_sem_target > 0:  # also rejects NaN
         raise ValueError(f"pe_sem_target must be positive, got {pe_sem_target}")
     if workers < 1:

@@ -22,7 +22,7 @@ from paulient.errors import NotUnitary, SizeLimitExceeded
 from paulient.operators import Bipartition, haar_random_unitary, random_local_unitary
 from paulient.paulis import (
     PauliString,
-    _parity_sectors,
+    _SectorLayout,
     _wht_real,
     clifford_to_dense,
     random_clifford,
@@ -87,14 +87,14 @@ class TestExactMode:
         n, d = 7, 128
         model = XYZModel(n_sites=n, j_z=0.4)
         xyz = HamiltonianPropagator(build_hamiltonian(model)).unitary_at(1.3)
-        assert _parity_sectors(xyz) is not None
+        assert len(_SectorLayout.find(xyz).index) == 2
         entries = [(0, 0), (0, 1 + int(rng.integers(d - 1))),
                    (1 + int(rng.integers(d - 1)), 0), (d - 1, d - 1)]
         entries += [tuple(int(v) for v in rng.integers(0, d, size=2)) for _ in range(36)]
         for u in (haar_random_unitary(d, rng), xyz):
             for n_a in (3, 4):
                 da, db = 2**n_a, 2 ** (n - n_a)
-                table = _pauli_g_table(u, Bipartition(n_a, n - n_a))
+                table = _pauli_g_table(u, Bipartition(n_a, n - n_a), _SectorLayout.find(u))
                 for x, z in entries:
                     label = "".join("IZXY"[2 * ((x >> s) & 1) + ((z >> s) & 1)]
                                     for s in range(n - 1, -1, -1))
@@ -112,11 +112,12 @@ class TestExactMode:
             u = HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0)
             joined = u.copy()
             joined[0, 1] = 1e-300
-            assert _parity_sectors(u) is not None and _parity_sectors(joined) is None
+            layout, one = _SectorLayout.find(u), _SectorLayout.find(joined)
+            assert (len(layout.index), len(one.index)) == (2, 1)
             for n_a in range(1, n):
                 bp = Bipartition(n_a, n - n_a)
-                want = _pauli_g_table(joined, bp)
-                got = _pauli_g_table(u, bp)
+                want = _pauli_g_table(joined, bp, one)
+                got = _pauli_g_table(u, bp, layout)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want), (n, n_a)
 
     def test_sector_path_gives_exact_zero_on_diagonal_phases(self):
@@ -128,7 +129,7 @@ class TestExactMode:
             for k in rng.integers(0, 4, n):
                 phases = np.kron(phases, [1.0, 1j**k])
             for u in (np.eye(2**n, dtype=complex), np.diag(phases)):
-                assert _parity_sectors(u) is not None
+                assert len(_SectorLayout.find(u).index) == 2
                 for n_a in range(1, n):
                     assert pauli_entangling_power(u, Bipartition(n_a, n - n_a)).value == 0.0
 
@@ -232,7 +233,7 @@ class TestSampledMode:
             picks += [int(k) for k in rng.integers(0, 4**n, count)]
             cases.append((haar_random_unitary(2**n, rng), (n_a, n_b), picks))
         for u, (n_a, n_b), picks in cases:
-            string_elin, new_set = _string_elin(u, Bipartition(n_a, n_b))
+            string_elin, new_set = _string_elin(u, Bipartition(n_a, n_b), _SectorLayout.find(u))
             buffers = new_set()
             assert string_elin(PauliString.identity(n_a + n_b), buffers) == 0.0
             for k in picks:
@@ -267,7 +268,8 @@ class TestSampledMode:
             model = XYZModel(n_sites=bp.n_qubits, j_z=0.3)
             u = (HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0) if kind == "xyz"
                  else haar_random_unitary(bp.d, np.random.default_rng(bp.n_a)))
-            assert (_parity_sectors(u) is not None) == (kind == "xyz")
+            layout = _SectorLayout.find(u)
+            assert len(layout.index) == (2 if kind == "xyz" else 1)
             # Haar strings spread far less (a standard error of 1.4e-5 after
             # 8 strings at N = 8, 2.7e-6 at N = 9), so their rule needs a
             # lower target to stop past the first n_min strings
@@ -277,7 +279,7 @@ class TestSampledMode:
                 est = pauli_entangling_power(u, bp, mode="sampled", rng=rng, min_samples=8,
                                              sem_target=sem_target, n_samples=fixed)
                 serial_rng = np.random.default_rng(43)
-                string_elin, new_set = _string_elin(u, bp)
+                string_elin, new_set = _string_elin(u, bp, layout)
                 buffers = new_set()
                 draws = (string_elin(random_pauli(bp.n_qubits, serial_rng), buffers)
                          for _ in itertools.count())
@@ -321,7 +323,8 @@ class TestSampledMode:
             picks += [PauliString(n, x, int(rng.integers(0, full + 1))) for x in even + odd]
             for u, n_a in itertools.product((xyz, haar_random_unitary(2**n, rng)),
                                             (n // 2, n - n // 2)):
-                string_elin, new_set = _string_elin(u, Bipartition(n_a, n - n_a))
+                string_elin, new_set = _string_elin(u, Bipartition(n_a, n - n_a),
+                                                    _SectorLayout.find(u))
                 buffers = new_set()
                 assert string_elin(PauliString.identity(n), buffers) == 0.0
                 for p in picks:

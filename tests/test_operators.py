@@ -5,7 +5,6 @@ from paulient.errors import NotUnitary
 from paulient.operators import (
     Bipartition,
     _HermitianPurity,
-    _SectorLayout,
     _sum_lambda_sq,
     haar_random_unitary,
     is_unitary,
@@ -14,7 +13,7 @@ from paulient.operators import (
     random_local_unitary,
     realign,
 )
-from paulient.paulis import _parity_sectors, pauli_to_dense, random_pauli
+from paulient.paulis import _SectorLayout, pauli_to_dense, random_pauli
 from paulient.spinchain import HamiltonianPropagator, XYZModel, build_hamiltonian
 
 from conftest import CNOT, SWAP, dense_pauli, oracle_schmidt_values
@@ -84,9 +83,10 @@ class TestHermitianPurity:
                 bp = Bipartition(n_a, n - n_a)
                 h = rng.standard_normal((bp.d, bp.d)) + 1j * rng.standard_normal((bp.d, bp.d))
                 h = h + h.conj().T
-                purity = _HermitianPurity(bp)
+                one = _SectorLayout.of(bp.d, parity=False)
+                purity = _HermitianPurity(bp, one)
                 scratch, gram = purity.new_set()
-                want = _sum_lambda_sq(h, bp)
+                want = _sum_lambda_sq(h, bp, one)
                 assert abs(purity(np.stack([h.real, h.imag]), scratch, gram) - want) <= 1e-12 * want
                 # a call reads nothing the last call left in its scratch
                 scratch[:] = np.nan
@@ -111,7 +111,7 @@ class TestHermitianPurity:
                     for sector, index in enumerate(layout.index):
                         block = h[np.ix_(index, layout.index[sector ^ p])]
                         parts[sector] = block.real, block.imag
-                    want = _sum_lambda_sq(h, bp)
+                    want = _sum_lambda_sq(h, bp, _SectorLayout.of(bp.d, parity=False))
                     assert abs(purity(parts, scratch, gram, p) - want) <= 1e-12 * want
 
 
@@ -120,7 +120,7 @@ class TestSectors:
         for n, t in ((4, 0.7), (5, 1.9), (6, 3.1)):
             h = build_hamiltonian(XYZModel(n_sites=n, j_z=0.6))
             u = HamiltonianPropagator(h).unitary_at(t)
-            assert _parity_sectors(u) is not None
+            assert len(_SectorLayout.find(u).index) == 2
             for n_a in range(1, n):
                 bp = Bipartition(n_a, n - n_a)
                 lam = operator_schmidt_spectrum(u, bp)
@@ -134,7 +134,7 @@ class TestSectors:
         # tolerance 1e-8 falls between delta = 4e-9 and 6e-9, as without sectors
         u = HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=4))).unitary_at(1.1)
         haar = haar_random_unitary(16, np.random.default_rng(2))
-        assert _parity_sectors(u) is not None and _parity_sectors(haar) is None
+        assert [len(_SectorLayout.find(m).index) for m in (u, haar)] == [2, 1]
         for m in (u, haar):
             assert is_unitary(m * (1 + 4e-9)) and not is_unitary(m * (1 + 6e-9))
 

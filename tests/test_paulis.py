@@ -7,7 +7,7 @@ from paulient.errors import InvalidGeneratorImages, SizeLimitExceeded
 from paulient.paulis import (
     CliffordTableau,
     PauliString,
-    _parity_sectors,
+    _SectorLayout,
     _phase_grid,
     _phase_power,
     _wht_real,
@@ -397,17 +397,37 @@ class TestLabels:
 
 class TestParitySectors:
     def test_only_exact_zeros_split(self):
+        def sectors(m):
+            return [list(s) for s in _SectorLayout.find(m).index]
+
         h = build_hamiltonian(XYZModel(n_sites=4, j_z=0.3))
-        even, odd = _parity_sectors(h)
-        assert list(even) == [i for i in range(16) if i.bit_count() % 2 == 0]
-        assert list(odd) == [i for i in range(16) if i.bit_count() % 2 == 1]
+        even, odd = sectors(h)
+        assert even == [i for i in range(16) if i.bit_count() % 2 == 0]
+        assert odd == [i for i in range(16) if i.bit_count() % 2 == 1]
         for coupling in (1e-300, -0.0 + 1e-300j, np.nan):
-            joined = h.copy()
-            joined[3, 7] = coupling  # 3 is even, 7 odd
-            assert _parity_sectors(joined) is None
+            for i, j in ((3, 7), (7, 3), (0, 1)):  # 3 and 0 are even, 7 and 1 odd
+                joined = h.copy()
+                joined[i, j] = coupling
+                assert sectors(joined) == [list(range(16))]
         signed = h.copy()
         signed[3, 7] = -0.0
-        assert _parity_sectors(signed) is not None
-        assert _parity_sectors(build_hamiltonian(TFIMModel(n_sites=4))) is None
-        assert [list(s) for s in _parity_sectors(np.diag([1.0, -1.0]))] == [[0], [1]]
-        assert [list(s) for s in _parity_sectors(np.eye(1))] == [[0], []]
+        assert len(sectors(signed)) == 2
+        assert sectors(build_hamiltonian(TFIMModel(n_sites=4))) == [list(range(16))]
+        assert sectors(np.diag([1.0, -1.0])) == [[0], [1]]
+        # the odd sector of one index would be empty: one sector
+        assert sectors(np.eye(1)) == [[0]]
+
+    def test_layouts_are_shared_and_read_only(self):
+        for d in (2, 8, 64):
+            for parity in (False, True):
+                layout = _SectorLayout.of(d, parity)
+                assert _SectorLayout.of(d, parity) is layout
+                assert len(layout.index) == 1 + parity and layout.h == d >> parity
+                for array in (*layout.index, layout.sector, layout.rank):
+                    assert not array.flags.writeable
+                for i in range(d):
+                    assert layout.index[layout.sector[i]][layout.rank[i]] == i
+        u = np.arange(16.0).reshape(4, 4)
+        assert _SectorLayout.find(u).blocks(u)[0] is u
+        two = _SectorLayout.of(4, True)
+        assert [b.tolist() for b in two.blocks(u)] == [[[0, 3], [12, 15]], [[5, 6], [9, 10]]]

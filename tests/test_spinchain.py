@@ -1,14 +1,15 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from paulient import entpower, operators, spinchain
+from paulient import entpower, operators, paulis, spinchain
 from paulient.entpower import pauli_entangling_power
 from paulient.errors import NotHermitian, NotUnitary, SizeLimitExceeded
 from paulient.mpu import mpu_shift, mpu_to_dense
 from paulient.operators import Bipartition, operator_entanglement
-from paulient.paulis import random_pauli
+from paulient.paulis import _SectorLayout, random_pauli
 from paulient.spinchain import (
     HamiltonianPropagator,
     TFIMModel,
@@ -96,9 +97,29 @@ class TestEvolution:
         u = prop.unitary_at(3.7)
         assert np.linalg.norm(u.conj().T @ u - np.eye(16)) < 1e-10
 
-    def test_non_hermitian_rejected(self):
+    def test_non_hermitian_rejected(self, monkeypatch):
         with pytest.raises(NotHermitian):
             HamiltonianPropagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # a NaN or inf entry makes the Hermiticity norm NaN, which must fail
+        # the check rather than reach eigh
+        for bad in (np.nan, np.inf, -np.inf):
+            h = build_hamiltonian(XYZModel(n_sites=3))
+            h[2, 2] = bad
+            with pytest.raises(NotHermitian), np.errstate(invalid="ignore"):
+                HamiltonianPropagator(h)
+            with pytest.raises(NotHermitian), np.errstate(invalid="ignore"):
+                HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=4, j_z=bad)))
+        for shape in ((4, 2), (4,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                HamiltonianPropagator(np.zeros(shape))
+        builds = []
+        monkeypatch.setattr(spinchain, "build_hamiltonian",
+                            lambda model: builds.append(model) or build_hamiltonian(model))
+        for bad in (np.nan, np.inf, -np.inf):
+            for mode in ("exact", "sampled"):
+                with pytest.raises(ValueError, match="sweep values must be finite"):
+                    run_sweep_experiment("xyz", [0.5, bad], 4, mode=mode, seed=1, workers=1)
+        assert builds == []
 
     def test_sector_propagator_matches_dense_eigh(self):
         # XYZ has two real parity sectors, TFIM with g != 0 one real sector;
@@ -107,15 +128,30 @@ class TestEvolution:
             for model in (XYZModel(n_sites=n, j_z=0.3), TFIMModel(n_sites=n, h=0.5)):
                 h = build_hamiltonian(model)
                 prop = HamiltonianPropagator(h)
-                assert (prop.sectors is not None) == isinstance(model, XYZModel)
+                assert len(prop.sectors.index) == (2 if isinstance(model, XYZModel) else 1)
                 assert all(np.isrealobj(v) for v in prop.modes)
                 for t in (0.2, 1.3, 7.9):
                     assert np.abs(prop.unitary_at(t) - dense_unitary(h, t)).max() <= 1e-12
         h = build_hamiltonian(XYZModel(n_sites=4))
         h = h + 0.3 * (dense_pauli("XYII") - dense_pauli("YXII"))
         prop = HamiltonianPropagator(h)
-        assert prop.sectors is not None and all(np.iscomplexobj(v) for v in prop.modes)
+        assert len(prop.sectors.index) == 2 and all(np.iscomplexobj(v) for v in prop.modes)
         assert np.abs(prop.unitary_at(1.3) - dense_unitary(h, 1.3)).max() <= 1e-12
+
+    def test_sectors_of_h_are_the_sectors_of_every_u_t(self):
+        # the sweep hands prop.sectors to the kernels at every step in place
+        # of a scan of U_t, which would find the same layout for t > 0
+        def sectors(layout):
+            return [list(s) for s in layout.index]
+
+        for n in range(2, 9):
+            for model in (XYZModel(n_sites=n, j_z=0.3), TFIMModel(n_sites=n, h=0.5),
+                          TFIMModel(n_sites=n, h=0.0, g=0.7)):
+                prop = HamiltonianPropagator(build_hamiltonian(model))
+                assert len(prop.sectors.index) == (2 if isinstance(model, XYZModel) else 1)
+                for t in (0.2, 1.3, 7.9):
+                    u = prop.unitary_at(t)
+                    assert sectors(_SectorLayout.find(u)) == sectors(prop.sectors), (n, model)
 
     def test_tiny_cross_sector_coupling_joins_the_sectors(self):
         # no tolerance: a 1e-300 coupling between the sectors is kept
@@ -123,7 +159,7 @@ class TestEvolution:
         h = build_hamiltonian(XYZModel(n_sites=n, j_z=0.3))
         h[0, 1] = h[1, 0] = 1e-300
         prop = HamiltonianPropagator(h)
-        assert prop.sectors is None and len(prop.modes) == 1
+        assert len(prop.sectors.index) == 1 and len(prop.modes) == 1
         u = prop.unitary_at(1.3)
         assert np.abs(u - dense_unitary(h, 1.3)).max() <= 1e-12
         bp = Bipartition(3, 3)
@@ -306,16 +342,19 @@ class TestSweep:
     def test_one_unitarity_check_per_point(self, monkeypatch):
         counts = {"sweep": 0, "public": 0}
 
-        def counting(key):
-            def check(matrix, *args):
+        def counting(key, check):
+            def counted(matrix, *args):
                 counts[key] += 1
-                return operators.is_unitary(matrix, *args)
-            return check
+                return check(matrix, *args)
+            return counted
 
-        monkeypatch.setattr(spinchain, "is_unitary", counting("sweep"))
-        monkeypatch.setattr(entpower, "is_unitary", counting("public"))
-        monkeypatch.setattr(operators, "_require_unitary",
-                            lambda matrix, *args: counts.__setitem__("public", counts["public"] + 1))
+        # every public check (is_unitary and the checks of pauli_entangling_power
+        # and operator_entanglement) goes through operators._unitary_layout
+        monkeypatch.setattr(spinchain, "_within_unitary",
+                            counting("sweep", operators._within_unitary))
+        for module in (operators, entpower):
+            monkeypatch.setattr(module, "_unitary_layout",
+                                counting("public", operators._unitary_layout))
         rows = run_sweep_experiment("xyz", [0.0, 1.0], 4, mode="exact", seed=7, max_steps=30)
         # one check per parity sector of each point's propagator
         assert counts == {"sweep": 2 * 2, "public": 0}
@@ -338,6 +377,7 @@ class TestSweep:
             def __init__(self, ham):
                 self.ham = ham
                 self.modes = (np.linalg.eigh(ham.astype(complex))[1],)
+                self.sectors = _SectorLayout.of(len(ham), False)
 
             def unitary_at(self, t):
                 return dense_unitary(self.ham, t)
@@ -354,6 +394,33 @@ class TestSweep:
                          (row.pe_half_width, dense.pe_half_width),
                          (row.e_half_width, dense.e_half_width)):
                 assert abs(a - b) <= 1e-12, (n, family)
+
+    def test_sectors_found_once_per_public_call_and_per_point(self, monkeypatch):
+        calls = []
+        find = _SectorLayout.find.__func__
+
+        def counted(cls, m):
+            calls.append(m.shape)
+            return find(cls, m)
+
+        monkeypatch.setattr(paulis._SectorLayout, "find", classmethod(counted))
+        prop = HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=6, j_z=0.4)))
+        assert len(calls) == 1
+        u, bp = prop.unitary_at(1.1), Bipartition(3, 3)
+        for call in (lambda: pauli_entangling_power(u, bp),
+                     lambda: pauli_entangling_power(u, bp, mode="sampled",
+                                                    rng=np.random.default_rng(1)),
+                     lambda: operator_entanglement(u, bp, "linear")):
+            calls[:] = []
+            call()
+            assert calls == [(64, 64)]
+        for family, mode in itertools.product(("xyz", "tfim"), ("exact", "sampled")):
+            calls[:] = []
+            rows = run_sweep_experiment(family, [0.2, 0.7], 4, mode=mode, seed=5, n_min=6,
+                                        max_steps=6, workers=1)
+            # one find per point, on its H, and none per step
+            assert [r.n_steps for r in rows] == [6, 6]
+            assert calls == [(16, 16)] * 2, (family, mode)
 
     def test_seeded_determinism(self):
         a = run_sweep_experiment("tfim", [0.5], 3, mode="sampled", seed=11)

@@ -20,6 +20,7 @@ import pytest
 from paulient import _threads
 from paulient.entpower import _pauli_entangling_power, _pauli_g_table, pauli_entangling_power
 from paulient.operators import Bipartition, haar_random_unitary
+from paulient.paulis import _SectorLayout
 from paulient.spinchain import (
     HamiltonianPropagator,
     XYZModel,
@@ -98,11 +99,12 @@ class TestThreadPool:
         for n_a, n_b in [(3, 3), (3, 4), (4, 3), (4, 4)]:
             bp = Bipartition(n_a, n_b)
             for u in (haar_random_unitary(bp.d, rng), _xyz_unitary(bp.n_qubits)):
+                layout = _SectorLayout.find(u)
                 thread_limit(1)
-                one = _pauli_g_table(u, bp)
+                one = _pauli_g_table(u, bp, layout)
                 for limit in (None, 2, 16):
                     thread_limit(limit)
-                    assert np.array_equal(one, _pauli_g_table(u, bp)), (n_a, n_b, limit)
+                    assert np.array_equal(one, _pauli_g_table(u, bp, layout)), (n_a, n_b, limit)
 
     def test_memory_budget_caps_threads(self, thread_limit):
         # without the budget, sixteen threads' buffers and slots take about
@@ -220,7 +222,8 @@ class TestThreadPool:
                 for limit in (1, 2, 16):
                     thread_limit(limit)
                     rng = np.random.default_rng(41)
-                    est = _pauli_entangling_power(u, bp, "sampled", rng=rng, **kw)
+                    est = _pauli_entangling_power(u, bp, _SectorLayout.find(u), "sampled",
+                                                  rng=rng, **kw)
                     seen.append((est.value, est.n_samples, est.sem, int(rng.integers(1 << 62))))
                 assert seen[1] == seen[0] and seen[2] == seen[0], (n_a, n_b, kw)
                 assert "n_samples" in kw or seen[0][1] > 8
