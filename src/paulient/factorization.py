@@ -134,7 +134,7 @@ def extract_hermitian_unitary_factors(
     if not is_unitary(o):
         raise NotUnitary("factor extraction needs a unitary operator")
     r = realign(o, bp)
-    left, s, right = np.linalg.svd(r)
+    left, s, right = np.linalg.svd(r, full_matrices=False)
     if s.size > 1 and s[1] ** 2 > tol:
         raise NotProduct(f"operator-Schmidt rank exceeds 1 (lambda_2 = {s[1]**2:.3e})")
     x0 = np.sqrt(d) * s[0] * left[:, 0].reshape(bp.d_a, bp.d_a)

@@ -21,16 +21,19 @@ import numpy as np
 from scipy.linalg import logm
 from scipy.optimize import minimize
 
-from .errors import NotUnitary
+from .errors import NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, is_unitary
 from .paulis import (
+    PauliString,
     _operator_pauli_probs,
     operator_from_pauli_table,
     pauli_expectation_table,
+    pauli_to_dense,
     pauli_trace_table,
 )
 
 NORM_TOL = 1e-10
+COHERENCE_LIMIT = 6  # qubits; the Bell-basis sum takes 4^n dense strings
 
 
 def _check_state(psi: np.ndarray) -> int:
@@ -85,10 +88,21 @@ def operator_stabilizer_entropy(op: np.ndarray, alpha: float | str = "linear") -
 
 
 def operator_coherence_2(u: np.ndarray) -> float:
-    """2-coherence of u/sqrt(d) in the normalized Pauli basis.  This is the
-    same quantity (and the same arithmetic path) as the linear operator
-    stabilizer entropy."""
-    return operator_stabilizer_entropy(u, "linear")
+    """2-coherence C_2 = 1 - sum_P |<<P|U>>|^4 of the Choi vector
+    |U>> = vec(U)/sqrt(d) in the Bell basis |P>> = vec(P)/sqrt(d), one dense
+    Pauli string at a time.  It equals the linear operator stabilizer entropy
+    but shares none of its arithmetic (that one runs the Pauli trace table),
+    so the two check each other.  Above COHERENCE_LIMIT qubits it raises
+    SizeLimitExceeded."""
+    d = u.shape[0]
+    n = d.bit_length() - 1
+    if n > COHERENCE_LIMIT:
+        raise SizeLimitExceeded(f"{n} qubits exceeds the 2-coherence limit {COHERENCE_LIMIT}")
+    if not is_unitary(u):
+        raise NotUnitary("2-coherence needs a unitary")
+    overlaps = np.array([np.vdot(pauli_to_dense(PauliString(n, x, z)), u) / d
+                         for x in range(d) for z in range(d)])
+    return float(1.0 - np.sum(np.abs(overlaps) ** 4))
 
 
 # ---------------------------------------------------------------------------

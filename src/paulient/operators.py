@@ -239,12 +239,6 @@ class _HermitianPurity:
         return total / self._d**2
 
 
-def linear_entanglement_unitary(op: np.ndarray, bp: Bipartition) -> float:
-    """E_lin = 1 - sum of squared Schmidt coefficients; assumes unitary input
-    (no check), for use in hot loops over evolved Paulis."""
-    return 1.0 - _sum_lambda_sq(op, bp, _SectorLayout.find(op))
-
-
 def operator_entanglement(
     op: np.ndarray,
     bp: Bipartition,

@@ -3,12 +3,12 @@ transverse-field Ising dynamics, time series of the Pauli-entangling power
 and the operator entanglement of the evolution, and long-time averages with
 a standard-error stopping rule.
 
-One rule stops every long-time average: stats.run_until_converged with
-z = 1.96, reached through long_time_average.  A sweep point feeds it the
-pairs (P_E(U_t), E_lin(U_t)) at t = k dt, one timestep at a time, and stops
-once both half-widths are below the threshold.  The XYZ chain commutes
-with Z^N: its H and every U_t are exactly zero between the two parity
-sectors, and HamiltonianPropagator, E_lin and P_E work on their blocks (see
+One rule stops every long-time average: a sweep point runs
+stats.run_until_converged with z = 1.96 on the pairs (P_E(U_t), E_lin(U_t))
+at t = k dt, one timestep at a time, and stops once both half-widths are
+below the threshold.  The XYZ chain commutes with Z^N: its H and every
+U_t are exactly zero between the two parity sectors, and
+HamiltonianPropagator, E_lin and P_E work on their blocks (see
 HamiltonianPropagator and entpower's docstring); the TFIM with g != 0 is
 one sector.  A sweep point finds the sectors once, from H, and passes them
 to the P_E and E_lin kernels at every step.  run_sweep_experiment returns
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import astuple, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +71,8 @@ def build_hamiltonian(model: SpinChainModel) -> np.ndarray:
         raise SizeLimitExceeded(f"{n} sites exceeds dense limit {DENSE_LIMIT}")
     if not isinstance(model, (XYZModel, TFIMModel)):
         raise TypeError(f"unknown model type {type(model)!r}")
+    if not np.all(np.isfinite(astuple(model)[1:])):  # n_sites, then the couplings
+        raise ValueError(f"couplings must be finite, got {model}")
     terms = []  # (coeff, x bits, z bits) of phase-0 Pauli strings
     for i in range(n):
         site = 1 << (n - 1 - i)
@@ -134,52 +136,6 @@ def _evolve_block(energies: np.ndarray, modes: np.ndarray, t: float) -> np.ndarr
     return out
 
 
-@dataclass
-class TimeSeries:
-    dt: float
-    times: np.ndarray
-    values: np.ndarray  # one row per timestep for array-valued series
-    n_steps: int
-    running_sem: float | np.ndarray  # final 1.96 sigma / sqrt(N_t), per entry
-    converged: bool
-
-
-def long_time_average(
-    series: Iterable,
-    dt: float = DEFAULT_DT,
-    sem_threshold: float = DEFAULT_SEM_THRESHOLD,
-    n_min: int = DEFAULT_N_MIN,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> tuple[float | np.ndarray, TimeSeries]:
-    """Running time-mean of samples at t = k dt, stopped at the first
-    N_t >= n_min with 1.96 sigma / sqrt(N_t) below the threshold.
-
-    The samples are scalars or equal-shape arrays; for arrays the mean is
-    taken per entry and the rule waits for every entry.  The series is read
-    lazily, so no sample past the stopping point is computed.  If the series
-    ends (or max_steps is hit) before the rule fires, the partial mean is
-    returned with converged=False.  max_steps < 1 raises ValueError.
-    """
-    values: list = []
-
-    def recorded():
-        for value in series:
-            value = float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
-            values.append(value)
-            yield value
-
-    acc, converged = run_until_converged(recorded(), sem_threshold, 1.96, n_min, max_steps)
-    ts = TimeSeries(
-        dt=dt,
-        times=dt * np.arange(len(values)),
-        values=np.asarray(values),
-        n_steps=acc.n,
-        running_sem=acc.half_width(1.96),
-        converged=converged,
-    )
-    return acc.mean, ts
-
-
 # ---------------------------------------------------------------------------
 # Sweep experiments
 # ---------------------------------------------------------------------------
@@ -239,18 +195,19 @@ def _sweep_point(
             est = _pauli_entangling_power(u_t, bp, prop.sectors, mode=mode, rng=rng,
                                           sem_target=pe_sem_target)
             samples.append(est.n_samples)
-            yield est.value, 1.0 - _sum_lambda_sq(u_t, bp, prop.sectors)
+            yield np.array([est.value, 1.0 - _sum_lambda_sq(u_t, bp, prop.sectors)], dtype=float)
 
-    (mean_pe, mean_e), ts = long_time_average(steps(), dt, sem_threshold, n_min, max_steps)
-    pe_half_width, e_half_width = ts.running_sem
+    acc, converged = run_until_converged(steps(), sem_threshold, 1.96, n_min, max_steps)
+    mean_pe, mean_e = acc.mean
+    pe_half_width, e_half_width = acc.half_width(1.96)
     return SweepRow(
         sweep_value=sweep_value,
         n_sites=n_sites,
         mean_pe=float(mean_pe),
         mean_e=float(mean_e),
-        n_steps=ts.n_steps,
+        n_steps=acc.n,
         total_samples=sum(samples),
-        converged=ts.converged,
+        converged=converged,
         pe_half_width=float(pe_half_width),
         e_half_width=float(e_half_width),
     )
@@ -281,11 +238,12 @@ def run_sweep_experiment(
     finite sweep values, a finite positive dt and workers >= 1 are checked
     before any Hamiltonian is built (SizeLimitExceeded, ValueError).  Each
     point checks its propagator's modes for unitarity once per parity sector
-    (NotUnitary) and runs long_time_average on its (P_E, E_lin) pairs: it
-    stops once n_min steps are in and both 1.96 sigma / sqrt(N_t) are below
-    sem_threshold, or at max_steps with converged=False.  max_steps < 1
-    raises ValueError.  With workers > 1, each worker process runs the exact
-    g-table on max(1, cores // workers) threads.
+    (NotUnitary) and runs stats.run_until_converged with z = 1.96 on its
+    (P_E, E_lin) pairs: it stops once n_min steps are in and both
+    1.96 sigma / sqrt(N_t) are below sem_threshold, or at max_steps with
+    converged=False.  max_steps < 1 raises ValueError.  With workers > 1,
+    each worker process runs the exact g-table on max(1, cores // workers)
+    threads.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")

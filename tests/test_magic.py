@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from paulient.errors import NotUnitary
+from paulient import magic
+from paulient.errors import NotUnitary, SizeLimitExceeded
 from paulient.magic import (
     SearchConfig,
     _chart,
@@ -132,6 +133,14 @@ class TestCoherenceIdentity:
             u = haar_random_unitary(dim, rng)
             assert abs(operator_coherence_2(u)
                        - operator_stabilizer_entropy(u, "linear")) < 1e-14
+
+    def test_size_limit(self, monkeypatch):
+        # rejected on its size, before the unitarity check or any string
+        monkeypatch.setattr(magic, "is_unitary", lambda u: pytest.fail("checked"))
+        monkeypatch.setattr(magic, "pauli_to_dense", lambda p: pytest.fail("built"))
+        d = 1 << (magic.COHERENCE_LIMIT + 1)
+        with pytest.raises(SizeLimitExceeded, match="2-coherence limit"):
+            operator_coherence_2(np.eye(d, dtype=complex))
 
     def test_pauli_distributions_sum_to_one(self, rng):
         for _ in range(10):

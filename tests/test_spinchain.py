@@ -15,9 +15,9 @@ from paulient.spinchain import (
     TFIMModel,
     XYZModel,
     build_hamiltonian,
-    long_time_average,
     run_sweep_experiment,
 )
+from paulient.stats import run_until_converged
 
 from conftest import dense_pauli, oracle_elin
 
@@ -65,6 +65,14 @@ class TestHamiltonians:
             expected += model.h * dense_pauli("".join(field))
         assert np.allclose(build_hamiltonian(model), expected, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_couplings_rejected(self, bad):
+        for model in (XYZModel(n_sites=4, j_x=bad), XYZModel(n_sites=4, h=bad),
+                      TFIMModel(n_sites=4, j=bad), TFIMModel(n_sites=4, g=bad)):
+            match = "couplings must be finite.*" + re.escape(repr(bad))
+            with pytest.raises(ValueError, match=match):
+                build_hamiltonian(model)
+
     def test_site_limit(self):
         with pytest.raises(SizeLimitExceeded):
             build_hamiltonian(XYZModel(n_sites=13))
@@ -107,7 +115,8 @@ class TestEvolution:
             h[2, 2] = bad
             with pytest.raises(NotHermitian), np.errstate(invalid="ignore"):
                 HamiltonianPropagator(h)
-            with pytest.raises(NotHermitian), np.errstate(invalid="ignore"):
+            # a non-finite coupling is rejected before H is built
+            with pytest.raises(ValueError, match="couplings must be finite"):
                 HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=4, j_z=bad)))
         for shape in ((4, 2), (4,), (2, 2, 2)):
             with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
@@ -172,80 +181,6 @@ class TestEvolution:
         assert abs(est.value - want) <= 1e-12
 
 
-class TestLongTimeAverage:
-    def test_constant_series_stops_at_floor(self):
-        mean, ts = long_time_average(iter([0.3] * 1000))
-        assert mean == 0.3 and ts.n_steps == 25 and ts.converged
-        assert np.allclose(ts.times, 0.2 * np.arange(25))
-
-    def test_sine_averages_to_zero(self):
-        def series():
-            k = 0
-            while True:
-                yield np.sin(0.2 * k)
-                k += 1
-
-        mean, ts = long_time_average(series())
-        assert ts.converged
-        # quadrature oracle: the running mean of sin over the stopped window
-        ref = np.mean(np.sin(0.2 * np.arange(ts.n_steps)))
-        assert abs(mean - ref) < 1e-12
-        assert abs(mean) < 2e-2
-
-    def test_iid_uniform_clt(self):
-        rng = np.random.default_rng(41)
-
-        def series():
-            while True:
-                yield rng.uniform()
-
-        mean, ts = long_time_average(series())
-        assert ts.converged
-        assert abs(mean - 0.5) < 2e-2 + ts.running_sem
-
-    def test_max_step_cap_flagged(self):
-        rng = np.random.default_rng(0)
-
-        def noisy():
-            while True:
-                yield rng.normal(scale=5.0)
-
-        mean, ts = long_time_average(noisy(), max_steps=50)
-        assert not ts.converged and ts.n_steps == 50
-
-    def test_series_shorter_than_floor_not_converged(self):
-        mean, ts = long_time_average(iter([0.1, 0.2, 0.3] * 4))
-        assert not ts.converged and ts.n_steps == 12
-        assert abs(mean - 0.2) < 1e-15
-        assert ts.values.shape == (12,)
-
-    def test_pair_series_waits_for_both_entries(self):
-        # the first entry is constant, the second needs more steps
-        rng = np.random.default_rng(3)
-        pairs = [(0.5, float(v)) for v in rng.uniform(size=5000)]
-        mean, ts = long_time_average(iter(pairs))
-        alone, ts_alone = long_time_average(iter(v for _, v in pairs))
-        assert ts.converged and ts.n_steps == ts_alone.n_steps > 25
-        assert mean[0] == 0.5 and mean[1] == alone
-        assert ts.running_sem[0] == 0.0 and ts.running_sem[1] == ts_alone.running_sem
-        assert ts.values.shape == (ts.n_steps, 2)
-
-    def test_step_cap_below_one_rejected(self):
-        drawn = []
-
-        def series():
-            while True:
-                drawn.append(1)
-                yield 1.0
-
-        for cap in (0, -1):
-            with pytest.raises(ValueError):
-                long_time_average(series(), max_steps=cap)
-        assert drawn == []
-        with pytest.raises(ValueError):
-            run_sweep_experiment("xyz", [0.0], 3, mode="exact", max_steps=0)
-
-
 class TestObservables:
     def test_initial_values_exactly_zero(self):
         prop = HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=4, j_z=1.0)))
@@ -272,16 +207,18 @@ class TestSweep:
         pairs = []
         for k in range(row.n_steps):
             u = prop.unitary_at(0.2 * k)
-            pairs.append((pauli_entangling_power(u, bp).value,
-                          operator_entanglement(u, bp, "linear")))
-        (mean_pe, mean_e), ts = long_time_average(iter(pairs))
-        assert row.converged and ts.converged and ts.n_steps == row.n_steps
-        assert (row.mean_pe, row.mean_e) == (mean_pe, mean_e)
-        assert (row.pe_half_width, row.e_half_width) == tuple(ts.running_sem)
+            pairs.append(np.array([pauli_entangling_power(u, bp).value,
+                                   operator_entanglement(u, bp, "linear")]))
+        rule = (spinchain.DEFAULT_SEM_THRESHOLD, 1.96, spinchain.DEFAULT_N_MIN,
+                spinchain.DEFAULT_MAX_STEPS)
+        acc, converged = run_until_converged(iter(pairs), *rule)
+        assert row.converged and converged and acc.n == row.n_steps
+        assert (row.mean_pe, row.mean_e) == tuple(acc.mean)
+        assert (row.pe_half_width, row.e_half_width) == tuple(acc.half_width(1.96))
         assert row.total_samples == row.n_steps * 4**4
         # one step fewer must not have stopped: the row stops at the first firing
-        _, shorter = long_time_average(iter(pairs[:-1]))
-        assert not shorter.converged
+        _, shorter = run_until_converged(iter(pairs[:-1]), *rule)
+        assert not shorter
 
     def test_integrability_breaking_ordering_small(self):
         # the integrable point has strictly smaller long-time means already
@@ -300,6 +237,16 @@ class TestSweep:
             pe = pauli_entangling_power(u, bp).value
             ba, bb = local_pauli_magic_bound(u, bp)
             assert pe <= min(ba, bb) + 1e-10
+
+    def test_step_cap_below_one_rejected(self, monkeypatch):
+        # the propagator is built on the first step, so no eigh runs
+        builds = []
+        monkeypatch.setattr(spinchain, "build_hamiltonian",
+                            lambda model: builds.append(model) or build_hamiltonian(model))
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="cap must be at least 1"):
+                run_sweep_experiment("xyz", [0.0], 3, mode="exact", max_steps=cap, workers=1)
+        assert builds == []
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
     def test_unusable_dt_rejected_before_any_build(self, dt, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -55,11 +56,45 @@ class TestRule:
         acc, converged = run_until_converged(iter(pairs), 0.05, 1.0, 2, 20)
         assert not converged and acc.n == 20
         assert acc.mean.tolist() == [1.0, 0.5] and acc.half_width()[0] == 0.0
+        # a constant entry and a noisy one stop where the noisy one alone stops
+        noisy = np.random.default_rng(3).uniform(size=5000)
+        joint, converged = run_until_converged((np.array([0.5, v]) for v in noisy),
+                                               2e-2, 1.96, 25, 20000)
+        alone, converged_alone = run_until_converged(iter(noisy), 2e-2, 1.96, 25, 20000)
+        assert converged and converged_alone and joint.n == alone.n > 25
+        assert joint.mean.tolist() == [0.5, alone.mean]
+        assert joint.half_width(1.96).tolist() == [0.0, alone.half_width(1.96)]
+
+    # the sine and the uniform series stop by the spin-chain sweep's rule:
+    # threshold 2e-2, z = 1.96, at least 25 steps
+    def test_sine_averages_to_zero(self):
+        series = (math.sin(0.2 * k) for k in itertools.count())
+        acc, converged = run_until_converged(series, 2e-2, 1.96, 25, 20000)
+        assert converged
+        # quadrature oracle: the mean of sin over the stopped window
+        ref = np.mean(np.sin(0.2 * np.arange(acc.n)))
+        assert abs(acc.mean - ref) < 1e-12
+        assert abs(acc.mean) < 2e-2
+
+    def test_iid_uniform_clt(self):
+        rng = np.random.default_rng(41)
+        series = (rng.uniform() for _ in itertools.count())
+        acc, converged = run_until_converged(series, 2e-2, 1.96, 25, 20000)
+        assert converged
+        assert abs(acc.mean - 0.5) < 2e-2 + acc.half_width(1.96)
 
     def test_cap_below_one_rejected(self):
+        drawn = []
+
+        def values():
+            while True:
+                drawn.append(1.0)
+                yield 1.0
+
         for cap in (0, -3):
             with pytest.raises(ValueError):
-                run_until_converged(iter([1.0]), 1.0, 1.0, 2, cap)
+                run_until_converged(values(), 1.0, 1.0, 2, cap)
+        assert drawn == []
 
     def test_threshold_not_positive_rejected(self):
         drawn = []
