@@ -181,6 +181,41 @@ class TestEvolution:
         assert abs(est.value - want) <= 1e-12
 
 
+def sweep_long_time_average(values, max_steps=spinchain.DEFAULT_MAX_STEPS):
+    """The long-time average a sweep point takes: run_until_converged at the
+    sweep's default threshold and floor, z = 1.96."""
+    return run_until_converged(values, spinchain.DEFAULT_SEM_THRESHOLD, 1.96,
+                               spinchain.DEFAULT_N_MIN, max_steps)
+
+
+class TestLongTimeAverage:
+    def test_constant_series_stops_at_floor(self):
+        acc, converged = sweep_long_time_average(iter([0.3] * 1000))
+        assert acc.mean == 0.3 and acc.n == spinchain.DEFAULT_N_MIN == 25 and converged
+
+    def test_max_step_cap_flagged(self):
+        rng = np.random.default_rng(0)
+        noisy = (rng.normal(scale=5.0) for _ in itertools.count())
+        acc, converged = sweep_long_time_average(noisy, max_steps=50)
+        assert not converged and acc.n == 50
+
+    def test_series_shorter_than_floor_not_converged(self):
+        acc, converged = sweep_long_time_average(iter([0.1, 0.2, 0.3] * 4))
+        assert not converged and acc.n == 12
+        assert abs(acc.mean - 0.2) < 1e-15
+
+    def test_pair_series_waits_for_both_entries(self):
+        # the first entry is constant, the second needs more steps
+        rng = np.random.default_rng(3)
+        pairs = [np.array([0.5, v]) for v in rng.uniform(size=5000)]
+        acc, converged = sweep_long_time_average(iter(pairs))
+        alone, converged_alone = sweep_long_time_average(iter(p[1] for p in pairs))
+        assert converged and converged_alone and acc.n == alone.n > 25
+        assert acc.mean[0] == 0.5 and acc.mean[1] == alone.mean
+        half_width = acc.half_width(1.96)
+        assert half_width[0] == 0.0 and half_width[1] == alone.half_width(1.96)
+
+
 class TestObservables:
     def test_initial_values_exactly_zero(self):
         prop = HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=4, j_z=1.0)))
