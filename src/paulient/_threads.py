@@ -13,7 +13,9 @@ string in parallel than from a second BLAS thread, while OpenBLAS threads
 left spinning after a GEMM take the cores the pool needs.  So every call
 that uses the pool first sets each OpenBLAS library loaded since the last
 such call to one thread, for the rest of the process (a library is mapped
-by an import, so the maps are read again only once sys.modules has changed).
+by an import, so the maps are read again only once sys.modules has changed;
+scipy's OpenBLAS build, for one, is mapped only when a magic search or a
+thermodynamic MPU call first imports scipy).
 Where that cannot be done (another BLAS, or no /proc/self/maps to find the
 libraries), every call runs on its caller's thread.
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import logm
-from scipy.optimize import minimize
 
 from .errors import NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, is_unitary
@@ -141,6 +139,8 @@ def _chart(theta: np.ndarray, n_qubits: int):
 
 def params_from_unitary(u: np.ndarray) -> np.ndarray:
     """Chart coordinates whose exponential reproduces u (principal branch)."""
+    from scipy.linalg import logm  # scipy loads on the first call that needs it
+
     g = -1j * logm(u)
     g = (g + g.conj().T) / 2.0
     return pauli_trace_table(g).real.ravel() / u.shape[0]
@@ -201,6 +201,8 @@ def _multistart_minimize(objective, chart_qubits, config: SearchConfig):
     """Minimize objective over the product of charts: L-BFGS-B on exact
     gradients, one value-and-gradient evaluation per step.  objective follows
     the contract of _on_charts."""
+    from scipy.optimize import minimize  # scipy loads on the first search
+
     sizes = [4**n for n in chart_qubits]
     splits = np.cumsum(sizes)[:-1]
     total = int(np.sum(sizes))

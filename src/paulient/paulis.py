@@ -270,9 +270,23 @@ class _SectorLayout:
         return np.empty((len(self.index), 2, self.h, self.h))
 
 
+def _uniform_below_4n(low: int, n_qubits: int, rng: np.random.Generator) -> int:
+    """A uniform integer in [low, 4^N) for low 0 or 1.  Up to N = 31 this is
+    one rng.integers call, whose bounds stop at int64; above, the 2N bits
+    are drawn in 62-bit chunks, redrawn while the value is below low."""
+    if n_qubits <= 31:
+        return int(rng.integers(low, 4**n_qubits))
+    while True:
+        value = 0
+        for shift in range(0, 2 * n_qubits, 62):
+            value |= int(rng.integers(0, 1 << min(62, 2 * n_qubits - shift))) << shift
+        if value >= low:
+            return value
+
+
 def random_pauli(n_qubits: int, rng: np.random.Generator) -> PauliString:
     """One uniform draw from the 4^N phase-0 strings, identity included."""
-    return PauliString.from_index(n_qubits, int(rng.integers(0, 4**n_qubits)))
+    return PauliString.from_index(n_qubits, _uniform_below_4n(0, n_qubits, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +641,7 @@ def random_clifford(n_qubits: int, rng: np.random.Generator) -> CliffordTableau:
     zrows: list[np.ndarray] = []
     for step in range(n):
         m = n - step
-        k = int(rng.integers(1, 4**m))
+        k = _uniform_below_4n(1, m, rng)
         f = np.zeros(2 * n, dtype=np.uint8)
         for i in range(2 * m):
             if (k >> i) & 1:

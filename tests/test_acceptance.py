@@ -9,7 +9,10 @@ to see the per-criterion lines and timings.
 
 import time
 
-from paulient.acceptance import CRITERIA, failures
+import numpy as np
+import scipy.linalg
+
+from paulient.acceptance import CRITERIA, U_XX, X, failures
 
 
 def report(num: int, label: str, ok: bool, started: float, detail: str = "") -> None:
@@ -29,6 +32,11 @@ def run(num: int, bounds: list[tuple[str, float]]) -> None:
            "; ".join(failed or [f"{name} = {measured:.3g}" for name, measured, _ in checks]))
     assert [(name, bound) for name, _, bound in checks] == bounds
     assert not failed, failed
+
+
+def test_u_xx_closed_form_is_the_exponential():
+    want = scipy.linalg.expm(-1j * np.pi / 8 * np.kron(X, X))
+    assert np.abs(U_XX - want).max() <= 1e-15
 
 
 def test_criterion_1_factorization_round_trip():

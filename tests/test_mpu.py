@@ -8,8 +8,10 @@ from paulient.errors import (
     SizeLimitExceeded,
 )
 from paulient.mpu import (
+    CLOSURE_DEFECT_TOL,
     TRANSFER_CHI_LIMIT,
     MPUTensor,
+    closure_defect,
     lambda_closure,
     lambda_site_operator,
     mpu_cz_chain,
@@ -165,6 +167,39 @@ class TestTransferMatrices:
             transfer_matrix_pair(tensor)
         with pytest.raises(SizeLimitExceeded, match="transfer-matrix limit 2"):
             pauli_power_mpu(tensor, 2, 2, mode=mode)
+
+
+def _non_unitary_tensor():
+    return MPUTensor(2, np.random.default_rng(1).normal(size=(2, 2, 2, 2)))
+
+
+class TestClosureDefect:
+    def test_matches_the_dense_closure(self):
+        for name, tensor in FACTOR_TENSORS + [("random", _non_unitary_tensor())]:
+            for n in (1, 3, 4, 5):
+                t = tensor.tensor
+                acc = t
+                for _ in range(n - 1):
+                    acc = np.einsum("abST,bcst->acSsTt", acc, t)
+                    acc = acc.reshape(tensor.chi, tensor.chi, acc.shape[2] * 2, -1)
+                u = np.einsum("aaST->ST", acc)
+                want = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) ** 2 / u.shape[0]
+                assert abs(closure_defect(tensor, n) - want) <= 1e-12 * max(1.0, want), (name, n)
+
+    @pytest.mark.parametrize("name,tensor", FACTOR_TENSORS)
+    def test_reference_tensors_are_unitary_at_every_length(self, name, tensor):
+        worst = max(closure_defect(tensor, n) for n in range(1, 41))
+        assert worst <= 1e-14 < CLOSURE_DEFECT_TOL, name
+
+    @pytest.mark.parametrize("mode", ["finite", "thermodynamic"])
+    def test_non_unitary_tensor_rejected(self, mode):
+        assert closure_defect(_non_unitary_tensor(), 4) > 100.0
+        with pytest.raises(NotUnitaryClosure):
+            pauli_power_mpu(_non_unitary_tensor(), 2, 2, mode=mode)
+
+    def test_nan_tensor_rejected(self):
+        with pytest.raises(NotUnitaryClosure):
+            pauli_power_mpu(MPUTensor(1, np.full((1, 1, 2, 2), np.nan)), 1, 1)
 
 
 class TestThermodynamic:

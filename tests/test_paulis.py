@@ -1,3 +1,7 @@
+import hashlib
+from functools import reduce
+from operator import or_
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +166,20 @@ class TestRandomPauli:
         sigma = np.sqrt(draws * (1 / 64) * (1 - 1 / 64))
         assert np.all(np.abs(counts - expect) <= 4 * sigma)
 
+    def test_seeded_draws_keep_their_values(self):
+        # up to N = 31 a draw is one rng.integers call, as it always was
+        for n, x, z in ((5, 7, 23), (31, 1451336747, 259338938)):
+            p = random_pauli(n, np.random.default_rng(2024))
+            assert (p.x, p.z) == (x, z)
+
+    def test_wide_strings(self):
+        rng = np.random.default_rng(8)
+        for n in (32, 64):
+            draws = [random_pauli(n, rng) for _ in range(200)]
+            assert all(0 <= p.index < 4**n for p in draws)
+            # 200 uniform draws: each of the 2N bits is set somewhere
+            assert reduce(or_, [p.x for p in draws]) == (1 << n) - 1
+            assert reduce(or_, [p.z for p in draws]) == (1 << n) - 1
 
 class TestTables:
     def test_walsh_hadamard_small(self):
@@ -320,6 +338,22 @@ class TestRandomClifford:
         a = random_clifford(4, np.random.default_rng(99))
         b = random_clifford(4, np.random.default_rng(99))
         assert a == b
+
+    def test_seeded_draws_keep_their_values(self):
+        # the rows as 2N-bit integers at N = 5, a digest of the tableau at N = 31
+        c = random_clifford(5, np.random.default_rng(2024))
+        assert [int("".join(map(str, row)), 2) for row in c.mat] == \
+            [124, 672, 424, 606, 569, 271, 23, 997, 668, 365]
+        assert c.signs.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 0, 0]
+        c = random_clifford(31, np.random.default_rng(2024))
+        assert hashlib.sha256(c.mat.tobytes() + c.signs.tobytes()).hexdigest() == \
+            "ee92ecbbca87dabb9ecba7c42877f189655a242c738f4be3cace2fc922ab8dfa"
+
+    def test_wide_tableaux(self):
+        rng = np.random.default_rng(9)
+        for n in (32, 64):
+            c = random_clifford(n, rng)  # the constructor rejects a non-symplectic matrix
+            assert c.mat.shape == (2 * n, 2 * n) and c.is_symplectic()
 
 
 class TestCliffordDense:

@@ -317,6 +317,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "transfer-matrix limit 2" in captured.err
 
+    @pytest.mark.parametrize("mode", ["finite", "thermodynamic"])
+    def test_mpu_pe_non_unitary_tensor_exits_one(self, tmp_path, capsys, mode):
+        tfile = tmp_path / "bad.txt"
+        save_mpu(str(tfile), MPUTensor(2, np.random.default_rng(1).normal(size=(2, 2, 2, 2))))
+        assert main(["mpu-pe", "--tensor", str(tfile), "--na", "2", "--nb", "2",
+                     "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not unitary" in captured.err
+
     def test_mpu_pe_command(self, tmp_path):
         tfile = tmp_path / "tensor.txt"
         save_mpu(str(tfile), mpu_zz_chain(np.pi / 8))
