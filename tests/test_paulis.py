@@ -167,7 +167,7 @@ class TestRandomPauli:
         assert np.all(np.abs(counts - expect) <= 4 * sigma)
 
     def test_seeded_draws_keep_their_values(self):
-        # up to N = 31 a draw is one rng.integers call, as it always was
+        # up to N = 31 a draw is one rng.integers call; these values pin that stream
         for n, x, z in ((5, 7, 23), (31, 1451336747, 259338938)):
             p = random_pauli(n, np.random.default_rng(2024))
             assert (p.x, p.z) == (x, z)
@@ -180,6 +180,7 @@ class TestRandomPauli:
             # 200 uniform draws: each of the 2N bits is set somewhere
             assert reduce(or_, [p.x for p in draws]) == (1 << n) - 1
             assert reduce(or_, [p.z for p in draws]) == (1 << n) - 1
+
 
 class TestTables:
     def test_walsh_hadamard_small(self):
