@@ -550,7 +550,12 @@ def q_permutation_traces(n_qubits: int) -> dict[str, float]:
 
 def local_pauli_magic_bound(u: np.ndarray, bp: Bipartition) -> tuple[float, float]:
     """Average linear operator stabilizer entropy generated on subsystem-local
-    Pauli strings; each side upper-bounds the Pauli-entangling power."""
+    Pauli strings evolved as U P U^dag; each side upper-bounds the
+    Pauli-entangling power, which averages U^dag P U.
+
+    The bound holds in this direction only: for U = (1 x T) CNOT at 1|1,
+    P_E = 1/4 and the bounds are (1/4, 1/4), while the local strings
+    evolved as U^dag P U give (0, 1/4)."""
     if not is_unitary(u):
         raise NotUnitary("bound needs a unitary")
     if u.shape[0] != bp.d:

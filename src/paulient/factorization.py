@@ -44,8 +44,6 @@ from .paulis import (
     PauliString,
     _f2_nullspace,
     _operator_pauli_probs,
-    _row_to_pauli,
-    _symplectic_j,
     _symplectic_pairs,
     clifford_from_generator_images,
     clifford_to_dense,
@@ -244,19 +242,13 @@ def _tableau_if_clifford(v: np.ndarray) -> CliffordTableau | None:
 
 
 def _tableau_block_diag(ca: CliffordTableau, cb: CliffordTableau) -> CliffordTableau:
-    """Tableau of ca (x) cb: each block's matrix and signs placed at its
-    qubits' rows and columns, [0, n_a) u [n, n + n_a) for A and the rest
-    for B."""
-    na, n = ca.n_qubits, ca.n_qubits + cb.n_qubits
-    a = np.r_[0:na, n:n + na]
-    b = np.r_[na:n, n + na:2 * n]
-    mat = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    signs = np.zeros(2 * n, dtype=np.uint8)
-    mat[np.ix_(a, a)] = ca.mat
-    mat[np.ix_(b, b)] = cb.mat
-    signs[a] = ca.signs
-    signs[b] = cb.signs
-    return CliffordTableau(n, mat, signs)
+    """Tableau of ca (x) cb: A's generator images moved onto the leading n_a
+    qubits, B's onto the trailing n_b."""
+    na, nb = ca.n_qubits, cb.n_qubits
+    n = na + nb
+    a = [(PauliString(n, p.x << nb, p.z << nb), s) for p, s in map(ca.row_pauli, range(2 * na))]
+    b = [(PauliString(n, p.x, p.z), s) for p, s in map(cb.row_pauli, range(2 * nb))]
+    return clifford_from_generator_images(a[:na] + b[:nb] + a[na:] + b[nb:])
 
 
 def _one_sided_factor(
@@ -290,17 +282,20 @@ def factorize(
         raise NotUnitary("need a unitary matching the bipartition")
     udag = u.conj().T
 
+    gens = _generators(n)
     mats = []  # the A factor of each generator's image
-    for p in _generators(n):
+    for p in gens:
         try:
             mats.append(extract_hermitian_unitary_factors(_evolve(p, u, udag), bp, tol)[0])
         except NotProduct as exc:
             raise NotProductPreserving(f"generator {p} does not evolve to a product: {exc}")
 
-    # ca[i, j] = 1 when the A factors of generators i and j commute.  The
-    # images keep the generators' pattern J (1 = anticommute), and X_i (x) Y_i
-    # and X_j (x) Y_j commute iff their sides agree, so the B side is ca ^ J.
-    ca = np.zeros((2 * n, 2 * n), dtype=np.uint8)
+    # Row i of ca has generator j's index set when the A factors of
+    # generators i and j commute.  The images keep the generators' pattern
+    # (g_i anticommutes with its partner g_(i+-N) only), and X_i (x) Y_i and
+    # X_j (x) Y_j commute iff their sides agree, so the B side is row i XOR
+    # the partner's index.  A null vector is then the index of its string.
+    ca = [0] * (2 * n)
     for i in range(2 * n):
         for j in range(i + 1, 2 * n):
             comm = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
@@ -308,24 +303,27 @@ def factorize(
             if min(comm, anti) > 1e-6 * max(comm, anti, 1.0):
                 raise FactorizationDegeneracy(
                     f"factors of generators {i},{j} neither commute nor anticommute")
-            ca[i, j] = ca[j, i] = comm > anti
-    cb = ca ^ _symplectic_j(n)
-    h_tilde = _f2_nullspace(cb)  # B factor scalar -> supported on A
-    h = _f2_nullspace(ca)  # A factor scalar -> supported on B
+            if comm > anti:
+                ca[i] |= gens[j].index
+                ca[j] |= gens[i].index
+    cb = [row ^ gens[(i + n) % (2 * n)].index for i, row in enumerate(ca)]
+    h_tilde = _f2_nullspace(cb, 2 * n)  # B factor scalar -> supported on A
+    h = _f2_nullspace(ca, 2 * n)  # A factor scalar -> supported on B
     if len(h_tilde) != 2 * bp.n_a or len(h) != 2 * bp.n_b:
         raise NotProductPreserving(
             f"one-sided subgroups have ranks {len(h_tilde)}/{len(h)}, "
             f"expected {2 * bp.n_a}/{2 * bp.n_b}"
         )
 
-    # generator-coordinate vectors double as Pauli (x|z) labels
-    pairs_a = _symplectic_pairs(h_tilde, n)
-    pairs_b = _symplectic_pairs(h, n)
+    pairs_a = [(PauliString.from_index(n, f), PauliString.from_index(n, g))
+               for f, g in _symplectic_pairs(h_tilde, n)]
+    pairs_b = [(PauliString.from_index(n, f), PauliString.from_index(n, g))
+               for f, g in _symplectic_pairs(h, n)]
 
-    a_flip = [_one_sided_factor(_row_to_pauli(f), u, udag, bp, "A", tol) for f, _ in pairs_a]
-    a_comm = [_one_sided_factor(_row_to_pauli(g), u, udag, bp, "A", tol) for _, g in pairs_a]
-    b_flip = [_one_sided_factor(_row_to_pauli(f), u, udag, bp, "B", tol) for f, _ in pairs_b]
-    b_comm = [_one_sided_factor(_row_to_pauli(g), u, udag, bp, "B", tol) for _, g in pairs_b]
+    a_flip = [_one_sided_factor(f, u, udag, bp, "A", tol) for f, _ in pairs_a]
+    a_comm = [_one_sided_factor(g, u, udag, bp, "A", tol) for _, g in pairs_a]
+    b_flip = [_one_sided_factor(f, u, udag, bp, "B", tol) for f, _ in pairs_b]
+    b_comm = [_one_sided_factor(g, u, udag, bp, "B", tol) for _, g in pairs_b]
 
     v = _intertwiner(a_comm, a_flip)
     w = _intertwiner(b_comm, b_flip)
@@ -333,7 +331,7 @@ def factorize(
     # V^dag f V = X and V^dag g V = Z on each block, so X_q -> f_q, Z_q -> g_q
     # (A pairs, then B pairs, + signs) is the tableau of C^-1.
     pairs = pairs_a + pairs_b
-    images = [(_row_to_pauli(f), 1) for f, _ in pairs] + [(_row_to_pauli(g), 1) for _, g in pairs]
+    images = [(f, 1) for f, _ in pairs] + [(g, 1) for _, g in pairs]
     try:
         tableau = clifford_from_generator_images(images).inverse()
     except InvalidGeneratorImages as exc:

@@ -190,8 +190,15 @@ def pauli_power_mpu(
     mode="finite" evaluates 1 - 16^-N Tr(E_A^n_a E_B^n_b) exactly, after
     closure_defect at N = n_a + n_b has shown the closure unitary;
     mode="thermodynamic" takes n_a, n_b -> infinity using the dominant
-    eigenpairs (n_a, n_b arguments are ignored there).  A tensor whose
-    closure is not unitary raises NotUnitaryClosure.
+    eigenpairs (n_a, n_b arguments are ignored there), whose eigenvalue
+    product is 1 for a unitary closure.  A tensor whose closure is not
+    unitary raises NotUnitaryClosure.
+
+    A product below 1 is refused as well, not read as a limit P_E = 1: no
+    unitary closure reaches 1.  U^dag P U has bond chi^2, so across the
+    ring's two cut bonds its operator-Schmidt rank is at most chi^4 and
+    E_lin <= 1 - chi^-4, which caps P_E at 15/16 for chi <=
+    TRANSFER_CHI_LIMIT = 2.
     """
     pair = transfer_matrix_pair(a)
     if mode == "finite":
@@ -213,16 +220,14 @@ def pauli_power_mpu(
     la, ra, lla = _dominant_pair(pair.t_a / 16.0)
     lb, rb, llb = _dominant_pair(pair.t_b / 16.0)
     prod = la * lb
-    if abs(prod - 1.0) <= 1e-8:
-        overlap = (np.vdot(lla, rb) * np.vdot(llb, ra)) / (
-            np.vdot(lla, ra) * np.vdot(llb, rb)
+    if not abs(prod - 1.0) <= 1e-8:  # NaN fails too
+        raise NotUnitaryClosure(
+            f"dominant eigenvalue product {prod:.6g} is not 1: the closure is not unitary"
         )
-        return float(1.0 - overlap.real)
-    if abs(prod) < 1.0:
-        return 1.0
-    raise NotUnitaryClosure(
-        f"dominant eigenvalue product {prod:.6g} exceeds 1: the closure is not unitary"
+    overlap = (np.vdot(lla, rb) * np.vdot(llb, ra)) / (
+        np.vdot(lla, ra) * np.vdot(llb, rb)
     )
+    return float(1.0 - overlap.real)
 
 
 # ---------------------------------------------------------------------------

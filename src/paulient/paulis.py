@@ -14,10 +14,18 @@ Encoding conventions used throughout the package:
   i.e. every site carries i^(x_i z_i) X^(x_i) Z^(z_i), so (1,1) is Y and
   every phase-0 string is Hermitian.  The full operator is
   i^phase_exp * P(x, z).
+* The one F2 vector of a phase-0 class is the 2N-bit integer
+  PauliString.index = (x << N) | z.  The symplectic form
+  (_symplectic_form), null spaces, independence and symplectic Gram-Schmidt
+  all run on these integers, and products carry their phase as a power of
+  i (_multiply).
 * A Clifford tableau stores the images of the generators X_1..X_N,
   Z_1..Z_N as rows of a 2N x 2N binary matrix (columns 0..N-1 = x bits,
   N..2N-1 = z bits) plus a 2N sign vector: generator g_i maps to
-  (-1)^signs[i] * P(row_i).
+  (-1)^signs[i] * P(row_i).  Column c is bit 2N-1-c of the index, and
+  _mat_to_rows / _rows_to_mat are the one conversion: the tableau reads its
+  rows into indices once, and only the file format, is_symplectic and
+  inverse's J M^T J read the uint8 matrix.
 * Pauli-basis tables come from one step, _pauli_columns: Tr(op P(x, z)) =
   i^(x.z) sum_y (-1)^(z.y) op[y, y^x], gathered into [..., y, x] by
   _xor_index and transformed over y by _wht_real.  pauli_trace_table, its
@@ -32,7 +40,7 @@ Encoding conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from typing import Sequence
 
@@ -48,7 +56,6 @@ from .errors import (
 DENSE_LIMIT = 12  # largest qubit or site count built as a dense matrix
 
 _I4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
-_I4_POWER = {complex(v): k for k, v in enumerate(_I4)}
 
 SINGLE_QUBIT_PAULIS = {
     "I": np.eye(2, dtype=complex),
@@ -135,29 +142,9 @@ class PauliString:
         return (self.x << self.n_qubits) | self.z
 
 
-def _pauli_to_row(p: PauliString) -> np.ndarray:
-    """The (x | z) F2 row of a string's phase-0 class: the 2N bits of
-    p.index, most significant first."""
-    width = 2 * p.n_qubits
-    return np.array([(p.index >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def _row_to_pauli(row) -> PauliString:
-    """The phase-0 string of an (x | z) F2 row; inverse of _pauli_to_row."""
-    index = 0
-    for b in row:
-        index = (index << 1) | int(b)
-    return PauliString.from_index(len(row) // 2, index)
-
-
-def pauli_multiply(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:
-    """Multiply two Pauli strings.
-
-    Returns the canonical phase-0 representative of the product class and the
-    scalar ``c`` such that dense(p) @ dense(q) == c * dense(result).
-    """
-    if p.n_qubits != q.n_qubits:
-        raise ValueError("qubit-count mismatch")
+def _multiply(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
+    """The phase-0 product class and the k in {0, 1, 2, 3} with
+    dense(p) @ dense(q) == i^k dense(result)."""
     x3 = p.x ^ q.x
     z3 = p.z ^ q.z
     # per-site phase bookkeeping for i^(x.z) X^x Z^z representatives:
@@ -168,15 +155,32 @@ def pauli_multiply(p: PauliString, q: PauliString) -> tuple[PauliString, complex
         + 2 * (p.z & q.x).bit_count()
         - (x3 & z3).bit_count()
     )
-    total = (p.phase_exp + q.phase_exp + kappa) % 4
-    return PauliString(p.n_qubits, x3, z3, 0), complex(_I4[total])
+    return PauliString(p.n_qubits, x3, z3, 0), (p.phase_exp + q.phase_exp + kappa) % 4
+
+
+def pauli_multiply(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:
+    """Multiply two Pauli strings.
+
+    Returns the canonical phase-0 representative of the product class and the
+    scalar ``c`` such that dense(p) @ dense(q) == c * dense(result).
+    """
+    if p.n_qubits != q.n_qubits:
+        raise ValueError("qubit-count mismatch")
+    r, k = _multiply(p, q)
+    return r, complex(_I4[k])
+
+
+def _symplectic_form(u: int, v: int, n: int) -> int:
+    """<u, v> = x_u.z_v + z_u.x_v (mod 2) of two 2N-bit (x | z) indices: 1
+    when the strings anticommute."""
+    return ((u >> n & v) ^ (u & v >> n)).bit_count() & 1
 
 
 def pauli_commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the dense realizations commute (symplectic form vanishes)."""
     if p.n_qubits != q.n_qubits:
         raise ValueError("qubit-count mismatch")
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
+    return not _symplectic_form(p.index, q.index, p.n_qubits)
 
 
 def _pauli_entries(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,6 +436,20 @@ def _symplectic_j(n: int) -> np.ndarray:
     return np.block([[zero, eye], [eye, zero]])
 
 
+def _mat_to_rows(mat: np.ndarray) -> list[int]:
+    """The rows of a 0/1 uint8 matrix as integers, column 0 the most
+    significant bit: a tableau row as the 2N-bit index of its image."""
+    pad = -mat.shape[1] % 8
+    return [int.from_bytes(packed.tobytes(), "big") >> pad for packed in np.packbits(mat, axis=1)]
+
+
+def _rows_to_mat(rows: Sequence[int], width: int) -> np.ndarray:
+    """The uint8 matrix of width-bit integer rows; inverse of _mat_to_rows."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "big") for r in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), nbytes), axis=1)[:, 8 * nbytes - width:]
+
+
 @dataclass
 class CliffordTableau:
     """Binary symplectic matrix plus signs: the conjugation action of a
@@ -440,6 +458,7 @@ class CliffordTableau:
     n_qubits: int
     mat: np.ndarray  # (2N, 2N) uint8, rows = images of X_1..X_N, Z_1..Z_N
     signs: np.ndarray  # (2N,) uint8
+    rows: list[int] = field(init=False, repr=False, compare=False)  # mat's rows as indices
 
     def __post_init__(self):
         n2 = 2 * self.n_qubits
@@ -449,6 +468,8 @@ class CliffordTableau:
             raise ValueError("tableau shape mismatch")
         if not self.is_symplectic():
             raise InvalidGeneratorImages("rows do not preserve the symplectic form")
+        self.mat.flags.writeable = False  # rows is read from it once
+        self.rows = _mat_to_rows(self.mat)
 
     def is_symplectic(self) -> bool:
         j = _symplectic_j(self.n_qubits)
@@ -462,7 +483,7 @@ class CliffordTableau:
     def row_pauli(self, i: int) -> tuple[PauliString, int]:
         """Image of generator i (0..N-1: X_i, N..2N-1: Z_i) as a phase-0
         string plus its +-1 sign."""
-        return _row_to_pauli(self.mat[i]), -1 if self.signs[i] else 1
+        return PauliString.from_index(self.n_qubits, self.rows[i]), -1 if self.signs[i] else 1
 
     def conjugate(self, p: PauliString) -> tuple[PauliString, int]:
         """C P C^dag for a Hermitian string: phase-0 result plus a +-1 sign."""
@@ -470,22 +491,16 @@ class CliffordTableau:
             raise ValueError("qubit-count mismatch")
         if not p.is_hermitian:
             raise NotHermitian("conjugation is defined for Hermitian strings")
-        acc = PauliString.identity(self.n_qubits)
-        kappa = 0  # accumulated power of i from the multiplication cocycles
-        neg = 0  # accumulated -1 exponent from row signs
-        index, width = p.index, 2 * self.n_qubits
-        for i in range(width):  # the X_1..X_N factors, then Z_1..Z_N
-            if not (index >> (width - 1 - i)) & 1:
-                continue
-            img, sgn = self.row_pauli(i)
-            acc, c = pauli_multiply(acc, img)
-            kappa = (kappa + _phase_power(c)) % 4
-            neg ^= sgn < 0
-        total = (p.phase_exp + (p.x & p.z).bit_count() + kappa) % 4
-        if total not in (0, 2):
+        n, width, index = self.n_qubits, 2 * self.n_qubits, p.index
+        acc = PauliString.identity(n)
+        k = p.phase_exp + (p.x & p.z).bit_count()  # power of i: P = i^k X^x Z^z
+        for i, row in enumerate(self.rows):  # the X_1..X_N factors, then Z_1..Z_N
+            if index >> (width - 1 - i) & 1:
+                acc, k_row = _multiply(acc, PauliString.from_index(n, row))
+                k += k_row + 2 * int(self.signs[i])
+        if k % 4 not in (0, 2):
             raise AssertionError("conjugation of a Hermitian string must give +-1")
-        sign = (1 if total == 0 else -1) * (-1 if neg else 1)
-        return acc, sign
+        return acc, 1 if k % 4 == 0 else -1
 
     def compose(self, first: "CliffordTableau") -> "CliffordTableau":
         """Tableau of self . first (apply `first`, then `self`)."""
@@ -502,11 +517,12 @@ class CliffordTableau:
         """Tableau of C^dag.  Its matrix is J M^T J (mod 2), the inverse of a
         symplectic M.  Row i is the class of C^dag g_i C, and its sign s
         follows from conjugating back: C (s P(row i)) C^dag = g_i."""
-        j = _symplectic_j(self.n_qubits)
+        n = self.n_qubits
+        j = _symplectic_j(n)
         mat = j @ self.mat.T @ j % 2
-        signs = np.array([self.conjugate(_row_to_pauli(row))[1] < 0 for row in mat],
-                         dtype=np.uint8)
-        return CliffordTableau(self.n_qubits, mat, signs)
+        signs = [self.conjugate(PauliString.from_index(n, row))[1] < 0
+                 for row in _mat_to_rows(mat)]
+        return CliffordTableau(n, mat, np.array(signs, dtype=np.uint8))
 
     def __eq__(self, other) -> bool:
         return (
@@ -515,14 +531,6 @@ class CliffordTableau:
             and np.array_equal(self.mat, other.mat)
             and np.array_equal(self.signs, other.signs)
         )
-
-
-def _phase_power(c: complex) -> int:
-    """The k in {0, 1, 2, 3} with c == i^k exactly."""
-    try:
-        return _I4_POWER[complex(c)]
-    except KeyError:
-        raise ValueError(f"{c!r} is not a power of i") from None
 
 
 def clifford_from_generator_images(
@@ -538,43 +546,35 @@ def clifford_from_generator_images(
     n = images[0][0].n_qubits
     if len(images) != 2 * n:
         raise InvalidGeneratorImages(f"expected {2 * n} images, got {len(images)}")
-    mat = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    signs = np.zeros(2 * n, dtype=np.uint8)
-    for i, (p, s) in enumerate(images):
+    for p, s in images:
         if p.n_qubits != n:
             raise InvalidGeneratorImages("qubit-count mismatch among images")
         if p.phase_exp != 0:
             raise InvalidGeneratorImages("images must be phase-0 strings")
         if s not in (1, -1):
             raise InvalidGeneratorImages("signs must be +-1")
-        mat[i] = _pauli_to_row(p)
-        signs[i] = 1 if s == -1 else 0
-    return CliffordTableau(n, mat, signs)
+    return CliffordTableau(n, _rows_to_mat([p.index for p, _ in images], 2 * n),
+                           np.array([s == -1 for _, s in images], dtype=np.uint8))
 
 
-def _symp_inner(u: np.ndarray, v: np.ndarray, n: int) -> int:
-    return int((u[:n] @ v[n:] + u[n:] @ v[:n]) % 2)
-
-
-def _project_out(v: np.ndarray, f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+def _project_out(v: int, f: int, g: int, n: int) -> int:
     """v with the hyperbolic pair (f, g) projected out: the result pairs to
     zero with both f and g (given <f, g> = 1)."""
-    v = v.copy()
-    if _symp_inner(v, g, n):
+    if _symplectic_form(v, g, n):
         v ^= f
-    if _symp_inner(v, f, n):
+    if _symplectic_form(v, f, n):
         v ^= g
     return v
 
 
-def _symplectic_pairs(vectors: list[np.ndarray], n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _symplectic_pairs(vectors: list[int], n: int) -> list[tuple[int, int]]:
     """Hyperbolic pairs spanning the given subgroup under the standard form
     (symplectic Gram-Schmidt, in the given order)."""
     vecs = list(vectors)
     pairs = []
     while vecs:
         f = vecs.pop(0)
-        j = next((k for k, v in enumerate(vecs) if _symp_inner(f, v, n)), None)
+        j = next((k for k, v in enumerate(vecs) if _symplectic_form(f, v, n)), None)
         if j is None:
             raise FactorizationDegeneracy("commutation form degenerate on subgroup")
         g = vecs.pop(j)
@@ -583,45 +583,41 @@ def _symplectic_pairs(vectors: list[np.ndarray], n: int) -> list[tuple[np.ndarra
     return pairs
 
 
-def _f2_independent(vectors: list[np.ndarray], expected: int) -> list[np.ndarray]:
+def _f2_independent(vectors: list[int], expected: int) -> list[int]:
     """Keep a maximal linearly independent subset (deterministic order)."""
-    rows: list[np.ndarray] = []
-    pivots: list[int] = []
-    kept: list[np.ndarray] = []
+    rows: list[int] = []
+    kept: list[int] = []
     for v in vectors:
-        r = v.copy()
-        for row, piv in zip(rows, pivots):
-            if r[piv]:
-                r ^= row
-        nz = np.flatnonzero(r)
-        if nz.size:
+        r = v
+        for row in rows:
+            r = min(r, r ^ row)  # clears row's leading bit from r
+        if r:
             rows.append(r)
-            pivots.append(int(nz[0]))
             kept.append(v)
     if len(kept) != expected:
         raise AssertionError("unexpected rank in symplectic complement")
     return kept
 
 
-def _f2_nullspace(mat: np.ndarray) -> list[np.ndarray]:
-    """Basis of {v : v @ mat = 0 (mod 2)} for a symmetric uint8 matrix."""
-    m = mat.copy() % 2
-    n = m.shape[0]
-    trans = np.eye(n, dtype=np.uint8)
+def _f2_nullspace(rows: list[int], width: int) -> list[int]:
+    """Basis of {v : v M = 0 (mod 2)} for a symmetric F2 matrix M given as
+    its width-bit rows; column j of M, like entry j of v, is bit width-1-j."""
+    m = list(rows)
+    trans = [1 << (width - 1 - r) for r in range(width)]
     row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if m[r, col]), None)
+    for col in range(width):
+        bit = 1 << (width - 1 - col)
+        pivot = next((r for r in range(row, width) if m[r] & bit), None)
         if pivot is None:
             continue
-        if pivot != row:
-            m[[row, pivot]] = m[[pivot, row]]
-            trans[[row, pivot]] = trans[[pivot, row]]
-        for r in range(n):
-            if r != row and m[r, col]:
+        m[row], m[pivot] = m[pivot], m[row]
+        trans[row], trans[pivot] = trans[pivot], trans[row]
+        for r in range(width):
+            if r != row and m[r] & bit:
                 m[r] ^= m[row]
                 trans[r] ^= trans[row]
         row += 1
-    return [trans[r] for r in range(n) if not m[r].any()]
+    return [t for t, r in zip(trans, m) if not r]
 
 
 def random_clifford(n_qubits: int, rng: np.random.Generator) -> CliffordTableau:
@@ -636,21 +632,21 @@ def random_clifford(n_qubits: int, rng: np.random.Generator) -> CliffordTableau:
     arises from exactly one choice sequence.  Signs are 2N fair bits.
     """
     n = n_qubits
-    basis = [row.copy() for row in np.eye(2 * n, dtype=np.uint8)]
-    xrows: list[np.ndarray] = []
-    zrows: list[np.ndarray] = []
+    basis = [1 << (2 * n - 1 - i) for i in range(2 * n)]
+    xrows: list[int] = []
+    zrows: list[int] = []
     for step in range(n):
         m = n - step
         k = _uniform_below_4n(1, m, rng)
-        f = np.zeros(2 * n, dtype=np.uint8)
+        f = 0
         for i in range(2 * m):
             if (k >> i) & 1:
                 f ^= basis[i]
-        pair = [_symp_inner(f, b, n) for b in basis]
+        pair = [_symplectic_form(f, b, n) for b in basis]
         j0 = pair.index(1)  # exists: the form is nondegenerate on the span
         kern = [basis[i] ^ (basis[j0] if pair[i] else 0)
                 for i in range(2 * m) if i != j0]
-        g = basis[j0].copy()
+        g = basis[j0]
         for bit, kv in zip(rng.integers(0, 2, size=2 * m - 1), kern):
             if bit:
                 g ^= kv
@@ -658,9 +654,8 @@ def random_clifford(n_qubits: int, rng: np.random.Generator) -> CliffordTableau:
         zrows.append(g)
         if m > 1:
             basis = _f2_independent([_project_out(b, f, g, n) for b in basis], 2 * m - 2)
-    mat = np.vstack(xrows + zrows)
     signs = rng.integers(0, 2, size=2 * n).astype(np.uint8)
-    return CliffordTableau(n, mat, signs)
+    return CliffordTableau(n, _rows_to_mat(xrows + zrows, 2 * n), signs)
 
 
 def clifford_to_dense(c: CliffordTableau) -> np.ndarray:
@@ -695,8 +690,8 @@ def clifford_to_dense(c: CliffordTableau) -> np.ndarray:
         low = b & -b
         rest, rest_sgn = images[b ^ low]
         img, q_sgn = x_images[n - low.bit_length()]
-        img, phase = pauli_multiply(rest, img)
-        sgn = rest_sgn * q_sgn * (1 if phase == 1 else -1)
+        img, k = _multiply(rest, img)
+        sgn = rest_sgn * q_sgn * (1 if k == 0 else -1)
         images.append((img, sgn))
         rows, _, values = _pauli_entries(img)
         u[:, b] = sgn * (values[rows] * psi0[rows])

@@ -31,7 +31,7 @@ from paulient.paulis import (
 from paulient.spinchain import HamiltonianPropagator, XYZModel, build_hamiltonian
 from paulient.stats import run_until_converged
 
-from conftest import CNOT, dense_pauli, oracle_elin, oracle_pauli_power
+from conftest import CNOT, T_GATE, dense_pauli, oracle_elin, oracle_pauli_power
 
 
 BP11 = Bipartition(1, 1)
@@ -426,6 +426,16 @@ class TestBounds:
         ba, bb = local_pauli_magic_bound(u_xx(), BP11)
         assert abs(ba - 0.25) < 1e-10 and abs(bb - 0.25) < 1e-10
         assert abs(pauli_entangling_power(u_xx(), BP11).value - 0.25) < 1e-10
+
+    def test_bound_evolves_local_strings_as_u_p_udag(self):
+        # tight for T after CNOT; the bound of U^dag (strings evolved as
+        # U^dag P U, P_E's direction) falls below P_E on side A
+        u = np.kron(np.eye(2), T_GATE) @ CNOT
+        assert abs(pauli_entangling_power(u, BP11).value - 0.25) < 1e-12
+        ba, bb = local_pauli_magic_bound(u, BP11)
+        assert abs(ba - 0.25) < 1e-12 and abs(bb - 0.25) < 1e-12
+        ba, bb = local_pauli_magic_bound(u.conj().T, BP11)
+        assert abs(ba) < 1e-12 and abs(bb - 0.25) < 1e-12
 
     def test_inequality_sweep(self, rng):
         for _ in range(50):

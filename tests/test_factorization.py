@@ -163,6 +163,23 @@ class TestFactorize:
             fac = factorize(u, bp)
             assert verify_factorization(u, fac) <= 1e-8
 
+    @pytest.mark.parametrize("n,na,rows,signs", [
+        (3, 1, [16, 5, 40, 2, 8, 4], [0] * 6),
+        (5, 2, [811, 89, 128, 9, 288, 489, 601, 527, 98, 714],
+         [1, 0, 0, 0, 0, 1, 0, 0, 1, 1]),
+        (8, 4, [23927, 4454, 21777, 4386, 37137, 17, 8704, 4352,
+                21836, 64315, 56605, 36403, 30677, 11217, 37190, 12685],
+         [0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1]),
+    ])
+    def test_seeded_tableaux_keep_their_values(self, n, na, rows, signs):
+        # the recovered C, rows as 2N-bit integers, for make_product_preserving(seed N)
+        bp = Bipartition(na, n - na)
+        u = make_product_preserving(bp, np.random.default_rng(n))[0]
+        fac = factorize(u, bp)
+        assert [int("".join(map(str, row)), 2) for row in fac.c.mat] == rows
+        assert fac.c.signs.tolist() == signs
+        assert verify_factorization(u, fac) <= 1e-8
+
     def test_three_qubit_block_canonicalization(self, rng):
         # the simultaneous-diagonalization stage with an 8-dimensional block
         bp = Bipartition(3, 3)

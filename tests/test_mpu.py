@@ -197,6 +197,13 @@ class TestClosureDefect:
         with pytest.raises(NotUnitaryClosure):
             pauli_power_mpu(_non_unitary_tensor(), 2, 2, mode=mode)
 
+    def test_scaled_unitary_tensor_rejected_in_thermodynamic_mode(self):
+        # both dominant eigenvalues are 1/256: a product below 1 is no limit either
+        tensor = MPUTensor(2, 0.5 * mpu_zz_chain(0.3).tensor)
+        assert abs(closure_defect(tensor, 40) - 1.0) < 1e-12
+        with pytest.raises(NotUnitaryClosure, match="is not 1"):
+            pauli_power_mpu(tensor, 0, 0, mode="thermodynamic")
+
     def test_nan_tensor_rejected(self):
         with pytest.raises(NotUnitaryClosure):
             pauli_power_mpu(MPUTensor(1, np.full((1, 1, 2, 2), np.nan)), 1, 1)

@@ -12,8 +12,13 @@ from paulient.paulis import (
     CliffordTableau,
     PauliString,
     _SectorLayout,
+    _f2_independent,
+    _f2_nullspace,
+    _mat_to_rows,
     _phase_grid,
-    _phase_power,
+    _rows_to_mat,
+    _symplectic_form,
+    _symplectic_pairs,
     _wht_real,
     _xor_index,
     clifford_from_generator_images,
@@ -87,12 +92,6 @@ class TestMultiplication:
     def test_qubit_mismatch(self):
         with pytest.raises(ValueError):
             pauli_multiply(P("X"), P("XX"))
-
-    def test_phase_power_is_exact(self):
-        for k, c in enumerate((1, 1j, -1, -1j)):
-            assert _phase_power(c) == k
-        with pytest.raises(ValueError):
-            _phase_power(0.7 + 0.7j)
 
 
 class TestCommutation:
@@ -341,7 +340,7 @@ class TestRandomClifford:
         assert a == b
 
     def test_seeded_draws_keep_their_values(self):
-        # the rows as 2N-bit integers at N = 5, a digest of the tableau at N = 31
+        # the rows as 2N-bit integers at N = 5, a digest of the tableau at N = 31, 64
         c = random_clifford(5, np.random.default_rng(2024))
         assert [int("".join(map(str, row)), 2) for row in c.mat] == \
             [124, 672, 424, 606, 569, 271, 23, 997, 668, 365]
@@ -349,12 +348,77 @@ class TestRandomClifford:
         c = random_clifford(31, np.random.default_rng(2024))
         assert hashlib.sha256(c.mat.tobytes() + c.signs.tobytes()).hexdigest() == \
             "ee92ecbbca87dabb9ecba7c42877f189655a242c738f4be3cace2fc922ab8dfa"
+        c = random_clifford(64, np.random.default_rng(9))
+        assert hashlib.sha256(c.mat.tobytes() + c.signs.tobytes()).hexdigest() == \
+            "d12203866216c289705279d22ff43ffd69b059faa9aca8fb4156121510523019"
 
     def test_wide_tableaux(self):
         rng = np.random.default_rng(9)
         for n in (32, 64):
             c = random_clifford(n, rng)  # the constructor rejects a non-symplectic matrix
             assert c.mat.shape == (2 * n, 2 * n) and c.is_symplectic()
+
+
+def _span(vectors):
+    """Every XOR of a subset of the integer vectors, by brute force."""
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return span
+
+
+class TestF2Layer:
+    """The F2 helpers on 2N-bit (x | z) indices, against brute force at
+    widths up to 6."""
+
+    def test_rows_round_trip_the_uint8_matrix(self, rng):
+        for width in (1, 2, 6, 8, 10, 17, 128):
+            mat = rng.integers(0, 2, size=(3, width)).astype(np.uint8)
+            rows = _mat_to_rows(mat)
+            assert rows == [int("".join(map(str, row)), 2) for row in mat]
+            assert np.array_equal(_rows_to_mat(rows, width), mat)
+
+    def test_nullspace_spans_the_left_kernel(self, rng):
+        for _ in range(40):
+            width = int(rng.integers(1, 7))
+            m = rng.integers(0, 2, size=(width, width))
+            m = (m | m.T).astype(np.uint8)  # symmetric
+            rows = _mat_to_rows(m)
+            basis = _f2_nullspace(rows, width)
+            bits = np.arange(width - 1, -1, -1)  # entry j of v is bit width-1-j
+            kernel = {v for v in range(1 << width) if not ((v >> bits & 1) @ m % 2).any()}
+            assert len(_span(basis)) == 1 << len(basis)  # independent
+            assert _span(basis) == kernel
+
+    def test_symplectic_pairs_are_hyperbolic(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            rows = random_clifford(n, rng).rows
+            keep = [q for q in range(n) if rng.integers(0, 2)] or [0]
+            vecs = [rows[q] for q in keep] + [rows[n + q] for q in keep]
+            vecs = [vecs[i] for i in rng.permutation(len(vecs))]
+            for j in range(1, len(vecs)):  # row operations keep the span
+                vecs[j] ^= vecs[int(rng.integers(0, j))] * int(rng.integers(0, 2))
+            pairs = _symplectic_pairs(vecs, n)
+            fs, gs = [f for f, _ in pairs], [g for _, g in pairs]
+            for i, (fi, gi) in enumerate(pairs):
+                for j, (fj, gj) in enumerate(pairs):
+                    assert _symplectic_form(fi, gj, n) == (i == j)
+                    assert _symplectic_form(fi, fj, n) == _symplectic_form(gi, gj, n) == 0
+            assert _span(fs + gs) == _span(vecs)
+
+    def test_independent_keeps_a_basis_of_the_span(self, rng):
+        for _ in range(60):
+            width = int(rng.integers(1, 7))
+            vectors = [int(v) for v in rng.integers(0, 1 << width, size=int(rng.integers(1, 9)))]
+            rank = len(_span(vectors)).bit_length() - 1
+            kept = _f2_independent(vectors, rank)
+            assert len(kept) == rank and len(_span(kept)) == 1 << rank
+            assert _span(kept) == _span(vectors)
+            it = iter(vectors)
+            assert all(v in it for v in kept)  # an ordered subsequence of the input
+            with pytest.raises(AssertionError):
+                _f2_independent(vectors, rank + 1)
 
 
 class TestCliffordDense:

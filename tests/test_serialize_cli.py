@@ -327,6 +327,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "not unitary" in captured.err
 
+    def test_mpu_pe_scaled_unitary_tensor_exits_one_in_thermodynamic_mode(self, tmp_path,
+                                                                          capsys):
+        tfile = tmp_path / "half.txt"
+        save_mpu(str(tfile), MPUTensor(2, 0.5 * mpu_zz_chain(0.3).tensor))
+        out = tmp_path / "out.csv"
+        assert main(["mpu-pe", "--tensor", str(tfile), "--na", "2", "--nb", "2",
+                     "--mode", "thermodynamic", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and "not unitary" in captured.err
+
     def test_mpu_pe_command(self, tmp_path):
         tfile = tmp_path / "tensor.txt"
         save_mpu(str(tfile), mpu_zz_chain(np.pi / 8))
