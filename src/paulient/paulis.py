@@ -19,13 +19,12 @@ Encoding conventions used throughout the package:
   (_symplectic_form), null spaces, independence and symplectic Gram-Schmidt
   all run on these integers, and products carry their phase as a power of
   i (_multiply).
-* A Clifford tableau stores the images of the generators X_1..X_N,
-  Z_1..Z_N as rows of a 2N x 2N binary matrix (columns 0..N-1 = x bits,
-  N..2N-1 = z bits) plus a 2N sign vector: generator g_i maps to
-  (-1)^signs[i] * P(row_i).  Column c is bit 2N-1-c of the index, and
-  _mat_to_rows / _rows_to_mat are the one conversion: the tableau reads its
-  rows into indices once, and only the file format, is_symplectic and
-  inverse's J M^T J read the uint8 matrix.
+* A Clifford tableau is the images of the generators X_1..X_N, Z_1..Z_N:
+  2N rows, each the index of its image, plus 2N sign bits, so generator g_i
+  maps to (-1)^signs[i] * P(rows[i]).  Read as a 2N x 2N binary matrix,
+  column c is bit 2N-1-c of each row (x bits first, then z bits);
+  is_symplectic, inverse's J M^T J and the file format all work on the
+  integer rows.
 * Pauli-basis tables come from one step, _pauli_columns: Tr(op P(x, z)) =
   i^(x.z) sum_y (-1)^(z.y) op[y, y^x], gathered into [..., y, x] by
   _xor_index and transformed over y by _wht_real.  pauli_trace_table, its
@@ -40,7 +39,8 @@ Encoding conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Sequence
 
@@ -430,55 +430,44 @@ def pauli_expectation_table(psi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _symplectic_j(n: int) -> np.ndarray:
-    eye = np.eye(n, dtype=np.uint8)
-    zero = np.zeros((n, n), dtype=np.uint8)
-    return np.block([[zero, eye], [eye, zero]])
-
-
-def _mat_to_rows(mat: np.ndarray) -> list[int]:
-    """The rows of a 0/1 uint8 matrix as integers, column 0 the most
-    significant bit: a tableau row as the 2N-bit index of its image."""
-    pad = -mat.shape[1] % 8
-    return [int.from_bytes(packed.tobytes(), "big") >> pad for packed in np.packbits(mat, axis=1)]
-
-
-def _rows_to_mat(rows: Sequence[int], width: int) -> np.ndarray:
-    """The uint8 matrix of width-bit integer rows; inverse of _mat_to_rows."""
-    nbytes = (width + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "big") for r in rows), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), nbytes), axis=1)[:, 8 * nbytes - width:]
-
-
-@dataclass
+@dataclass(frozen=True)
 class CliffordTableau:
-    """Binary symplectic matrix plus signs: the conjugation action of a
-    Clifford unitary on the Pauli generators, up to global phase."""
+    """The conjugation action of a Clifford unitary on the Pauli generators,
+    up to global phase: generator g_i (X_1..X_N, then Z_1..Z_N) maps to
+    (-1)^signs[i] * P(rows[i]), with rows[i] the 2N-bit index of its image."""
 
     n_qubits: int
-    mat: np.ndarray  # (2N, 2N) uint8, rows = images of X_1..X_N, Z_1..Z_N
-    signs: np.ndarray  # (2N,) uint8
-    rows: list[int] = field(init=False, repr=False, compare=False)  # mat's rows as indices
+    rows: tuple[int, ...]  # 2N indices in [0, 4^N)
+    signs: tuple[int, ...]  # 2N bits; 1 means the image carries -1
 
     def __post_init__(self):
-        n2 = 2 * self.n_qubits
-        self.mat = np.asarray(self.mat, dtype=np.uint8) % 2
-        self.signs = np.asarray(self.signs, dtype=np.uint8) % 2
-        if self.mat.shape != (n2, n2) or self.signs.shape != (n2,):
-            raise ValueError("tableau shape mismatch")
+        n = self.n_qubits
+        if n < 1:
+            raise ValueError("need at least one qubit")
+        rows = tuple(map(operator.index, self.rows))
+        signs = tuple(map(operator.index, self.signs))
+        if len(rows) != 2 * n or len(signs) != 2 * n:
+            raise ValueError(f"a {n}-qubit tableau needs {2 * n} rows and {2 * n} signs")
+        if not all(0 <= row < 1 << 2 * n for row in rows):
+            raise ValueError(f"tableau rows must lie in [0, 4^{n})")
+        if not all(s in (0, 1) for s in signs):
+            raise ValueError("tableau signs must be 0 or 1")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "signs", signs)
         if not self.is_symplectic():
             raise InvalidGeneratorImages("rows do not preserve the symplectic form")
-        self.mat.flags.writeable = False  # rows is read from it once
-        self.rows = _mat_to_rows(self.mat)
 
     def is_symplectic(self) -> bool:
-        j = _symplectic_j(self.n_qubits)
-        return bool(np.array_equal(self.mat @ j @ self.mat.T % 2, j))
+        """Row i anticommutes with row j exactly when they image a generator
+        pair X_q, Z_q."""
+        n, rows = self.n_qubits, self.rows
+        return all(_symplectic_form(rows[i], rows[j], n) == (j - i == n)
+                   for i in range(2 * n) for j in range(i + 1, 2 * n))
 
     @classmethod
     def identity(cls, n_qubits: int) -> "CliffordTableau":
-        return cls(n_qubits, np.eye(2 * n_qubits, dtype=np.uint8),
-                   np.zeros(2 * n_qubits, dtype=np.uint8))
+        width = 2 * n_qubits
+        return cls(n_qubits, [1 << (width - 1 - i) for i in range(width)], [0] * width)
 
     def row_pauli(self, i: int) -> tuple[PauliString, int]:
         """Image of generator i (0..N-1: X_i, N..2N-1: Z_i) as a phase-0
@@ -497,7 +486,7 @@ class CliffordTableau:
         for i, row in enumerate(self.rows):  # the X_1..X_N factors, then Z_1..Z_N
             if index >> (width - 1 - i) & 1:
                 acc, k_row = _multiply(acc, PauliString.from_index(n, row))
-                k += k_row + 2 * int(self.signs[i])
+                k += k_row + 2 * self.signs[i]
         if k % 4 not in (0, 2):
             raise AssertionError("conjugation of a Hermitian string must give +-1")
         return acc, 1 if k % 4 == 0 else -1
@@ -515,22 +504,15 @@ class CliffordTableau:
 
     def inverse(self) -> "CliffordTableau":
         """Tableau of C^dag.  Its matrix is J M^T J (mod 2), the inverse of a
-        symplectic M.  Row i is the class of C^dag g_i C, and its sign s
-        follows from conjugating back: C (s P(row i)) C^dag = g_i."""
-        n = self.n_qubits
-        j = _symplectic_j(n)
-        mat = j @ self.mat.T @ j % 2
-        signs = [self.conjugate(PauliString.from_index(n, row))[1] < 0
-                 for row in _mat_to_rows(mat)]
-        return CliffordTableau(n, mat, np.array(signs, dtype=np.uint8))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CliffordTableau)
-            and self.n_qubits == other.n_qubits
-            and np.array_equal(self.mat, other.mat)
-            and np.array_equal(self.signs, other.signs)
-        )
+        symplectic M: row i is column (i + N) mod 2N of M with its x and z
+        halves swapped, i.e. its entry (j + N) mod 2N is entry (i + N) mod 2N
+        of row j.  Row i is the class of C^dag g_i C, and its sign s follows
+        from conjugating back: C (s P(row i)) C^dag = g_i."""
+        n, width = self.n_qubits, 2 * self.n_qubits
+        bits = [width - 1 - (j + n) % width for j in range(width)]  # entry (j + N) mod 2N's bit
+        rows = [sum(1 << b for b, row in zip(bits, self.rows) if row >> s & 1) for s in bits]
+        signs = [int(self.conjugate(PauliString.from_index(n, row))[1] < 0) for row in rows]
+        return CliffordTableau(n, rows, signs)
 
 
 def clifford_from_generator_images(
@@ -553,8 +535,7 @@ def clifford_from_generator_images(
             raise InvalidGeneratorImages("images must be phase-0 strings")
         if s not in (1, -1):
             raise InvalidGeneratorImages("signs must be +-1")
-    return CliffordTableau(n, _rows_to_mat([p.index for p, _ in images], 2 * n),
-                           np.array([s == -1 for _, s in images], dtype=np.uint8))
+    return CliffordTableau(n, [p.index for p, _ in images], [int(s == -1) for _, s in images])
 
 
 def _project_out(v: int, f: int, g: int, n: int) -> int:
@@ -654,8 +635,7 @@ def random_clifford(n_qubits: int, rng: np.random.Generator) -> CliffordTableau:
         zrows.append(g)
         if m > 1:
             basis = _f2_independent([_project_out(b, f, g, n) for b in basis], 2 * m - 2)
-    signs = rng.integers(0, 2, size=2 * n).astype(np.uint8)
-    return CliffordTableau(n, _rows_to_mat(xrows + zrows, 2 * n), signs)
+    return CliffordTableau(n, xrows + zrows, rng.integers(0, 2, size=2 * n))
 
 
 def clifford_to_dense(c: CliffordTableau) -> np.ndarray:

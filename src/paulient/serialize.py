@@ -6,7 +6,8 @@ Matrix format (complex, row-major):
 
 Tableau format:
     line 1:  <n_qubits>
-    2N lines of 2N bits (the symplectic matrix, rows = generator images)
+    2N lines of 2N bits, the image of X_1..X_N, then Z_1..Z_N: each the
+        binary form of its image's index (x bits, then z bits)
     1 line of 2N bits (signs; 1 means the image carries -1)
 
 MPU tensor format:
@@ -56,11 +57,9 @@ def load_matrix(path: str) -> np.ndarray:
 
 
 def tableau_to_text(c: CliffordTableau) -> str:
-    lines = [str(c.n_qubits)]
-    for row in c.mat:
-        lines.append("".join(str(int(b)) for b in row))
-    lines.append("".join(str(int(b)) for b in c.signs))
-    return "\n".join(lines) + "\n"
+    width = 2 * c.n_qubits
+    rows = [format(row, f"0{width}b") for row in c.rows]
+    return "\n".join([str(c.n_qubits), *rows, "".join(map(str, c.signs))]) + "\n"
 
 
 def tableau_from_text(text: str) -> CliffordTableau:
@@ -70,13 +69,12 @@ def tableau_from_text(text: str) -> CliffordTableau:
     n = int(lines[0])
     if len(lines) != 2 + 2 * n:
         raise ValueError("tableau block has the wrong number of lines")
-    bits = []
     for ln in lines[1:]:
         if set(ln) - {"0", "1"}:
             raise ValueError(f"tableau line {ln!r} has a character other than 0 or 1")
-        bits.append([int(ch) for ch in ln])
-    return CliffordTableau(n, np.array(bits[:-1], dtype=np.uint8),
-                           np.array(bits[-1], dtype=np.uint8))
+        if len(ln) != 2 * n:
+            raise ValueError(f"tableau line {ln!r} has {len(ln)} bits, expected 2N = {2 * n}")
+    return CliffordTableau(n, [int(ln, 2) for ln in lines[1:-1]], [int(ch) for ch in lines[-1]])
 
 
 def save_tableau(path: str, c: CliffordTableau) -> None:

@@ -176,8 +176,8 @@ class TestFactorize:
         bp = Bipartition(na, n - na)
         u = make_product_preserving(bp, np.random.default_rng(n))[0]
         fac = factorize(u, bp)
-        assert [int("".join(map(str, row)), 2) for row in fac.c.mat] == rows
-        assert fac.c.signs.tolist() == signs
+        assert list(fac.c.rows) == rows
+        assert list(fac.c.signs) == signs
         assert verify_factorization(u, fac) <= 1e-8
 
     def test_three_qubit_block_canonicalization(self, rng):
@@ -227,11 +227,10 @@ class TestVerify:
         bp = Bipartition(1, 1)
         u, _, _, _ = make_product_preserving(bp, rng)
         fac = factorize(u, bp)
-        bad_signs = fac.c.signs.copy()
-        bad_signs[0] ^= 1
+        bad_signs = (fac.c.signs[0] ^ 1, *fac.c.signs[1:])
         tampered = LocalCliffordFactorization(
             v=fac.v, w=fac.w,
-            c=CliffordTableau(fac.c.n_qubits, fac.c.mat.copy(), bad_signs),
+            c=CliffordTableau(fac.c.n_qubits, fac.c.rows, bad_signs),
             global_phase=fac.global_phase,
         )
         assert verify_factorization(u, tampered) >= 0.1

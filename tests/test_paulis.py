@@ -14,9 +14,7 @@ from paulient.paulis import (
     _SectorLayout,
     _f2_independent,
     _f2_nullspace,
-    _mat_to_rows,
     _phase_grid,
-    _rows_to_mat,
     _symplectic_form,
     _symplectic_pairs,
     _wht_real,
@@ -323,8 +321,7 @@ class TestRandomClifford:
         counts = {}
         for _ in range(draws):
             c = random_clifford(1, rng)
-            key = (c.mat.tobytes(), c.signs.tobytes())
-            counts[key] = counts.get(key, 0) + 1
+            counts[c] = counts.get(c, 0) + 1
         assert len(counts) == 24
         expect = draws / 24
         sigma = np.sqrt(draws * (1 / 24) * (1 - 1 / 24))
@@ -342,21 +339,100 @@ class TestRandomClifford:
     def test_seeded_draws_keep_their_values(self):
         # the rows as 2N-bit integers at N = 5, a digest of the tableau at N = 31, 64
         c = random_clifford(5, np.random.default_rng(2024))
-        assert [int("".join(map(str, row)), 2) for row in c.mat] == \
-            [124, 672, 424, 606, 569, 271, 23, 997, 668, 365]
-        assert c.signs.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 0, 0]
+        assert c.rows == (124, 672, 424, 606, 569, 271, 23, 997, 668, 365)
+        assert c.signs == (0, 0, 0, 1, 1, 1, 1, 1, 0, 0)
         c = random_clifford(31, np.random.default_rng(2024))
-        assert hashlib.sha256(c.mat.tobytes() + c.signs.tobytes()).hexdigest() == \
+        assert hashlib.sha256(_uint8_bytes(c)).hexdigest() == \
             "ee92ecbbca87dabb9ecba7c42877f189655a242c738f4be3cace2fc922ab8dfa"
         c = random_clifford(64, np.random.default_rng(9))
-        assert hashlib.sha256(c.mat.tobytes() + c.signs.tobytes()).hexdigest() == \
+        assert hashlib.sha256(_uint8_bytes(c)).hexdigest() == \
             "d12203866216c289705279d22ff43ffd69b059faa9aca8fb4156121510523019"
 
     def test_wide_tableaux(self):
         rng = np.random.default_rng(9)
         for n in (32, 64):
-            c = random_clifford(n, rng)  # the constructor rejects a non-symplectic matrix
-            assert c.mat.shape == (2 * n, 2 * n) and c.is_symplectic()
+            c = random_clifford(n, rng)  # the constructor rejects non-symplectic rows
+            assert len(c.rows) == len(c.signs) == 2 * n and c.is_symplectic()
+
+    def test_no_qubits_rejected(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            random_clifford(0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least one qubit"):
+            CliffordTableau.identity(0)
+
+
+def _bit_matrix(rows, width):
+    """The 0/1 uint8 matrix of width-bit rows, column c bit width-1-c."""
+    return np.array([[r >> (width - 1 - c) & 1 for c in range(width)] for r in rows],
+                    dtype=np.uint8)
+
+
+def _uint8_bytes(c):
+    """The bytes of the tableau as a (2N, 2N) uint8 matrix, then its uint8 signs."""
+    return _bit_matrix(c.rows, 2 * c.n_qubits).tobytes() + bytes(c.signs)
+
+
+def _oracle_j(n):
+    eye, zero = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
+    return np.block([[zero, eye], [eye, zero]])
+
+
+class TestTableauRows:
+    """The tableau on its 2N integer rows, against the uint8 matrix M with
+    M J M^T = J and inverse J M^T J (entries stay below 2N + 1 <= 255)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+    def test_symplectic_and_inverse_match_the_matrix_oracle(self, n, rng):
+        width, j = 2 * n, _oracle_j(n)
+        for _ in range(4 if n <= 8 else 1):
+            c = random_clifford(n, rng)
+            m = _bit_matrix(c.rows, width)
+            assert c.is_symplectic() and np.array_equal(m @ j @ m.T % 2, j)
+            assert np.array_equal(_bit_matrix(c.inverse().rows, width), j @ m.T @ j % 2)
+            # one flipped bit: the constructor accepts the rows iff the oracle does
+            for _ in range(4):
+                rows = list(c.rows)
+                rows[int(rng.integers(width))] ^= 1 << int(rng.integers(width))
+                bad = _bit_matrix(rows, width)
+                if np.array_equal(bad @ j @ bad.T % 2, j):
+                    assert CliffordTableau(n, rows, c.signs).is_symplectic()
+                else:
+                    with pytest.raises(InvalidGeneratorImages):
+                        CliffordTableau(n, rows, c.signs)
+
+    def test_inverse_and_compose_round_trip(self, rng):
+        for n in (1, 2, 3, 5, 8, 64):
+            c = random_clifford(n, rng)
+            assert c.inverse().inverse() == c
+            assert c.compose(c.inverse()) == CliffordTableau.identity(n)
+
+    def test_swapped_rows_rejected(self, rng):
+        for n in (2, 3, 8):
+            c = random_clifford(n, rng)
+            for i, k in ((0, 1), (0, n + 1), (n, 2 * n - 1)):  # never X_q with its Z_q
+                rows = list(c.rows)
+                rows[i], rows[k] = rows[k], rows[i]
+                with pytest.raises(InvalidGeneratorImages):
+                    CliffordTableau(n, rows, c.signs)
+
+    def test_equal_tableaux_hash_equal(self, rng):
+        c = random_clifford(4, rng)
+        twin = clifford_from_generator_images([c.row_pauli(i) for i in range(8)])
+        assert twin == c and hash(twin) == hash(c) and len({c, twin}) == 1
+        assert all(type(v) is int for v in twin.rows + twin.signs)
+
+    @pytest.mark.parametrize("rows,signs,match", [
+        ([2, 1, 3], [0, 0], "needs 2 rows and 2 signs"),
+        ([2, 1], [0], "needs 2 rows and 2 signs"),
+        ([4, 1], [0, 0], r"rows must lie in \[0, 4\^1\)"),
+        ([-2, 1], [0, 0], r"rows must lie in \[0, 4\^1\)"),
+        ([2, 1], [0, 2], "signs must be 0 or 1"),
+        ([2, 1], [-1, 0], "signs must be 0 or 1"),
+    ])
+    def test_out_of_range_entries_rejected(self, rows, signs, match):
+        # these used to be reduced mod 2 or read as a matrix, not refused
+        with pytest.raises(ValueError, match=match):
+            CliffordTableau(1, rows, signs)
 
 
 def _span(vectors):
@@ -371,19 +447,12 @@ class TestF2Layer:
     """The F2 helpers on 2N-bit (x | z) indices, against brute force at
     widths up to 6."""
 
-    def test_rows_round_trip_the_uint8_matrix(self, rng):
-        for width in (1, 2, 6, 8, 10, 17, 128):
-            mat = rng.integers(0, 2, size=(3, width)).astype(np.uint8)
-            rows = _mat_to_rows(mat)
-            assert rows == [int("".join(map(str, row)), 2) for row in mat]
-            assert np.array_equal(_rows_to_mat(rows, width), mat)
-
     def test_nullspace_spans_the_left_kernel(self, rng):
         for _ in range(40):
             width = int(rng.integers(1, 7))
             m = rng.integers(0, 2, size=(width, width))
-            m = (m | m.T).astype(np.uint8)  # symmetric
-            rows = _mat_to_rows(m)
+            m = m | m.T  # symmetric
+            rows = [int("".join(map(str, row)), 2) for row in m]
             basis = _f2_nullspace(rows, width)
             bits = np.arange(width - 1, -1, -1)  # entry j of v is bit width-1-j
             kernel = {v for v in range(1 << width) if not ((v >> bits & 1) @ m % 2).any()}

@@ -19,7 +19,12 @@ from paulient.factorization import (
 )
 from paulient.mpu import MPUTensor, mpu_zz_chain, pauli_power_mpu
 from paulient.operators import Bipartition, haar_random_unitary
-from paulient.paulis import clifford_to_dense, random_clifford
+from paulient.paulis import (
+    PauliString,
+    clifford_from_generator_images,
+    clifford_to_dense,
+    random_clifford,
+)
 from paulient.serialize import (
     load_matrix,
     load_mpu,
@@ -77,6 +82,18 @@ class TestSerialize:
             tableau_from_text("1\n30\n03\n20\n")
         with pytest.raises(ValueError, match="other than 0 or 1"):
             tableau_from_text("1\n10\n01\n0x\n")
+
+    def test_ragged_tableau_names_the_line_and_width(self):
+        with pytest.raises(ValueError, match=r"line '1' has 1 bits, expected 2N = 2"):
+            tableau_from_text("1\n10\n1\n00")
+        with pytest.raises(ValueError, match=r"line '010' has 3 bits, expected 2N = 2"):
+            tableau_from_text("1\n10\n01\n010\n")
+
+    def test_tableau_text_is_the_binary_form_of_each_row(self):
+        c = clifford_from_generator_images([(PauliString.from_label("Y"), -1),
+                                            (PauliString.from_label("Z"), 1)])
+        assert tableau_to_text(c) == "1\n11\n01\n10\n"
+        assert tableau_from_text("1\n11\n01\n10\n") == c
 
     @pytest.mark.parametrize("text", ["", "  \n\n", "# a comment\n# another\n"])
     def test_tableau_missing_header(self, tmp_path, text):
