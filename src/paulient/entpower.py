@@ -96,12 +96,13 @@ from .errors import NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, _HermitianPurity, _unitary_layout, is_unitary
 from .paulis import (
     PauliString,
+    _CHUNK_ENTRIES,
     _SectorLayout,
+    _conjugated_chunks,
     _operator_pauli_probs,
     _parity_signs,
     _pauli_columns,
     _pauli_entries,
-    pauli_mul_matrix,
     pauli_to_dense,
     random_pauli,
 )
@@ -197,7 +198,7 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> np.
     order = np.argsort(q, kind="stable")  # the pairs of one q together, in triu order
     ka, kc, q = ka[order], kc[order], q[order]
     weights = np.where(ka == kc, 1.0, 2.0)
-    block = max(1, (sectors << 17) // (d * d))  # pairs per block: ~2^17 entries of W
+    block = max(1, sectors * _CHUNK_ENTRIES // (d * d))  # pairs per block: ~2^17 entries of W
     bounds = np.searchsorted(q, np.arange(sectors + 1))
     tasks = [(p0, min(p0 + block, hi)) for lo, hi in zip(bounds, bounds[1:])
              for p0 in range(lo, hi, block)]
@@ -241,7 +242,7 @@ def _pauli_g_table(u: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> np.
     # process's OpenBLAS to one thread, and that choice must not follow U's
     # sectors.  (Unpinned, the small BLAS calls of a perfbench desk-mix round
     # took it to 1.04-1.21 s against 0.69-0.83 s pinned, on a 2-core Xeon.)
-    n_tasks = len(tasks) if len(ka) > max(1, (1 << 17) // (d * d)) else 1
+    n_tasks = len(tasks) if len(ka) > max(1, _CHUNK_ENTRIES // (d * d)) else 1
     _, slots = _threads.buffered_map(block_slot, tasks, n_tasks, new_set, acc[0].nbytes)
     for (p0, _), slot in zip(tasks, slots):
         acc[q[p0]] += slot
@@ -280,7 +281,7 @@ def _string_elin(u: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> tuple
 
     def within(p: PauliString, parts: np.ndarray, work: np.ndarray) -> None:
         """K[S_s, S_s] for each sector s: Re = X^T X - I, Im = M - M^T."""
-        _, _, values = _pauli_entries(p)
+        _, _, values = _pauli_entries(p.n_qubits, p.x, p.z)
         for s, (u_s, index) in enumerate(zip(blocks, layout.index)):
             sign = 1.0
             if p.x:
@@ -319,7 +320,7 @@ def _string_elin(u: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> tuple
 
     def across(p: PauliString, parts: np.ndarray, work: np.ndarray) -> None:
         """K[S_0, S_1] = B_0^dag B_1 for odd x, and K[S_1, S_0] its adjoint."""
-        _, cols, values = _pauli_entries(p)
+        _, cols, values = _pauli_entries(p.n_qubits, p.x, p.z)
         rows = cols[cols & (1 << (p.x.bit_length() - 1)) == 0]
         phases = values[rows].conj()
         b_rows = parts[0].reshape(-1).view(complex).reshape(h, h)  # free until K is written
@@ -561,21 +562,18 @@ def local_pauli_magic_bound(u: np.ndarray, bp: Bipartition) -> tuple[float, floa
     if u.shape[0] != bp.d:
         raise ValueError("operator dimension does not match the bipartition")
     n = bp.n_qubits
-    udag = u.conj().T
 
-    def side_mean(n_side: int, shift: int) -> float:
-        vals = []
-        for k in range(4**n_side):
-            ps = PauliString.from_index(n_side, k)
-            full = PauliString(n, ps.x << shift, ps.z << shift, 0)
-            evolved = u @ pauli_mul_matrix(full, udag)
-            probs = _operator_pauli_probs(evolved)
-            vals.append(1.0 - float(np.sum(probs**2)))
-        return math.fsum(vals) / len(vals)
+    def side(n_side: int, shift: int) -> np.ndarray:
+        """The side's strings in PauliString.from_index order, moved onto it."""
+        k = np.arange(4**n_side)
+        return ((k >> n_side) << (shift + n)) | ((k & ((1 << n_side) - 1)) << shift)
 
-    bound_a = side_mean(bp.n_a, bp.n_b)
-    bound_b = side_mean(bp.n_b, 0)
-    return bound_a, bound_b
+    strings = np.concatenate([side(bp.n_a, bp.n_b), side(bp.n_b, 0)])  # one stack for both
+    vals = []
+    for _, evolved in _conjugated_chunks(u, strings, u.conj().T):
+        vals += (1.0 - np.sum(_operator_pauli_probs(evolved) ** 2, axis=-1)).tolist()
+    split = 4**bp.n_a
+    return math.fsum(vals[:split]) / split, math.fsum(vals[split:]) / (len(vals) - split)
 
 
 def haar_typical_value(d: int, d_a: int) -> float:

@@ -5,8 +5,10 @@ U^dag = (V x W) C with V, W local unitaries and C a Clifford.
 The factorizer works on the 2N Pauli generators only; group closure covers
 the rest.  Pipeline:
 
-1. evolve the generators and split each image into Hermitian-unitary
-   factors X_g (x) Y_g;
+1. evolve the generators as stacks (paulis._conjugated_chunks) and split
+   each image into Hermitian-unitary factors X_g (x) Y_g: a rank-1 read-off
+   of the realigned image, with the SVD only where the read-off cannot
+   prove rank 1 within tol;
 2. the strings whose B factor is a scalar form a subgroup Htilde (size
    4^N_A), found as the F2 null space of the Y-factor commutation matrix
    (a scalar factor is exactly one that commutes with the whole family);
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -42,12 +45,13 @@ from .operators import Bipartition, is_unitary, realign
 from .paulis import (
     CliffordTableau,
     PauliString,
+    _CHUNK_ENTRIES,
+    _conjugated_chunks,
     _f2_nullspace,
     _operator_pauli_probs,
     _symplectic_pairs,
     clifford_from_generator_images,
     clifford_to_dense,
-    pauli_mul_matrix,
     pauli_trace_table,
 )
 
@@ -78,8 +82,26 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _evolve(p: PauliString, u: np.ndarray, udag: np.ndarray) -> np.ndarray:
-    return udag @ pauli_mul_matrix(p, u)
+def _evolve(strings: list[PauliString], u: np.ndarray, udag: np.ndarray
+            ) -> Iterator[tuple[int, np.ndarray]]:
+    """U^dag P U for each phase-0 string, in paulis._conjugated_chunks'
+    chunks: (start, stack) with stack[j] the image of strings[start + j]."""
+    return _conjugated_chunks(udag, [p.index for p in strings], u)
+
+
+def _rank_one_readoff(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, defect) for a stack of realignments R: x the largest-norm
+    column of each R, y = x^dag R / ||x||^2, and defect = ||R - x y||_F^2 =
+    ||R||_F^2 - ||x||^2 ||y||^2.  No rank-1 matrix is closer to R than the
+    best one, so defect >= sum_(i>=2) lambda_i >= lambda_2: a defect within
+    tol proves lambda_2 within tol, and any other R is left to the SVD."""
+    cols = (r.real**2 + r.imag**2).sum(axis=-2)  # squared column norms
+    j = cols.argmax(axis=-1)[:, None]
+    x = np.take_along_axis(r, j[:, None], axis=-1)[..., 0]
+    xx = np.take_along_axis(cols, j, axis=-1)[:, 0]
+    xr = (x.conj()[:, None] @ r)[:, 0]
+    defect = cols.sum(axis=-1) - (xr.real**2 + xr.imag**2).sum(axis=-1) / xx
+    return x, xr / xx[:, None], defect
 
 
 def check_pauli_product_preserving(
@@ -99,15 +121,27 @@ def check_pauli_product_preserving(
     about the sum of its k factors' distances.  On failure returns
     the first violating generator together with its second Schmidt
     coefficient.
+
+    The images are evolved in stacked chunks.  An image whose rank-1
+    read-off (_rank_one_readoff) is within tol passes without an SVD; the
+    SVD decides every other one, so the verdict and the witness are the
+    SVD's.
     """
     _check_tol(tol)
     if u.shape[0] != bp.d or not is_unitary(u):
         raise NotUnitary("need a unitary matching the bipartition")
-    udag = u.conj().T
-    for p in _generators(bp.n_qubits):
-        lam = np.linalg.svd(realign(_evolve(p, u, udag), bp), compute_uv=False) ** 2
-        if lam.size > 1 and lam[1] > tol:
-            return False, (p, float(lam[1]))
+    gens = _generators(bp.n_qubits)
+    for start, images in _evolve(gens, u, u.conj().T):
+        r = realign(images, bp)
+        slow = np.flatnonzero(~(_rank_one_readoff(r)[2] <= tol))
+        # a unitary that fails mostly fails on its first slow image, whose
+        # SVD then runs alone
+        for part in (slow[:1], slow[1:]):
+            if part.size:
+                lam2 = np.linalg.svd(r[part], compute_uv=False)[:, 1] ** 2
+                bad = np.flatnonzero(lam2 > tol)
+                if bad.size:
+                    return False, (gens[start + part[bad[0]]], float(lam2[bad[0]]))
     return True, None
 
 
@@ -122,7 +156,8 @@ def extract_hermitian_unitary_factors(
     The raw Schmidt factors are rescaled by sqrt(Tr(y^dag y)/d_B) and the
     half-phase of Tr(y^2)/Tr(y^dag y); the leftover (x, y) -> (-x, -y)
     ambiguity is fixed by making the first nonzero entry of x (diagonal
-    first, then row-major) non-negative.
+    first, then row-major) non-negative.  The raw factors come from the
+    rank-1 read-off where it is within tol, else from the SVD.
     """
     d = bp.d
     if o.shape[0] != d:
@@ -131,44 +166,68 @@ def extract_hermitian_unitary_factors(
         raise NotHermitian("factor extraction needs a Hermitian operator")
     if not is_unitary(o):
         raise NotUnitary("factor extraction needs a unitary operator")
-    r = realign(o, bp)
-    left, s, right = np.linalg.svd(r, full_matrices=False)
-    if s.size > 1 and s[1] ** 2 > tol:
-        raise NotProduct(f"operator-Schmidt rank exceeds 1 (lambda_2 = {s[1]**2:.3e})")
-    x0 = np.sqrt(d) * s[0] * left[:, 0].reshape(bp.d_a, bp.d_a)
-    y0 = right[0, :].reshape(bp.d_b, bp.d_b)
-    tdag = np.trace(y0.conj().T @ y0).real
-    ratio = np.trace(y0 @ y0) / tdag
-    if abs(abs(ratio) - 1.0) > 1e-6:
-        raise FactorizationDegeneracy(f"degenerate factor normalization |ratio|={abs(ratio):.3e}")
+    x, y, failure = _hermitian_unitary_factors(realign(o[None], bp), bp, tol)
+    if failure is not None:
+        raise failure[1]
+    return x[0], y[0]
+
+
+def _hermitian_unitary_factors(
+    r: np.ndarray, bp: Bipartition, tol: float
+) -> tuple[np.ndarray, np.ndarray, tuple[int, Exception] | None]:
+    """extract_hermitian_unitary_factors for a stack of realigned Hermitian
+    unitaries, without their Hermitian and unitary checks: (x, y, failure),
+    with failure None or (k, the exception of the first k that fails)."""
+    x, y, defect = _rank_one_readoff(r)
+    lam2 = np.zeros(len(r))
+    slow = np.flatnonzero(~(defect <= tol))
+    if slow.size:
+        left, s, right = np.linalg.svd(r[slow], full_matrices=False)
+        lam2[slow] = s[:, 1] ** 2
+        x[slow] = s[:, :1] * left[..., 0]
+        y[slow] = right[:, 0]
+    da, db = bp.d_a, bp.d_b
+    x0 = np.sqrt(bp.d) * x.reshape(-1, da, da)
+    y0 = y.reshape(-1, db, db)
+    tdag = np.einsum("kab,kab->k", y0.conj(), y0).real  # Tr(y0^dag y0)
+    ratio = np.einsum("kab,kba->k", y0, y0) / tdag  # Tr(y0^2) / Tr(y0^dag y0)
     half = np.exp(0.5j * np.angle(ratio))
-    x = np.sqrt(tdag / bp.d_b) * half * x0
-    y = np.sqrt(bp.d_b / tdag) * y0 / half
+    x = (np.sqrt(tdag / db) * half)[:, None, None] * x0
+    y = (np.sqrt(db / tdag) / half)[:, None, None] * y0
+    # (fails, kind, message, value) in the order the single-operator checks ran
+    checks = [(lam2 > tol, NotProduct, "operator-Schmidt rank exceeds 1 (lambda_2 = {:.3e})",
+               lam2),
+              (np.abs(np.abs(ratio) - 1.0) > 1e-6, FactorizationDegeneracy,
+               "degenerate factor normalization |ratio|={:.3e}", np.abs(ratio))]
     for m, name in ((x, "A"), (y, "B")):
-        dm = m.shape[0]
-        if np.linalg.norm(m - m.conj().T) / np.sqrt(dm) > FACTOR_TOL * 100:
-            raise FactorizationDegeneracy(f"{name} factor is not Hermitian")
-        if np.linalg.norm(m @ m - np.eye(dm)) / np.sqrt(dm) > FACTOR_TOL * 100:
-            raise FactorizationDegeneracy(f"{name} factor is not an involution")
-    if _needs_sign_flip(x):
-        x = -x
-        y = -y
-    return x, y
+        dm = m.shape[-1]
+        herm = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) / np.sqrt(dm)
+        inv = np.linalg.norm(m @ m - np.eye(dm), axis=(-2, -1)) / np.sqrt(dm)
+        checks += [(herm > FACTOR_TOL * 100, FactorizationDegeneracy,
+                    f"{name} factor is not Hermitian", herm),
+                   (inv > FACTOR_TOL * 100, FactorizationDegeneracy,
+                    f"{name} factor is not an involution", inv)]
+    failed = np.any([fails for fails, *_ in checks], axis=0)
+    if failed.any():
+        k = int(failed.argmax())
+        kind, message, value = next(rest for fails, *rest in checks if fails[k])
+        return x, y, (k, kind(message.format(value[k])))
+    flip = _needs_sign_flip(x)
+    x[flip] *= -1
+    y[flip] *= -1
+    return x, y, None
 
 
-def _needs_sign_flip(m: np.ndarray, tol: float = 1e-8) -> bool:
-    dm = m.shape[0]
-    order = [(i, i) for i in range(dm)]
-    order += [(i, j) for i in range(dm) for j in range(dm) if i != j]
-    for i, j in order:
-        e = m[i, j]
-        if abs(e) > tol:
-            if e.real < -tol:
-                return True
-            if abs(e.real) <= tol and e.imag < 0:
-                return True
-            return False
-    return False
+def _needs_sign_flip(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """For each matrix of the stack m, whether its first entry above tol in
+    magnitude (diagonal first, then row-major) has a real part below -tol,
+    or one within tol of 0 and a negative imaginary part."""
+    dm = m.shape[-1]
+    order = np.argsort(~np.eye(dm, dtype=bool).ravel(), kind="stable")  # the diagonal first
+    entries = m.reshape(len(m), -1)[:, order]
+    big = np.abs(entries) > tol
+    e = entries[np.arange(len(m)), big.argmax(axis=-1)]
+    return big.any(axis=-1) & ((e.real < -tol) | ((np.abs(e.real) <= tol) & (e.imag < 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +235,9 @@ def _needs_sign_flip(m: np.ndarray, tol: float = 1e-8) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _intertwiner(commuting: list[np.ndarray], flipping: list[np.ndarray]) -> np.ndarray:
-    """Unitary V with V^dag commuting[i] V = Z_i and V^dag flipping[i] V = X_i.
+def _intertwiner(commuting: np.ndarray, flipping: np.ndarray) -> np.ndarray:
+    """Unitary V with V^dag commuting[i] V = Z_i and V^dag flipping[i] V = X_i,
+    for two stacks of nq operators.
 
     The commuting family is simultaneously diagonalized through a weighted
     Hermitian combination (weights 3^-i keep every joint eigenvalue
@@ -185,27 +245,23 @@ def _intertwiner(commuting: list[np.ndarray], flipping: list[np.ndarray]) -> np.
     vectors from the all-plus one, which fixes all relative phases.
     """
     nq = len(commuting)
-    dim = commuting[0].shape[0]
+    dim = commuting.shape[-1]
     if dim != 1 << nq:
         raise FactorizationDegeneracy("family size does not match block dimension")
     comb = sum((3.0**-i) * m for i, m in enumerate(commuting))
     _, vecs = np.linalg.eigh(comb)
-    assignments: dict[int, np.ndarray] = {}
-    for k in range(dim):
-        v = vecs[:, k]
-        pattern = 0
-        for i, m in enumerate(commuting):
-            ev = np.real(np.vdot(v, m @ v))
-            if abs(abs(ev) - 1.0) > 1e-6:
+    # ev[k, i] = <v_k| commuting[i] |v_k>, the joint eigenvalues of eigenvector k
+    ev = np.einsum("ak,iab,bk->ki", vecs.conj(), commuting, vecs).real
+    patterns = (ev < 0) @ (1 << np.arange(nq - 1, -1, -1))
+    off = np.abs(np.abs(ev) - 1.0) > 1e-6
+    if off.any() or np.bincount(patterns, minlength=dim).max() > 1:
+        for k in range(dim):  # the first eigenvector at fault, in order
+            if off[k].any():
                 raise FactorizationDegeneracy(
-                    f"joint eigenvalue {ev:+.6f} is not +-1 within tolerance"
-                )
-            if ev < 0:
-                pattern |= 1 << (nq - 1 - i)
-        if pattern in assignments:
-            raise FactorizationDegeneracy("repeated joint eigenvalue pattern")
-        assignments[pattern] = v
-    e0 = assignments[0]
+                    f"joint eigenvalue {ev[k][off[k]][0]:+.6f} is not +-1 within tolerance")
+            if patterns[k] in patterns[:k]:
+                raise FactorizationDegeneracy("repeated joint eigenvalue pattern")
+    e0 = vecs[:, int(np.argmin(patterns))]  # the all-plus pattern 0
     idx = np.flatnonzero(np.abs(e0) > 1e-8)
     e0 = e0 * (np.abs(e0[idx[0]]) / e0[idx[0]])
     v = np.empty((dim, dim), dtype=complex)
@@ -223,18 +279,19 @@ def _tableau_if_clifford(v: np.ndarray) -> CliffordTableau | None:
     signed Pauli string within tight tolerance; None otherwise."""
     d = v.shape[0]
     nv = d.bit_length() - 1
-    vdag = v.conj().T
+    gens = _generators(nv)
     images = []
-    for g in _generators(nv):
-        m = v @ pauli_mul_matrix(g, vdag)
-        table = (pauli_trace_table(m) / d).ravel()
+    for _, m in _conjugated_chunks(v, [g.index for g in gens], v.conj().T):
+        table = (pauli_trace_table(m) / d).reshape(len(m), d * d)
         mags = np.abs(table)
-        k = int(np.argmax(mags))
-        if mags[k] < 1.0 - 1e-7 or mags.sum() - mags[k] > 1e-6:
+        k = mags.argmax(axis=-1)
+        top = np.take_along_axis(table, k[:, None], axis=-1)[:, 0]
+        peak = np.abs(top)
+        if ((peak < 1.0 - 1e-7) | (mags.sum(axis=-1) - peak > 1e-6)
+                | (np.abs(top.imag) > 1e-7)).any():
             return None
-        if abs(table[k].imag) > 1e-7:
-            return None
-        images.append((PauliString.from_index(nv, k), 1 if table[k].real > 0 else -1))
+        images += [(PauliString.from_index(nv, int(i)), 1 if t.real > 0 else -1)
+                   for i, t in zip(k, top)]
     try:
         return clifford_from_generator_images(images)
     except InvalidGeneratorImages:
@@ -251,25 +308,31 @@ def _tableau_block_diag(ca: CliffordTableau, cb: CliffordTableau) -> CliffordTab
     return clifford_from_generator_images(a[:na] + b[:nb] + a[na:] + b[nb:])
 
 
-def _one_sided_factor(
-    p: PauliString, u: np.ndarray, udag: np.ndarray, bp: Bipartition, side: str, tol: float
+def _one_sided_factors(
+    strings: list[PauliString], u: np.ndarray, udag: np.ndarray, bp: Bipartition, side: str,
+    tol: float,
 ) -> np.ndarray:
     """For strings in the one-sided subgroups the evolved operator is
-    (op x 1) or (1 x op); return op and verify the claimed structure."""
-    m = _evolve(p, u, udag)
+    (op x 1) or (1 x op); return the stack of op, one per string, and
+    verify the claimed structure."""
     da, db = bp.d_a, bp.d_b
-    m4 = m.reshape(da, db, da, db)
-    if side == "A":
-        op = np.einsum("abcb->ac", m4) / db
-        rebuilt = np.kron(op, np.eye(db))
-    else:
-        op = np.einsum("abac->bc", m4) / da
-        rebuilt = np.kron(np.eye(da), op)
-    if np.linalg.norm(rebuilt - m) / np.sqrt(bp.d) > max(1e-7, tol * 100):
-        raise FactorizationDegeneracy(
-            f"string {p} was classified one-sided ({side}) but is not"
-        )
-    return op
+    ops = np.empty((len(strings),) + ((da, da) if side == "A" else (db, db)), dtype=complex)
+    for start, m in _evolve(strings, u, udag):
+        m4 = m.reshape(-1, da, db, da, db)
+        if side == "A":
+            op = np.einsum("kabcb->kac", m4) / db
+            rebuilt = op[:, :, None, :, None] * np.eye(db)[:, None, :]  # op (x) 1
+        else:
+            op = np.einsum("kabac->kbc", m4) / da
+            rebuilt = np.eye(da)[:, None, :, None] * op[:, None, :, None, :]  # 1 (x) op
+        off = np.linalg.norm((rebuilt - m4).reshape(len(m), -1), axis=-1) / np.sqrt(bp.d)
+        bad = np.flatnonzero(off > max(1e-7, tol * 100))
+        if bad.size:
+            raise FactorizationDegeneracy(
+                f"string {strings[start + bad[0]]} was classified one-sided ({side}) but is not"
+            )
+        ops[start:start + len(m)] = op
+    return ops
 
 
 def factorize(
@@ -282,30 +345,43 @@ def factorize(
         raise NotUnitary("need a unitary matching the bipartition")
     udag = u.conj().T
 
+    # The images of a checked unitary are Hermitian unitaries by
+    # construction, so they go to the factor split without their own checks.
     gens = _generators(n)
-    mats = []  # the A factor of each generator's image
-    for p in gens:
-        try:
-            mats.append(extract_hermitian_unitary_factors(_evolve(p, u, udag), bp, tol)[0])
-        except NotProduct as exc:
-            raise NotProductPreserving(f"generator {p} does not evolve to a product: {exc}")
+    mats = np.empty((2 * n, bp.d_a, bp.d_a), dtype=complex)  # each image's A factor
+    for start, images in _evolve(gens, u, udag):
+        x, _, failure = _hermitian_unitary_factors(realign(images, bp), bp, tol)
+        if failure is not None:
+            k, exc = failure
+            if isinstance(exc, NotProduct):
+                raise NotProductPreserving(
+                    f"generator {gens[start + k]} does not evolve to a product: {exc}")
+            raise exc
+        mats[start:start + len(x)] = x
 
     # Row i of ca has generator j's index set when the A factors of
     # generators i and j commute.  The images keep the generators' pattern
     # (g_i anticommutes with its partner g_(i+-N) only), and X_i (x) Y_i and
     # X_j (x) Y_j commute iff their sides agree, so the B side is row i XOR
     # the partner's index.  A null vector is then the index of its string.
-    ca = [0] * (2 * n)
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            comm = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            anti = np.linalg.norm(mats[i] @ mats[j] + mats[j] @ mats[i])
-            if min(comm, anti) > 1e-6 * max(comm, anti, 1.0):
-                raise FactorizationDegeneracy(
-                    f"factors of generators {i},{j} neither commute nor anticommute")
-            if comm > anti:
-                ca[i] |= gens[j].index
-                ca[j] |= gens[i].index
+    # Generator j's index is bit 2N-1-j.  The (2N)^2 pairs (i, j) of the
+    # table go through as stacked products, a chunk of them at a time.
+    width = 2 * n
+    commutes = np.zeros(width * width, dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // (bp.d_a * bp.d_a))
+    for p0 in range(0, width * width, step):
+        i, j = np.divmod(np.arange(p0, min(p0 + step, width * width)), width)
+        ij, ji = mats[i] @ mats[j], mats[j] @ mats[i]
+        comm = np.linalg.norm(ij - ji, axis=(-2, -1))
+        anti = np.linalg.norm(ij + ji, axis=(-2, -1))
+        bad = np.flatnonzero((j > i) & (np.minimum(comm, anti)
+                                        > 1e-6 * np.maximum(np.maximum(comm, anti), 1.0)))
+        if bad.size:
+            raise FactorizationDegeneracy(
+                f"factors of generators {i[bad[0]]},{j[bad[0]]} neither commute nor anticommute")
+        commutes[p0:p0 + len(i)] = comm > anti  # never on the diagonal: m_i m_i = 1
+    commutes = commutes.reshape(width, width)
+    ca = [int(row) for row in commutes @ (1 << np.arange(width - 1, -1, -1))]
     cb = [row ^ gens[(i + n) % (2 * n)].index for i, row in enumerate(ca)]
     h_tilde = _f2_nullspace(cb, 2 * n)  # B factor scalar -> supported on A
     h = _f2_nullspace(ca, 2 * n)  # A factor scalar -> supported on B
@@ -320,13 +396,13 @@ def factorize(
     pairs_b = [(PauliString.from_index(n, f), PauliString.from_index(n, g))
                for f, g in _symplectic_pairs(h, n)]
 
-    a_flip = [_one_sided_factor(f, u, udag, bp, "A", tol) for f, _ in pairs_a]
-    a_comm = [_one_sided_factor(g, u, udag, bp, "A", tol) for _, g in pairs_a]
-    b_flip = [_one_sided_factor(f, u, udag, bp, "B", tol) for f, _ in pairs_b]
-    b_comm = [_one_sided_factor(g, u, udag, bp, "B", tol) for _, g in pairs_b]
-
-    v = _intertwiner(a_comm, a_flip)
-    w = _intertwiner(b_comm, b_flip)
+    # each side's flipping family (the f of each pair), then its commuting one (g)
+    a_ops = _one_sided_factors([f for f, _ in pairs_a] + [g for _, g in pairs_a],
+                               u, udag, bp, "A", tol)
+    b_ops = _one_sided_factors([f for f, _ in pairs_b] + [g for _, g in pairs_b],
+                               u, udag, bp, "B", tol)
+    v = _intertwiner(a_ops[bp.n_a:], a_ops[:bp.n_a])
+    w = _intertwiner(b_ops[bp.n_b:], b_ops[:bp.n_b])
 
     # V^dag f V = X and V^dag g V = Z on each block, so X_q -> f_q, Z_q -> g_q
     # (A pairs, then B pairs, + signs) is the tableau of C^-1.
@@ -341,7 +417,7 @@ def factorize(
     # into the tableau so that near-Clifford inputs come back with V, W
     # proportional to the identity.
     cv = _tableau_if_clifford(v)
-    cw = _tableau_if_clifford(w)
+    cw = None if cv is None else _tableau_if_clifford(w)
     if cv is not None and cw is not None:
         if cv != CliffordTableau.identity(bp.n_a) or cw != CliffordTableau.identity(bp.n_b):
             tableau = _tableau_block_diag(cv, cw).compose(tableau)
@@ -380,13 +456,9 @@ def residual_local_magic(
     if n > RESIDUAL_MAGIC_MAX_QUBITS:
         raise SizeLimitExceeded(f"residual-magic check enumerates 4^{n} strings")
     loc = np.kron(fac.v, fac.w)
-    udag = u.conj().T
     worst = 0.0
-    for k in range(4**n):
-        p = PauliString.from_index(n, k)
-        o = loc.conj().T @ _evolve(p, u, udag) @ loc
-        probs = _operator_pauli_probs(o)
-        worst = max(worst, 1.0 - float(np.sum(probs**2)))
+    for _, o in _conjugated_chunks(loc.conj().T @ u.conj().T, np.arange(4**n), u @ loc):
+        worst = max(worst, float(np.max(1.0 - np.sum(_operator_pauli_probs(o) ** 2, axis=-1))))
     return worst
 
 

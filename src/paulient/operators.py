@@ -79,14 +79,17 @@ def _within_unitary(matrix: np.ndarray, layout: _SectorLayout, tol: float = UNIT
 def realign(op: np.ndarray, bp: Bipartition) -> np.ndarray:
     """Reshuffle O/sqrt(d) into the d_A^2 x d_B^2 matrix whose singular
     values are the square roots of the operator-Schmidt coefficients:
-    R[(a,a'),(b,b')] = O[(a,b),(a',b')] / sqrt(d)."""
-    if op.shape[0] != bp.d:
+    R[(a,a'),(b,b')] = O[(a,b),(a',b')] / sqrt(d).  A stack of operators
+    (over the leading axes) gives the stack of their realignments."""
+    if op.shape[-2:] != (bp.d, bp.d):
         raise ValueError("operator dimension does not match the bipartition")
-    da, db = bp.d_a, bp.d_b
-    return (
-        op.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-        / np.sqrt(bp.d)
-    )
+    da, db, lead = bp.d_a, bp.d_b, op.shape[:-2]
+    # numpy divides a complex by a real s as x * (1/s); written so, the bits
+    # are the same without the general complex division, and the reshuffle
+    # is read straight into the product
+    r = np.empty((*lead, da, da, db, db), dtype=np.result_type(op, 1.0))
+    np.multiply(op.reshape(*lead, da, db, da, db).swapaxes(-3, -2), 1.0 / np.sqrt(bp.d), out=r)
+    return r.reshape(*lead, da * da, db * db)
 
 
 def _realigned_grams(op: np.ndarray, bp: Bipartition, layout: _SectorLayout) -> list[np.ndarray]:

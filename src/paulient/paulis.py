@@ -18,7 +18,7 @@ Encoding conventions used throughout the package:
   PauliString.index = (x << N) | z.  The symplectic form
   (_symplectic_form), null spaces, independence and symplectic Gram-Schmidt
   all run on these integers, and products carry their phase as a power of
-  i (_multiply).
+  i (_product_power).
 * A Clifford tableau is the images of the generators X_1..X_N, Z_1..Z_N:
   2N rows, each the index of its image, plus 2N sign bits, so generator g_i
   maps to (-1)^signs[i] * P(rows[i]).  Read as a 2N x 2N binary matrix,
@@ -31,6 +31,11 @@ Encoding conventions used throughout the package:
   adjoint operator_from_pauli_table and the exact P_E g-table all run it;
   the g-table passes its own index, into the nonzero blocks of its pair
   correlations, for the x of one parity class.
+* A P B for many phase-0 strings P comes from _conjugated_chunks: per
+  chunk of about _CHUNK_ENTRIES complex entries, one signed row gather of B
+  (the entries of _pauli_entries, taken for an array of strings) and one
+  batched product.  The factorizer, the Theorem-1 check and the subsystem
+  magic bound evolve their strings through it.
 * Parity sectors, the indices of even and of odd popcount, are described by
   one _SectorLayout; a public call finds its operator's once, a spin-chain
   sweep point its H's once, and every kernel takes the layout it is given.
@@ -42,7 +47,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +59,9 @@ from .errors import (
 )
 
 DENSE_LIMIT = 12  # largest qubit or site count built as a dense matrix
+# a stack of Pauli-conjugated operators or a block of exact P_E's g-table
+# holds about this many complex entries: max(1, 2^17 // d^2) operators
+_CHUNK_ENTRIES = 1 << 17
 
 _I4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -142,20 +150,28 @@ class PauliString:
         return (self.x << self.n_qubits) | self.z
 
 
+def _popcount(v):
+    """The set bits of a Python int, or of each entry of an integer array (as
+    uint8, so sums of counts wrap mod 256, which keeps them mod 4)."""
+    return v.bit_count() if isinstance(v, int) else np.bitwise_count(v)
+
+
+def _product_power(u, v, n: int):
+    """k with P(u) P(v) = i^k P(u ^ v) (mod 4) for 2N-bit indices u and v,
+    Python ints or integer arrays: the per-site phase bookkeeping of the
+    i^(x.z) X^x Z^z representatives, i^(x1.z1 + x2.z2 + 2 z1.x2 - x3.z3)."""
+    mask = (1 << n) - 1
+    ux, uz, vx, vz = u >> n, u & mask, v >> n, v & mask
+    return (_popcount(ux & uz) + _popcount(vx & vz) + 2 * _popcount(uz & vx)
+            - _popcount((ux ^ vx) & (uz ^ vz)))
+
+
 def _multiply(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
     """The phase-0 product class and the k in {0, 1, 2, 3} with
     dense(p) @ dense(q) == i^k dense(result)."""
-    x3 = p.x ^ q.x
-    z3 = p.z ^ q.z
-    # per-site phase bookkeeping for i^(x.z) X^x Z^z representatives:
-    # i^(x1.z1 + x2.z2 + 2 z1.x2 - x3.z3)
-    kappa = (
-        (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        + 2 * (p.z & q.x).bit_count()
-        - (x3 & z3).bit_count()
-    )
-    return PauliString(p.n_qubits, x3, z3, 0), (p.phase_exp + q.phase_exp + kappa) % 4
+    n = p.n_qubits
+    k = p.phase_exp + q.phase_exp + _product_power(p.index, q.index, n)
+    return PauliString.from_index(n, p.index ^ q.index), k % 4
 
 
 def pauli_multiply(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:
@@ -183,20 +199,22 @@ def pauli_commutes(p: PauliString, q: PauliString) -> bool:
     return not _symplectic_form(p.index, q.index, p.n_qubits)
 
 
-def _pauli_entries(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of the dense string, a signed permutation:
-    P[rows[c], cols[c]] = values[c] with cols = 0..d-1 and rows = cols ^ x."""
-    d = 1 << p.n_qubits
-    cols = np.arange(d)
-    pref = _I4[(p.phase_exp + (p.x & p.z).bit_count()) % 4]
-    return cols ^ p.x, cols, pref * _parity_signs(cols & p.z)
+def _pauli_entries(n_qubits: int, x, z,
+                   phase_exp=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of i^phase_exp P(x, z), a signed permutation:
+    P[rows[c], cols[c]] = values[c] with cols = 0..d-1 and rows = cols ^ x.
+    x, z and phase_exp may also be integer arrays of shape S + (1,), one
+    string per index of S; rows and values then have shape S + (d,)."""
+    cols = np.arange(1 << n_qubits)
+    pref = _I4[(phase_exp + _popcount(x & z)) % 4]
+    return cols ^ x, cols, pref * _parity_signs(cols & z)
 
 
 def pauli_to_dense(p: PauliString) -> np.ndarray:
     """Dense 2^N x 2^N matrix of a Pauli string (site 1 = most significant)."""
     if p.n_qubits > DENSE_LIMIT:
         raise SizeLimitExceeded(f"{p.n_qubits} qubits exceeds dense limit {DENSE_LIMIT}")
-    rows, cols, values = _pauli_entries(p)
+    rows, cols, values = _pauli_entries(p.n_qubits, p.x, p.z, p.phase_exp)
     m = np.zeros((cols.size, cols.size), dtype=complex)
     m[rows, cols] = values
     return m
@@ -206,8 +224,29 @@ def pauli_mul_matrix(p: PauliString, m: np.ndarray) -> np.ndarray:
     """P @ m in O(d^2): a signed row permutation of m."""
     if m.shape[0] != 1 << p.n_qubits:
         raise ValueError("dimension mismatch")
-    rows, _, values = _pauli_entries(p)
+    rows, _, values = _pauli_entries(p.n_qubits, p.x, p.z, p.phase_exp)
     return values[rows][:, None] * m[rows, :]
+
+
+def _conjugated_chunks(a: np.ndarray, indices, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """A @ P @ B for the phase-0 strings P with the given 2N-bit indices, in
+    chunks of max(1, _CHUNK_ENTRIES // d^2) strings: pairs (start, stack)
+    with stack[j] the product for indices[start + j].  As in
+    pauli_mul_matrix, P @ B is a signed row gather of B, so a chunk is one
+    gather and one batched matmul, and each product has the bits of
+    A @ pauli_mul_matrix(P, B).  A chunk holds its gather and its product,
+    about 2^17 complex entries each."""
+    d = b.shape[0]
+    n = d.bit_length() - 1
+    indices = np.asarray(indices, dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // (d * d))
+    for start in range(0, indices.size, step):
+        chunk = indices[start:start + step, None]
+        rows, _, values = _pauli_entries(n, chunk >> n, chunk & (d - 1))
+        stack = b[rows]
+        stack *= values[np.arange(len(chunk))[:, None], rows, None]
+        stack = a @ stack  # the gather is freed here
+        yield start, stack
 
 
 def _parity_signs(values: np.ndarray) -> np.ndarray:
@@ -411,11 +450,12 @@ def operator_from_pauli_table(table: np.ndarray) -> np.ndarray:
 
 
 def _operator_pauli_probs(op: np.ndarray) -> np.ndarray:
-    """Xi_P = |Tr(op P)/d|^2 over all phase-0 strings, flattened; sums to 1
-    for unitary op."""
-    d = op.shape[0]
+    """Xi_P = |Tr(op P)/d|^2 over all phase-0 strings, flattened over the
+    last two axes (op may be a stack of operators); sums to 1 for unitary
+    op."""
+    d = op.shape[-1]
     table = pauli_trace_table(op) / d
-    return np.abs(table.ravel()) ** 2
+    return np.abs(table.reshape(*op.shape[:-2], d * d)) ** 2
 
 
 def pauli_expectation_table(psi: np.ndarray) -> np.ndarray:
@@ -481,15 +521,15 @@ class CliffordTableau:
         if not p.is_hermitian:
             raise NotHermitian("conjugation is defined for Hermitian strings")
         n, width, index = self.n_qubits, 2 * self.n_qubits, p.index
-        acc = PauliString.identity(n)
+        acc = 0  # the index of the product so far
         k = p.phase_exp + (p.x & p.z).bit_count()  # power of i: P = i^k X^x Z^z
         for i, row in enumerate(self.rows):  # the X_1..X_N factors, then Z_1..Z_N
             if index >> (width - 1 - i) & 1:
-                acc, k_row = _multiply(acc, PauliString.from_index(n, row))
-                k += k_row + 2 * self.signs[i]
+                k += _product_power(acc, row, n) + 2 * self.signs[i]
+                acc ^= row
         if k % 4 not in (0, 2):
             raise AssertionError("conjugation of a Hermitian string must give +-1")
-        return acc, 1 if k % 4 == 0 else -1
+        return PauliString.from_index(n, acc), 1 if k % 4 == 0 else -1
 
     def compose(self, first: "CliffordTableau") -> "CliffordTableau":
         """Tableau of self . first (apply `first`, then `self`)."""
@@ -650,9 +690,10 @@ def clifford_to_dense(c: CliffordTableau) -> np.ndarray:
     d = 1 << n
     # |psi0> = state stabilized by the signed images of Z_1..Z_N
     proj = np.eye(d, dtype=complex)
-    for i in range(n):
-        img, sgn = c.row_pauli(n + i)
-        proj = (proj + sgn * pauli_mul_matrix(img, proj)) / 2.0
+    for row, sign in zip(c.rows[n:], c.signs[n:]):
+        moved = pauli_mul_matrix(PauliString.from_index(n, row), proj)
+        proj = np.subtract(proj, moved, out=moved) if sign else np.add(proj, moved, out=moved)
+        proj *= 0.5
     col = int(np.argmax(np.linalg.norm(proj, axis=0)))
     psi0 = proj[:, col]
     nrm = np.linalg.norm(psi0)
@@ -660,21 +701,22 @@ def clifford_to_dense(c: CliffordTableau) -> np.ndarray:
         raise AssertionError("stabilizer projector produced a null column")
     psi0 = psi0 / nrm
     # column b of the unitary = (image of X^b) |psi0>.  The images of the
-    # X_q commute, so image(b) is image(b without its lowest set bit) times
-    # the image of that bit's X_q, with a +-1 product phase.
-    x_images = [c.row_pauli(q) for q in range(n)]  # X_1 (top bit) .. X_N
-    images = [(PauliString.identity(n), 1)]
+    # X_q commute, so for b < 2^t the image of b + 2^t is image(b) times
+    # that of X_(N-t), with a +-1 product phase: doubling the columns bit by
+    # bit gives each one's index and power of i (signs included) as arrays.
+    mask = d - 1
+    index, power = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for t in range(n):
+        row, sign = c.rows[n - 1 - t], c.signs[n - 1 - t]
+        power = np.concatenate([power, power + 2 * sign + _product_power(index, row, n)])
+        index = np.concatenate([index, index ^ row])
     u = np.empty((d, d), dtype=complex)
-    u[:, 0] = psi0
-    for b in range(1, d):
-        low = b & -b
-        rest, rest_sgn = images[b ^ low]
-        img, q_sgn = x_images[n - low.bit_length()]
-        img, k = _multiply(rest, img)
-        sgn = rest_sgn * q_sgn * (1 if k == 0 else -1)
-        images.append((img, sgn))
-        rows, _, values = _pauli_entries(img)
-        u[:, b] = sgn * (values[rows] * psi0[rows])
+    step = max(1, _CHUNK_ENTRIES // d)
+    for b in range(0, d, step):
+        cols = slice(b, b + step)
+        rows, _, values = _pauli_entries(n, index[cols, None] >> n, index[cols, None] & mask,
+                                         power[cols, None])
+        u[:, cols] = (values[np.arange(len(rows))[:, None], rows] * psi0[rows]).T
     return fix_global_phase(u)
 
 

@@ -37,6 +37,17 @@ def save_matrix(path: str, m: np.ndarray) -> None:
         fh.write(matrix_to_text(m))
 
 
+def _header_ints(tokens: list[str], header: str, where: str) -> list[int]:
+    """The integers of a `header` line, whose tokens open `tokens`; anything
+    else there raises ValueError naming the header and where it was read."""
+    fields = tokens[:len(header.split())]
+    try:
+        return [int(t) for t in fields]
+    except ValueError:
+        raise ValueError(f"{where}: the '{header}' header takes integers, got "
+                         f"{' '.join(fields)!r}") from None
+
+
 def _read_tokens(path: str, header: str) -> list[str]:
     """The whitespace-separated tokens of a file that opens with `header`;
     a file too short to hold the header raises ValueError."""
@@ -49,7 +60,7 @@ def _read_tokens(path: str, header: str) -> list[str]:
 
 def load_matrix(path: str) -> np.ndarray:
     tokens = _read_tokens(path, "<rows> <cols>")
-    rows, cols = int(tokens[0]), int(tokens[1])
+    rows, cols = _header_ints(tokens, "<rows> <cols>", path)
     data = np.asarray([float(t) for t in tokens[2:]])
     if data.size != 2 * rows * cols:
         raise ValueError(f"expected {2 * rows * cols} floats in {path}, got {data.size}")
@@ -66,7 +77,7 @@ def tableau_from_text(text: str) -> CliffordTableau:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError("tableau text is missing its '<n_qubits>' header line")
-    n = int(lines[0])
+    (n,) = _header_ints([lines[0]], "<n_qubits>", "tableau text")
     if len(lines) != 2 + 2 * n:
         raise ValueError("tableau block has the wrong number of lines")
     for ln in lines[1:]:
@@ -84,7 +95,11 @@ def save_tableau(path: str, c: CliffordTableau) -> None:
 
 def load_tableau(path: str) -> CliffordTableau:
     with open(path) as fh:
-        return tableau_from_text(fh.read())
+        text = fh.read()
+    try:
+        return tableau_from_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_mpu(path: str, a: MPUTensor) -> None:
@@ -96,7 +111,7 @@ def save_mpu(path: str, a: MPUTensor) -> None:
 
 def load_mpu(path: str) -> MPUTensor:
     tokens = _read_tokens(path, "<chi>")
-    chi = int(tokens[0])
+    (chi,) = _header_ints(tokens, "<chi>", path)
     if chi < 1:
         raise ValueError(f"bond dimension in {path} must be at least 1, got {chi}")
     data = np.asarray([float(t) for t in tokens[1:]])

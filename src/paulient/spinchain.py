@@ -19,7 +19,6 @@ under SWEEP_COLUMNS.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from . import _threads
 from .entpower import DEFAULT_EXACT_LIMIT, DEFAULT_SEM_TARGET, _pauli_entangling_power
 from .errors import NotHermitian, NotUnitary, SizeLimitExceeded
 from .operators import Bipartition, _sum_lambda_sq, _within_unitary
-from .paulis import DENSE_LIMIT, PauliString, _pauli_entries, _SectorLayout
+from .paulis import DENSE_LIMIT, _pauli_entries, _SectorLayout
 from .stats import run_until_converged
 
 DEFAULT_DT = 0.2
@@ -85,7 +84,7 @@ def build_hamiltonian(model: SpinChainModel) -> np.ndarray:
     d = 1 << n
     ham = np.zeros((d, d), dtype=complex)
     for coeff, x, z in terms:
-        rows, cols, values = _pauli_entries(PauliString(n, x, z))
+        rows, cols, values = _pauli_entries(n, x, z)
         ham[rows, cols] += coeff * values
     return ham
 
@@ -267,6 +266,9 @@ def run_sweep_experiment(
         for v, child_seed in zip(sweep_values, child_seeds)
     ]
     if workers > 1:
+        # multiprocessing loads on the first pooled sweep, not with the package
+        from concurrent.futures import ProcessPoolExecutor
+
         share = max(1, _threads.available_cores() // workers)
         with ProcessPoolExecutor(max_workers=workers, initializer=_threads.set_thread_limit,
                                  initargs=(share,)) as pool:

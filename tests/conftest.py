@@ -48,14 +48,37 @@ def oracle_elin(op: np.ndarray, n_a: int, n_b: int) -> float:
     return float(1.0 - np.sum(lam**2))
 
 
-def oracle_pauli_power(u: np.ndarray, n_a: int, n_b: int) -> float:
-    """Brute-force mean of E_lin(U^dag P U) over all dense Pauli strings."""
-    n = n_a + n_b
+def pauli_labels(n: int) -> list[str]:
+    """All 4^n unsigned labels, in "IXYZ" order per site."""
     labels = [""]
     for _ in range(n):
         labels = [lab + c for lab in labels for c in "IXYZ"]
-    vals = [oracle_elin(u.conj().T @ dense_pauli(lab) @ u, n_a, n_b) for lab in labels]
+    return labels
+
+
+def oracle_pauli_power(u: np.ndarray, n_a: int, n_b: int) -> float:
+    """Brute-force mean of E_lin(U^dag P U) over all dense Pauli strings."""
+    vals = [oracle_elin(u.conj().T @ dense_pauli(lab) @ u, n_a, n_b)
+            for lab in pauli_labels(n_a + n_b)]
     return float(np.mean(vals))
+
+
+def oracle_operator_magic(op: np.ndarray) -> float:
+    """Linear operator stabilizer entropy 1 - sum_P |Tr(op P) / d|^4, one
+    dense Pauli string at a time."""
+    d = op.shape[0]
+    coeffs = [np.trace(op @ dense_pauli(lab)) / d for lab in pauli_labels(d.bit_length() - 1)]
+    return float(1.0 - np.sum(np.abs(coeffs) ** 4))
+
+
+def oracle_local_magic_bound(u: np.ndarray, n_a: int, n_b: int) -> tuple[float, float]:
+    """Mean oracle_operator_magic of U P U^dag over the strings local to A,
+    and over those local to B."""
+    def side(labels: list[str]) -> float:
+        return float(np.mean([oracle_operator_magic(u @ dense_pauli(lab) @ u.conj().T)
+                              for lab in labels]))
+    return (side([lab + "I" * n_b for lab in pauli_labels(n_a)]),
+            side(["I" * n_a + lab for lab in pauli_labels(n_b)]))
 
 
 @pytest.fixture

@@ -22,16 +22,26 @@ from paulient.errors import NotUnitary, SizeLimitExceeded
 from paulient.operators import Bipartition, haar_random_unitary, random_local_unitary
 from paulient.paulis import (
     PauliString,
+    _CHUNK_ENTRIES,
     _SectorLayout,
+    _operator_pauli_probs,
     _wht_real,
     clifford_to_dense,
+    pauli_mul_matrix,
     random_clifford,
     random_pauli,
 )
 from paulient.spinchain import HamiltonianPropagator, XYZModel, build_hamiltonian
 from paulient.stats import run_until_converged
 
-from conftest import CNOT, T_GATE, dense_pauli, oracle_elin, oracle_pauli_power
+from conftest import (
+    CNOT,
+    T_GATE,
+    dense_pauli,
+    oracle_elin,
+    oracle_local_magic_bound,
+    oracle_pauli_power,
+)
 
 
 BP11 = Bipartition(1, 1)
@@ -436,6 +446,41 @@ class TestBounds:
         assert abs(ba - 0.25) < 1e-12 and abs(bb - 0.25) < 1e-12
         ba, bb = local_pauli_magic_bound(u.conj().T, BP11)
         assert abs(ba) < 1e-12 and abs(bb - 0.25) < 1e-12
+
+    @pytest.mark.parametrize("na,nb", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 5)])
+    def test_bound_matches_the_per_string_loop_and_oracle(self, na, nb, rng):
+        # at 2|5 a chunk holds 8 strings: side A's 16 fill two
+        bp = Bipartition(na, nb)
+        u = haar_random_unitary(bp.d, rng)
+
+        def loop(n_side, shift):  # one product and one Pauli table per string
+            vals = []
+            for k in range(4**n_side):
+                ps = PauliString.from_index(n_side, k)
+                full = PauliString(bp.n_qubits, ps.x << shift, ps.z << shift)
+                probs = _operator_pauli_probs(u @ pauli_mul_matrix(full, u.conj().T))
+                vals.append(1.0 - float(np.sum(probs**2)))
+            return math.fsum(vals) / len(vals)
+
+        bounds = local_pauli_magic_bound(u, bp)
+        assert np.max(np.abs(np.subtract(bounds, (loop(na, nb), loop(nb, 0))))) <= 1e-14
+        if bp.n_qubits <= 4:
+            assert np.max(np.abs(np.subtract(bounds, oracle_local_magic_bound(u, na, nb)))) <= 1e-14
+
+    def test_bound_memory_stays_bounded(self, rng):
+        # tracemalloc peak at N = 8 (4|4), in d^2 complex entries: 6.02 when
+        # each string was evolved on its own; the stacked strings may add a
+        # chunk's four arrays at once (see the factorizer's memory test)
+        bp = Bipartition(4, 4)
+        u = haar_random_unitary(bp.d, rng)
+        tracemalloc.start()
+        try:
+            local_pauli_magic_bound(u, bp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entry = 16
+        assert peak <= 6.03 * bp.d**2 * entry + 4 * max(_CHUNK_ENTRIES, bp.d**2) * entry
 
     def test_inequality_sweep(self, rng):
         for _ in range(50):

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from paulient.errors import NotProduct, NotProductPreserving
 from paulient.factorization import (
+    RANK_TOL,
+    _rank_one_readoff,
     _tableau_block_diag,
     check_pauli_product_preserving,
     residual_local_magic,
@@ -14,23 +18,42 @@ from paulient.factorization import (
     LocalCliffordFactorization,
 )
 from paulient.magic import SearchConfig, nonlocal_stabilizer_entropy
-from paulient.operators import Bipartition, haar_random_unitary
+from paulient.operators import Bipartition, haar_random_unitary, realign
 from paulient.paulis import (
     CliffordTableau,
+    PauliString,
+    _CHUNK_ENTRIES,
+    _operator_pauli_probs,
     clifford_to_dense,
     fix_global_phase,
     pauli_mul_matrix,
     random_clifford,
 )
 
-from conftest import CNOT, dense_pauli
+from conftest import CNOT, dense_pauli, oracle_operator_magic, pauli_labels
 
 
 BP11 = Bipartition(1, 1)
 
 
-def u_xx(theta=np.pi / 8):
-    return scipy.linalg.expm(-1j * theta * dense_pauli("XX"))
+def u_xx(theta=np.pi / 8, label="XX"):
+    return scipy.linalg.expm(-1j * theta * dense_pauli(label))
+
+
+def generators(n):
+    return [PauliString(n, 1 << (n - 1 - i), 0) for i in range(n)] + \
+        [PauliString(n, 0, 1 << (n - 1 - i)) for i in range(n)]
+
+
+def svd_check(u, bp, tol=RANK_TOL):
+    """The check one generator at a time, every verdict from an SVD: the
+    reference for the stacked check's verdict and witness."""
+    for p in generators(bp.n_qubits):
+        image = u.conj().T @ pauli_mul_matrix(p, u)
+        lam = np.linalg.svd(realign(image, bp), compute_uv=False) ** 2
+        if lam[1] > tol:
+            return False, (p, float(lam[1]))
+    return True, None
 
 
 class TestCheck:
@@ -70,6 +93,90 @@ class TestCheck:
         ok, (p, lam2) = check_pauli_product_preserving(haar_random_unitary(bp.d, rng), bp)
         assert not ok and lam2 > 1e-3
         assert bin(p.x).count("1") + bin(p.z).count("1") == 1  # a generator
+
+
+class TestStackedImages:
+    def test_ragged_last_chunk_at_seven_qubits(self, rng):
+        # 14 generator images of 2^14 entries go in chunks of 8: 8, then 6
+        bp = Bipartition(3, 4)
+        assert _CHUNK_ENTRIES // bp.d**2 == 8
+        u = make_product_preserving(bp, rng)[0]
+        assert check_pauli_product_preserving(u, bp) == (True, None) == svd_check(u, bp)
+        assert verify_factorization(u, factorize(u, bp)) <= 1e-8
+        haar = haar_random_unitary(bp.d, rng)
+        assert check_pauli_product_preserving(haar, bp) == svd_check(haar, bp)
+        # exp(-i theta X_2 X_5) leaves X_1..X_7 and Z_1 product: the first
+        # violator, Z_2, is in the second chunk
+        xx = u_xx(0.3, "IXIIXII")
+        ok, witness = check_pauli_product_preserving(xx, bp)
+        assert not ok and str(witness[0]) == "+IZIIIII"
+        assert (ok, witness) == svd_check(xx, bp)
+        with pytest.raises(NotProductPreserving, match=r"generator \+IZIIIII"):
+            factorize(xx, bp)
+
+    @pytest.mark.parametrize("scale", [0.99, 0.999, 1.001, 1.01])
+    def test_readoff_verdict_is_the_svd_verdict(self, scale, rng):
+        # exp(-i theta XX) takes Z (x) I to an image with lambda_2 =
+        # sin^2(2 theta): just below and just above RANK_TOL
+        theta = np.arcsin(np.sqrt(scale * RANK_TOL)) / 2
+        bp = Bipartition(1, 1)
+        near = u_xx(theta)
+        ok, witness = check_pauli_product_preserving(near, bp)
+        assert (ok, witness) == svd_check(near, bp)
+        assert ok == (scale < 1)
+        inputs = [near, haar_random_unitary(8, rng), make_product_preserving(Bipartition(1, 2),
+                                                                              rng)[0]]
+        for u in inputs:
+            b = Bipartition(1, u.shape[0].bit_length() - 2)
+            assert check_pauli_product_preserving(u, b) == svd_check(u, b)
+            images = np.stack([u.conj().T @ pauli_mul_matrix(p, u)
+                               for p in generators(b.n_qubits)])
+            r = realign(images, b)
+            x, y, defect = _rank_one_readoff(r)
+            lam2 = np.linalg.svd(r, compute_uv=False)[:, 1] ** 2
+            # the defect bounds lambda_2, so a read-off within tol is an SVD pass
+            assert np.all(defect >= lam2 - 1e-15)
+            assert np.all(lam2[defect <= RANK_TOL] <= RANK_TOL)
+            rebuilt = x[:, :, None] * y[:, None, :]
+            assert np.allclose(np.linalg.norm(r - rebuilt, axis=(1, 2)) ** 2, defect, atol=1e-14)
+
+    def test_residual_magic_matches_the_per_string_loop_and_oracle(self, rng):
+        bp = Bipartition(1, 2)
+        u = make_product_preserving(bp, rng)[0]
+        fac = factorize(u, bp)
+        # a wrong local factor leaves magic that the check must report
+        bad = LocalCliffordFactorization(v=haar_random_unitary(2, rng), w=fac.w, c=fac.c,
+                                         global_phase=fac.global_phase)
+        for f in (fac, bad):
+            loc = np.kron(f.v, f.w)
+            loop = oracle = 0.0
+            for k in range(4**3):  # one product and one Pauli table per string
+                p = PauliString.from_index(3, k)
+                o = loc.conj().T @ u.conj().T @ pauli_mul_matrix(p, u) @ loc
+                loop = max(loop, 1.0 - float(np.sum(_operator_pauli_probs(o) ** 2)))
+            for label in pauli_labels(3):
+                dense = loc.conj().T @ u.conj().T @ dense_pauli(label) @ u @ loc
+                oracle = max(oracle, oracle_operator_magic(dense))
+            value = residual_local_magic(u, f, bp)
+            assert abs(value - loop) <= 1e-14 and abs(value - oracle) <= 1e-14
+        assert residual_local_magic(u, bad, bp) > 0.1
+
+    def test_factorize_memory_stays_bounded(self):
+        # tracemalloc peak at N = 9 (4|5), in d^2 complex entries: 6.36 when
+        # each image was evolved on its own.  The stacked images may add a
+        # chunk's four arrays at once: the previous chunk's images and their
+        # realignment, the next chunk's gather and its product.
+        bp = Bipartition(4, 5)
+        u = make_product_preserving(bp, np.random.default_rng(3))[0]
+        tracemalloc.start()
+        try:
+            fac = factorize(u, bp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verify_factorization(u, fac) <= 1e-8
+        entry = 16
+        assert peak <= 6.37 * bp.d**2 * entry + 4 * max(_CHUNK_ENTRIES, bp.d**2) * entry
 
 
 class TestExtractFactors:

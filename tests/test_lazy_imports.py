@@ -1,5 +1,6 @@
 """scipy loads only where it is used: the magic searches, params_from_unitary
-and thermodynamic MPU mode import it on their first call.  Each check runs in
+and thermodynamic MPU mode import it on their first call.  multiprocessing
+loads only for a sweep on a process pool.  Each check runs in
 a fresh interpreter, since this suite's own process has loaded scipy long
 before.  This module imports no scipy itself: the first-call probe imports
 FIRST_CALLS from it."""
@@ -28,13 +29,15 @@ from paulient.operators import haar_random_unitary
 from paulient.serialize import save_matrix
 
 tmp = sys.argv[1]
-after_import = "scipy" in sys.modules
+after_import = ["scipy" in sys.modules, "multiprocessing" in sys.modules]
 save_matrix(tmp + "/u.txt", haar_random_unitary(16, np.random.default_rng(1)))
 codes = [main(["pe-exact", "--matrix", tmp + "/u.txt", "--na", "2", "--nb", "2",
-               "--out", tmp + "/pe.csv"]),
-         main(["spinchain-run", "--model", "xyz", "--sweep", "Jz=0.5", "--n", "4",
-               "--mode", "exact", "--seed", "1", "--out", tmp + "/sweep.csv"])]
-print(json.dumps([after_import, codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+               "--out", tmp + "/pe.csv"])]
+after_pe = "multiprocessing" in sys.modules
+codes.append(main(["spinchain-run", "--model", "xyz", "--sweep", "Jz=0.5", "--n", "4",
+                   "--mode", "exact", "--seed", "1", "--out", tmp + "/sweep.csv"]))
+print(json.dumps([after_import, after_pe, codes,
+                  sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 _FIRST_CALL_PROBE = """
@@ -66,8 +69,9 @@ def _run(source: str, *args: str) -> list:
 
 
 def test_cli_commands_without_scipy_leave_it_unloaded(tmp_path):
-    after_import, codes, loaded = _run(_CLI_PROBE, str(tmp_path))
-    assert not after_import
+    after_import, after_pe, codes, loaded = _run(_CLI_PROBE, str(tmp_path))
+    # multiprocessing loads with the first pooled sweep only
+    assert after_import == [False, False] and not after_pe
     assert codes == [0, 0]
     assert loaded == []
     assert (tmp_path / "pe.csv").read_text().splitlines()[-1][0].isdigit()

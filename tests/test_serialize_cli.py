@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import itertools
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -103,6 +104,33 @@ class TestSerialize:
         path.write_text(text)
         with pytest.raises(ValueError, match="<n_qubits>"):
             load_tableau(str(path))
+
+    @pytest.mark.parametrize("header", ["x", "1.0", "1 2"])
+    def test_tableau_header_must_be_an_integer(self, tmp_path, header):
+        text = header + "\n10\n01\n00\n"
+        message = re.escape(f"tableau text: the '<n_qubits>' header takes integers, got '{header}'")
+        with pytest.raises(ValueError, match="^" + message):
+            tableau_from_text(text)
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_tableau(str(path))
+
+    @pytest.mark.parametrize("header", ["x 1", "1 1.0"])
+    def test_matrix_header_must_be_integers(self, tmp_path, header):
+        path = tmp_path / "m.txt"
+        path.write_text(header + "\n1 0\n")
+        message = f"{path}: the '<rows> <cols>' header takes integers, got '{header}'"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            load_matrix(str(path))
+
+    @pytest.mark.parametrize("header", ["x", "1.0"])
+    def test_mpu_header_must_be_an_integer(self, tmp_path, header):
+        path = tmp_path / "t.txt"
+        path.write_text(header + "\n" + "1 0 " * 4 + "\n")
+        message = f"{path}: the '<chi>' header takes integers, got '{header}'"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            load_mpu(str(path))
 
     def test_mpu_round_trip(self, tmp_path):
         t = mpu_zz_chain(0.3)
