@@ -572,6 +572,7 @@ def local_pauli_magic_bound(u: np.ndarray, bp: Bipartition) -> tuple[float, floa
     vals = []
     for _, evolved in _conjugated_chunks(u, strings, u.conj().T):
         vals += (1.0 - np.sum(_operator_pauli_probs(evolved) ** 2, axis=-1)).tolist()
+        del evolved  # before the next chunk is built
     split = 4**bp.n_a
     return math.fsum(vals[:split]) / split, math.fsum(vals[split:]) / (len(vals) - split)
 

@@ -7,8 +7,8 @@ the rest.  Pipeline:
 
 1. evolve the generators as stacks (paulis._conjugated_chunks) and split
    each image into Hermitian-unitary factors X_g (x) Y_g: a rank-1 read-off
-   of the realigned image, with the SVD only where the read-off cannot
-   prove rank 1 within tol;
+   of the realigned image where it is exact to round-off, the SVD
+   elsewhere;
 2. the strings whose B factor is a scalar form a subgroup Htilde (size
    4^N_A), found as the F2 null space of the Y-factor commutation matrix
    (a scalar factor is exactly one that commutes with the whole family);
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .errors import (
@@ -58,6 +56,9 @@ from .paulis import (
 RANK_TOL = 1e-10
 FACTOR_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
+# ||R - x y||_F^2 up to which a rank-1 read-off's own factors are used: its
+# factors are then within about 1e-13 of the SVD's (round-off is ~1e-30)
+READOFF_TOL = 1e-26
 RESIDUAL_MAGIC_MAX_QUBITS = 4  # residual_local_magic enumerates 4^N strings
 
 
@@ -82,13 +83,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _evolve(strings: list[PauliString], u: np.ndarray, udag: np.ndarray
-            ) -> Iterator[tuple[int, np.ndarray]]:
-    """U^dag P U for each phase-0 string, in paulis._conjugated_chunks'
-    chunks: (start, stack) with stack[j] the image of strings[start + j]."""
-    return _conjugated_chunks(udag, [p.index for p in strings], u)
-
-
 def _rank_one_readoff(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, defect) for a stack of realignments R: x the largest-norm
     column of each R, y = x^dag R / ||x||^2, and defect = ||R - x y||_F^2 =
@@ -102,6 +96,13 @@ def _rank_one_readoff(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     xr = (x.conj()[:, None] @ r)[:, 0]
     defect = cols.sum(axis=-1) - (xr.real**2 + xr.imag**2).sum(axis=-1) / xx
     return x, xr / xx[:, None], defect
+
+
+def _sq_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each complex matrix of a C-contiguous
+    stack, with no stack-sized temporary."""
+    v = stack.reshape(len(stack), -1).view(np.float64)
+    return np.einsum("ki,ki->k", v, v)
 
 
 def check_pauli_product_preserving(
@@ -131,8 +132,9 @@ def check_pauli_product_preserving(
     if u.shape[0] != bp.d or not is_unitary(u):
         raise NotUnitary("need a unitary matching the bipartition")
     gens = _generators(bp.n_qubits)
-    for start, images in _evolve(gens, u, u.conj().T):
+    for start, images in _conjugated_chunks(u.conj().T, [g.index for g in gens], u):
         r = realign(images, bp)
+        del images  # each chunk is let go before the next one is built
         slow = np.flatnonzero(~(_rank_one_readoff(r)[2] <= tol))
         # a unitary that fails mostly fails on its first slow image, whose
         # SVD then runs alone
@@ -142,6 +144,7 @@ def check_pauli_product_preserving(
                 bad = np.flatnonzero(lam2 > tol)
                 if bad.size:
                     return False, (gens[start + part[bad[0]]], float(lam2[bad[0]]))
+        del r
     return True, None
 
 
@@ -157,7 +160,8 @@ def extract_hermitian_unitary_factors(
     half-phase of Tr(y^2)/Tr(y^dag y); the leftover (x, y) -> (-x, -y)
     ambiguity is fixed by making the first nonzero entry of x (diagonal
     first, then row-major) non-negative.  The raw factors come from the
-    rank-1 read-off where it is within tol, else from the SVD.
+    rank-1 read-off where it is exact to round-off (READOFF_TOL), else from
+    the SVD.
     """
     d = bp.d
     if o.shape[0] != d:
@@ -178,9 +182,17 @@ def _hermitian_unitary_factors(
     """extract_hermitian_unitary_factors for a stack of realigned Hermitian
     unitaries, without their Hermitian and unitary checks: (x, y, failure),
     with failure None or (k, the exception of the first k that fails)."""
-    x, y, defect = _rank_one_readoff(r)
+    x, y, _ = _rank_one_readoff(r)
+    # A defect within tol settles the verdict but leaves x y up to sqrt(tol)
+    # from R, too far for the factor checks below; the read-off's factors are
+    # kept only where R - x y itself is at round-off, and the SVD splits the
+    # rest.  That residual also bounds lambda_2, so every verdict is the SVD's.
+    e = x[:, :, None] * y[:, None, :]
+    e -= r
+    resid = _sq_norms(e)
+    del e
     lam2 = np.zeros(len(r))
-    slow = np.flatnonzero(~(defect <= tol))
+    slow = np.flatnonzero(~(resid <= min(tol, READOFF_TOL)))
     if slow.size:
         left, s, right = np.linalg.svd(r[slow], full_matrices=False)
         lam2[slow] = s[:, 1] ** 2
@@ -292,6 +304,7 @@ def _tableau_if_clifford(v: np.ndarray) -> CliffordTableau | None:
             return None
         images += [(PauliString.from_index(nv, int(i)), 1 if t.real > 0 else -1)
                    for i, t in zip(k, top)]
+        del m, table, mags
     try:
         return clifford_from_generator_images(images)
     except InvalidGeneratorImages:
@@ -317,7 +330,7 @@ def _one_sided_factors(
     verify the claimed structure."""
     da, db = bp.d_a, bp.d_b
     ops = np.empty((len(strings),) + ((da, da) if side == "A" else (db, db)), dtype=complex)
-    for start, m in _evolve(strings, u, udag):
+    for start, m in _conjugated_chunks(udag, [p.index for p in strings], u):
         m4 = m.reshape(-1, da, db, da, db)
         if side == "A":
             op = np.einsum("kabcb->kac", m4) / db
@@ -325,13 +338,15 @@ def _one_sided_factors(
         else:
             op = np.einsum("kabac->kbc", m4) / da
             rebuilt = np.eye(da)[:, None, :, None] * op[:, None, :, None, :]  # 1 (x) op
-        off = np.linalg.norm((rebuilt - m4).reshape(len(m), -1), axis=-1) / np.sqrt(bp.d)
+        rebuilt -= m4
+        off = np.sqrt(_sq_norms(rebuilt)) / np.sqrt(bp.d)
         bad = np.flatnonzero(off > max(1e-7, tol * 100))
         if bad.size:
             raise FactorizationDegeneracy(
                 f"string {strings[start + bad[0]]} was classified one-sided ({side}) but is not"
             )
         ops[start:start + len(m)] = op
+        del m, m4, rebuilt
     return ops
 
 
@@ -349,8 +364,11 @@ def factorize(
     # construction, so they go to the factor split without their own checks.
     gens = _generators(n)
     mats = np.empty((2 * n, bp.d_a, bp.d_a), dtype=complex)  # each image's A factor
-    for start, images in _evolve(gens, u, udag):
-        x, _, failure = _hermitian_unitary_factors(realign(images, bp), bp, tol)
+    for start, images in _conjugated_chunks(udag, [g.index for g in gens], u):
+        r = realign(images, bp)
+        del images  # each chunk is let go before the next one is built
+        x, _, failure = _hermitian_unitary_factors(r, bp, tol)
+        del r
         if failure is not None:
             k, exc = failure
             if isinstance(exc, NotProduct):
@@ -380,6 +398,7 @@ def factorize(
             raise FactorizationDegeneracy(
                 f"factors of generators {i[bad[0]]},{j[bad[0]]} neither commute nor anticommute")
         commutes[p0:p0 + len(i)] = comm > anti  # never on the diagonal: m_i m_i = 1
+        del ij, ji
     commutes = commutes.reshape(width, width)
     ca = [int(row) for row in commutes @ (1 << np.arange(width - 1, -1, -1))]
     cb = [row ^ gens[(i + n) % (2 * n)].index for i, row in enumerate(ca)]
@@ -459,6 +478,7 @@ def residual_local_magic(
     worst = 0.0
     for _, o in _conjugated_chunks(loc.conj().T @ u.conj().T, np.arange(4**n), u @ loc):
         worst = max(worst, float(np.max(1.0 - np.sum(_operator_pauli_probs(o) ** 2, axis=-1))))
+        del o
     return worst
 
 

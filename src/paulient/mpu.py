@@ -209,11 +209,9 @@ def pauli_power_mpu(
             raise NotUnitaryClosure(
                 f"closure at {n_a + n_b} sites is not unitary: ||U^dag U - I||_F^2 / d "
                 f"= {defect:.4g} exceeds {CLOSURE_DEFECT_TOL}")
-        ea = np.linalg.matrix_power(pair.t_a, n_a)
-        eb = np.linalg.matrix_power(pair.t_b, n_b)
-        # Tr(ea @ eb) without the product; scaling by 1/16 is exact, so it
-        # is applied once, to the sum
-        val = np.sum(ea * eb.T) / 16.0 ** (n_a + n_b)
+        ea = np.linalg.matrix_power(pair.t_a / 16.0, n_a)
+        eb = np.linalg.matrix_power(pair.t_b / 16.0, n_b)
+        val = np.sum(ea * eb.T)  # Tr(ea @ eb), without the product
         if abs(val.imag) > 1e-9:
             raise NotUnitaryClosure(f"transfer trace should be real, got {val:.3e}")
         return float(1.0 - val.real)

@@ -235,7 +235,9 @@ def _conjugated_chunks(a: np.ndarray, indices, b: np.ndarray) -> Iterator[tuple[
     pauli_mul_matrix, P @ B is a signed row gather of B, so a chunk is one
     gather and one batched matmul, and each product has the bits of
     A @ pauli_mul_matrix(P, B).  A chunk holds its gather and its product,
-    about 2^17 complex entries each."""
+    about 2^17 complex entries each, while it is built; the generator keeps
+    no reference to a stack it has yielded, so a caller that drops its own
+    holds one chunk at a time."""
     d = b.shape[0]
     n = d.bit_length() - 1
     indices = np.asarray(indices, dtype=np.int64)
@@ -243,10 +245,8 @@ def _conjugated_chunks(a: np.ndarray, indices, b: np.ndarray) -> Iterator[tuple[
     for start in range(0, indices.size, step):
         chunk = indices[start:start + step, None]
         rows, _, values = _pauli_entries(n, chunk >> n, chunk & (d - 1))
-        stack = b[rows]
-        stack *= values[np.arange(len(chunk))[:, None], rows, None]
-        stack = a @ stack  # the gather is freed here
-        yield start, stack
+        signs = values[np.arange(len(chunk))[:, None], rows, None]
+        yield start, a @ (b[rows] * signs)  # the frame keeps no chunk-sized array
 
 
 def _parity_signs(values: np.ndarray) -> np.ndarray:
@@ -716,7 +716,10 @@ def clifford_to_dense(c: CliffordTableau) -> np.ndarray:
         cols = slice(b, b + step)
         rows, _, values = _pauli_entries(n, index[cols, None] >> n, index[cols, None] & mask,
                                          power[cols, None])
-        u[:, cols] = (values[np.arange(len(rows))[:, None], rows] * psi0[rows]).T
+        # (P psi0)[i] = values[i ^ x] psi0[i ^ x]: one product, then one gather
+        values *= psi0
+        u[:, cols] = values[np.arange(len(rows))[:, None], rows].T
+        del rows, values
     return fix_global_phase(u)
 
 

@@ -163,9 +163,8 @@ class TestStackedImages:
 
     def test_factorize_memory_stays_bounded(self):
         # tracemalloc peak at N = 9 (4|5), in d^2 complex entries: 6.36 when
-        # each image was evolved on its own.  The stacked images may add a
-        # chunk's four arrays at once: the previous chunk's images and their
-        # realignment, the next chunk's gather and its product.
+        # each image was evolved on its own.  A chunk is let go before the
+        # next is built, so the stacked images may add at most one chunk.
         bp = Bipartition(4, 5)
         u = make_product_preserving(bp, np.random.default_rng(3))[0]
         tracemalloc.start()
@@ -176,7 +175,7 @@ class TestStackedImages:
             tracemalloc.stop()
         assert verify_factorization(u, fac) <= 1e-8
         entry = 16
-        assert peak <= 6.37 * bp.d**2 * entry + 4 * max(_CHUNK_ENTRIES, bp.d**2) * entry
+        assert peak <= 6.37 * bp.d**2 * entry + max(_CHUNK_ENTRIES, bp.d**2) * entry
 
 
 class TestExtractFactors:
@@ -195,6 +194,23 @@ class TestExtractFactors:
     def test_cnot_not_product(self):
         with pytest.raises(NotProduct):
             extract_hermitian_unitary_factors(CNOT, BP11)
+
+    def test_near_product_takes_the_svd_factors(self):
+        # lambda_2 = sin^2(t) = 1e-12 passes, but the largest realigned
+        # column, (cos I - i sin Z)/2, is t from Hermitian: the factors must
+        # be the SVD's, not the read-off's
+        t = 1e-6
+        op = np.cos(t) * dense_pauli("IX") + np.sin(t) * dense_pauli("ZY")
+        x, y = extract_hermitian_unitary_factors(op, BP11)
+        assert np.allclose(x, dense_pauli("I"), atol=1e-12)
+        assert np.allclose(y, dense_pauli("X"), atol=1e-12)
+
+    def test_near_product_unitary_factorizes(self):
+        # X_2's image has lambda_2 ~ 1e-16, far under RANK_TOL, but its
+        # read-off's A factor is ~1e-8 from Hermitian; U itself is 5e-9
+        # from the nearest factorization
+        u = scipy.linalg.expm(-1j * 5e-9 * dense_pauli("ZZ"))
+        assert verify_factorization(u, factorize(u, BP11)) <= 1e-8
 
     def test_factor_laws(self, rng):
         for _ in range(10):
@@ -309,7 +325,7 @@ def test_unusable_tol_rejected_before_any_generator(monkeypatch, tol):
     def evolve(*args):
         raise AssertionError("a generator was evolved")
 
-    monkeypatch.setattr("paulient.factorization._evolve", evolve)
+    monkeypatch.setattr("paulient.factorization._conjugated_chunks", evolve)
     for fn in (check_pauli_product_preserving, factorize):
         for u in (u_xx(), np.eye(4)):
             with pytest.raises(ValueError, match="tol must be finite and positive"):

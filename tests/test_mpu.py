@@ -216,6 +216,12 @@ class TestThermodynamic:
             fin = pauli_power_mpu(tensor, 7, 7)
             assert abs(th - fin) < 1e-8, name
 
+    def test_long_finite_chain_stays_near_the_limit(self):
+        # each power of E/16 stays bounded: 16^400 overflows a float
+        for name, tensor in TENSORS:
+            th = pauli_power_mpu(tensor, 0, 0, mode="thermodynamic")
+            assert abs(pauli_power_mpu(tensor, 200, 200) - th) < 1e-8, name
+
     def test_convergence_bound(self):
         tensor = mpu_zz_chain(0.3, HADAMARD)
         pair = transfer_matrix_pair(tensor)
