@@ -85,17 +85,21 @@ def _check_tol(tol: float) -> None:
 
 def _rank_one_readoff(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, defect) for a stack of realignments R: x the largest-norm
-    column of each R, y = x^dag R / ||x||^2, and defect = ||R - x y||_F^2 =
-    ||R||_F^2 - ||x||^2 ||y||^2.  No rank-1 matrix is closer to R than the
-    best one, so defect >= sum_(i>=2) lambda_i >= lambda_2: a defect within
-    tol proves lambda_2 within tol, and any other R is left to the SVD."""
+    column of each R, y = x^dag R / ||x||^2, and defect = ||R - x y||_F^2.
+    No rank-1 matrix is closer to R than the best one, so defect >=
+    sum_(i>=2) lambda_i >= lambda_2: a defect within tol proves lambda_2
+    within tol, and any other R is left to the SVD.  The defect is summed
+    from R - x y itself: the equal ||R||_F^2 - ||x||^2 ||y||^2 carries about
+    4e-16 of cancellation, which would pass images with lambda_2 above a
+    tol below that."""
     cols = (r.real**2 + r.imag**2).sum(axis=-2)  # squared column norms
     j = cols.argmax(axis=-1)[:, None]
     x = np.take_along_axis(r, j[:, None], axis=-1)[..., 0]
     xx = np.take_along_axis(cols, j, axis=-1)[:, 0]
-    xr = (x.conj()[:, None] @ r)[:, 0]
-    defect = cols.sum(axis=-1) - (xr.real**2 + xr.imag**2).sum(axis=-1) / xx
-    return x, xr / xx[:, None], defect
+    y = (x.conj()[:, None] @ r)[:, 0] / xx[:, None]
+    e = x[:, :, None] * y[:, None, :]
+    e -= r
+    return x, y, _sq_norms(e)
 
 
 def _sq_norms(stack: np.ndarray) -> np.ndarray:
@@ -182,17 +186,13 @@ def _hermitian_unitary_factors(
     """extract_hermitian_unitary_factors for a stack of realigned Hermitian
     unitaries, without their Hermitian and unitary checks: (x, y, failure),
     with failure None or (k, the exception of the first k that fails)."""
-    x, y, _ = _rank_one_readoff(r)
+    x, y, defect = _rank_one_readoff(r)
     # A defect within tol settles the verdict but leaves x y up to sqrt(tol)
     # from R, too far for the factor checks below; the read-off's factors are
-    # kept only where R - x y itself is at round-off, and the SVD splits the
-    # rest.  That residual also bounds lambda_2, so every verdict is the SVD's.
-    e = x[:, :, None] * y[:, None, :]
-    e -= r
-    resid = _sq_norms(e)
-    del e
+    # kept only where the defect is at round-off, and the SVD splits the
+    # rest.  The defect bounds lambda_2, so every verdict is the SVD's.
     lam2 = np.zeros(len(r))
-    slow = np.flatnonzero(~(resid <= min(tol, READOFF_TOL)))
+    slow = np.flatnonzero(~(defect <= min(tol, READOFF_TOL)))
     if slow.size:
         left, s, right = np.linalg.svd(r[slow], full_matrices=False)
         lam2[slow] = s[:, 1] ** 2

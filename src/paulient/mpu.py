@@ -21,9 +21,19 @@ and conj(A)[m_c, n_c, k_c, j_c] the transfer matrices are Kronecker sums
     M_sigma[(l,m),(r,n)] = sum_{p,k,i} A[l,r,p,i] sigma[k,p] conj(A)[m,n,k,i],
     N_sigma = copies 1 and 2 with j_1 = i_2, j_2 = i_1 (chi^4 x chi^4),
 
-laid out as (l_1..l_4, m_1..m_4; r_1..r_4, n_1..n_4), and
-Tr(...) = Tr(E_A^(N_A) E_B^(N_B)).  Both modes keep these chi^8 x chi^8
-matrices dense, so bond dimensions above TRANSFER_CHI_LIMIT = 2 are refused.
+and Tr(...) = Tr(E_A^(N_A) E_B^(N_B)).  Read as maps on bond operators
+X[r, n] of one copy (or of two, for N_sigma), each M_sigma and N_sigma
+takes X^dag to its image's dag, because sigma is Hermitian.  So in the
+orthonormal Hermitian basis H_k of chi x chi matrices
+(operators._hermitian_bases), with V[(l,m),k] = H_k[l,m], the factors
+M'_sigma = V^dag M_sigma V and N'_sigma = (V (x) V)^dag N_sigma (V (x) V)
+are real, and so are E_A and E_B built from them.  The trace and the
+spectra are the same in any basis, so every power and Schur decomposition
+below runs in real arithmetic.  The pair is laid out copy-pair-major:
+row (k_1..k_4), k_c the basis index of copy c's (l_c, m_c), so
+V^x4 E (V^x4)^dag is E in the bond basis with rows (l_1 m_1 .. l_4 m_4).
+Both modes keep these chi^8 x chi^8 matrices dense, so bond dimensions
+above TRANSFER_CHI_LIMIT = 2 are refused.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateLeadingEigenvalue, NotUnitaryClosure, SizeLimitExceeded
-from .operators import UNITARITY_TOL, is_unitary
-from .paulis import DENSE_LIMIT, SINGLE_QUBIT_PAULIS
+from .operators import UNITARITY_TOL, _hermitian_bases, is_unitary
+from .paulis import DENSE_LIMIT, SINGLE_QUBIT_PAULIS, _SectorLayout
 
 GAP_TOL = 1e-8
 # on ||U^dag U - I||_F^2 / d of a closure; the reference tensors below, bare
@@ -59,8 +69,8 @@ class MPUTensor:
 
 @dataclass
 class TransferMatrixPair:
-    t_a: np.ndarray  # chi^8 x chi^8, A-region (with the copy permutation)
-    t_b: np.ndarray  # chi^8 x chi^8, B-region
+    t_a: np.ndarray  # chi^8 x chi^8 real, A-region (with the copy permutation)
+    t_b: np.ndarray  # chi^8 x chi^8 real, B-region
 
 
 def mpu_to_dense(a: MPUTensor, n_sites: int) -> np.ndarray:
@@ -107,25 +117,43 @@ def lambda_closure(n_sites: int) -> np.ndarray:
     return arr.reshape(dim, dim)
 
 
-# E_A, E_B are chi^8 x chi^8 complex: 1 MiB each at chi = 2, 0.69 GB at 3, 69 GB at 4
+# E_A, E_B are chi^8 x chi^8 float64: 0.5 MiB each at chi = 2, 0.34 GB at 3, 34 GB at 4
 TRANSFER_CHI_LIMIT = 2
 
 
+def _bond_basis(chi: int) -> np.ndarray:
+    """V[(l, m), k] = H_k[l, m] for the Hermitian orthonormal basis H_k of
+    chi x chi matrices (operators._hermitian_bases): a unitary chi^2 x chi^2."""
+    ((lo, hi, n_diagonal, n_symmetric),) = _hermitian_bases(_SectorLayout.of(chi, False))
+    k = np.arange(lo.size)
+    entry = np.where(k < n_symmetric, 1.0, 1j) * np.where(k < n_diagonal, 1.0, np.sqrt(0.5))
+    v = np.zeros((chi, chi, lo.size), dtype=complex)
+    v[lo, hi, k] = entry
+    off = k >= n_diagonal
+    v[hi[off], lo[off], k[off]] = entry[off].conj()
+    return v.reshape(chi * chi, lo.size)
+
+
 def transfer_matrix_pair(a: MPUTensor) -> TransferMatrixPair:
-    """E_A and E_B of the module docstring, from N_sigma and M_sigma; raises
-    SizeLimitExceeded above TRANSFER_CHI_LIMIT before allocating them."""
+    """E_A and E_B of the module docstring, real in the Hermitian bond
+    basis, from N'_sigma and M'_sigma; raises SizeLimitExceeded above
+    TRANSFER_CHI_LIMIT before allocating them."""
     chi, t = a.chi, a.tensor
     if chi > TRANSFER_CHI_LIMIT:
         raise SizeLimitExceeded(f"bond dimension {chi} exceeds the dense "
                                 f"transfer-matrix limit {TRANSFER_CHI_LIMIT}")
-    # one copy, sigma on its out-leg, in-legs i (of A) and j (of conj A) open
+    v = _bond_basis(chi)
+    # one copy, sigma on its out-leg, in-legs i (of A) and j (of conj A) open,
+    # in the Hermitian basis on (l, m) and on (r, n)
     f = np.einsum("skp,lrpi,mnkj->slmrnij", _PAULI_STACK, t, t.conj())
-    # copies 1, 2 as [sigma, (l1 l2), (m1 m2), (r1 r2), (n1 n2)]: N_sigma, M_sigma^x2
-    pairs = np.stack([np.einsum("sacegij,sbdfhji->sabcdefgh", f, f),
-                      np.einsum("sacegii,sbdfhjj->sabcdefgh", f, f)]).reshape(2, 4, -1)
-    # sum over sigma of pair (x) pair, then each leg of copies 1, 2 beside copies 3, 4
+    f = np.einsum("xa,sxyij,yb->sabij", v.conj(), f.reshape(4, chi**2, chi**2, 2, 2), v)
+    # copies 1, 2 as [sigma, a1, a2, b1, b2]: N'_sigma, M'_sigma^x2, real up to
+    # round-off
+    pairs = np.stack([np.einsum("sacij,sbdji->sabcd", f, f),
+                      np.einsum("sacii,sbdjj->sabcd", f, f)]).real.reshape(2, 4, -1)
+    # sum over sigma of pair (x) pair, then the rows of copies 1, 2 beside those of 3, 4
     e = (pairs.transpose(0, 2, 1) @ pairs).reshape((2,) + (chi**2,) * 8)
-    e = e.transpose(0, 1, 5, 2, 6, 3, 7, 4, 8).reshape(2, chi**8, chi**8)
+    e = e.transpose(0, 1, 2, 5, 6, 3, 4, 7, 8).reshape(2, chi**8, chi**8)
     return TransferMatrixPair(t_a=e[0], t_b=e[1])
 
 
@@ -142,36 +170,40 @@ def closure_defect(a: MPUTensor, n_sites: int) -> float:
     return abs(m2 - 2.0 * m1 + 1.0)
 
 
-def _dominant_pair(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Dominant eigenvalue with right and left eigenvectors; rejects a
-    (near-)degenerate leading magnitude.
+def _dominant_pair(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Dominant eigenvalue of a real matrix with right and left
+    eigenvectors; rejects a (near-)degenerate leading magnitude.
 
-    The vectors come from sorted Schur decompositions: the transfer matrices
-    are strongly non-normal (nilpotent bulk), where plain eigenvector solves
-    are unreliable."""
+    A strictly dominant eigenvalue of a real matrix is real: a complex one
+    comes with its conjugate, of the same magnitude, which the gap check
+    rejects.  The vectors come from sorted real Schur decompositions: the
+    transfer matrices are strongly non-normal (nilpotent bulk), where plain
+    eigenvector solves are unreliable."""
     import scipy.linalg  # scipy loads on the first thermodynamic call
 
     if m.shape[0] == 1:
-        one = np.ones(1, dtype=complex)
-        return complex(m[0, 0]), one, one
+        one = np.ones(1)
+        return float(m[0, 0]), one, one
     mags = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
     if mags[0] - mags[1] <= GAP_TOL * max(1.0, mags[0]):
         raise DegenerateLeadingEigenvalue(
             f"leading magnitudes {mags[0]:.6g} and {mags[1]:.6g} are not separated"
         )
     thresh = 0.5 * (mags[0] + mags[1])
-    t, q, sdim = scipy.linalg.schur(m, output="complex",
-                                    sort=lambda x: abs(x) > thresh)
+
+    def above(re, im):
+        return np.hypot(re, im) > thresh
+
+    t, q, sdim = scipy.linalg.schur(m, output="real", sort=above)
     if sdim != 1:
         raise DegenerateLeadingEigenvalue(f"{sdim} eigenvalues above the gap")
-    lead = complex(t[0, 0])
+    lead = float(t[0, 0])
     r = q[:, 0]
-    _, q2, sdim2 = scipy.linalg.schur(m.conj().T, output="complex",
-                                      sort=lambda x: abs(x) > thresh)
+    _, q2, sdim2 = scipy.linalg.schur(m.T, output="real", sort=above)
     if sdim2 != 1:
         raise DegenerateLeadingEigenvalue("left spectrum disagrees on the gap")
     l = q2[:, 0]
-    if abs(np.vdot(l, r)) < 1e-10:
+    if abs(l @ r) < 1e-10:
         raise DegenerateLeadingEigenvalue(
             "left/right eigenvector overlap vanishes (defective leading block)"
         )
@@ -211,10 +243,7 @@ def pauli_power_mpu(
                 f"= {defect:.4g} exceeds {CLOSURE_DEFECT_TOL}")
         ea = np.linalg.matrix_power(pair.t_a / 16.0, n_a)
         eb = np.linalg.matrix_power(pair.t_b / 16.0, n_b)
-        val = np.sum(ea * eb.T)  # Tr(ea @ eb), without the product
-        if abs(val.imag) > 1e-9:
-            raise NotUnitaryClosure(f"transfer trace should be real, got {val:.3e}")
-        return float(1.0 - val.real)
+        return float(1.0 - np.sum(ea * eb.T))  # Tr(ea @ eb), without the product
     if mode != "thermodynamic":
         raise ValueError(f"unknown mode {mode!r}")
     la, ra, lla = _dominant_pair(pair.t_a / 16.0)
@@ -224,10 +253,8 @@ def pauli_power_mpu(
         raise NotUnitaryClosure(
             f"dominant eigenvalue product {prod:.6g} is not 1: the closure is not unitary"
         )
-    overlap = (np.vdot(lla, rb) * np.vdot(llb, ra)) / (
-        np.vdot(lla, ra) * np.vdot(llb, rb)
-    )
-    return float(1.0 - overlap.real)
+    overlap = ((lla @ rb) * (llb @ ra)) / ((lla @ ra) * (llb @ rb))
+    return float(1.0 - overlap)
 
 
 # ---------------------------------------------------------------------------

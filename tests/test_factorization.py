@@ -140,6 +140,20 @@ class TestStackedImages:
             rebuilt = x[:, :, None] * y[:, None, :]
             assert np.allclose(np.linalg.norm(r - rebuilt, axis=(1, 2)) ** 2, defect, atol=1e-14)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_readoff_verdict_is_the_svd_verdict_at_a_tol_below_round_off(self, seed):
+        # a local unitary times exp(-i theta XX..X) with lambda_2 ~ 1e-16: the
+        # subtraction form ||R||^2 - ||x||^2 ||y||^2 of the defect has ~4e-16
+        # of cancellation and passed some of these images
+        tol = 1e-16
+        for n, na in [(2, 1), (3, 1), (3, 2), (4, 2)]:
+            bp = Bipartition(na, n - na)
+            base = make_product_preserving(bp, np.random.default_rng(seed))[0]
+            for scale in (1.2, 2.0, 4.0):
+                theta = np.arcsin(np.sqrt(scale * tol)) / 2
+                u = base @ u_xx(theta, "X" * n)
+                assert check_pauli_product_preserving(u, bp, tol) == svd_check(u, bp, tol)
+
     def test_residual_magic_matches_the_per_string_loop_and_oracle(self, rng):
         bp = Bipartition(1, 2)
         u = make_product_preserving(bp, rng)[0]
