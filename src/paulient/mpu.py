@@ -246,6 +246,8 @@ def pauli_power_mpu(
         return float(1.0 - np.sum(ea * eb.T))  # Tr(ea @ eb), without the product
     if mode != "thermodynamic":
         raise ValueError(f"unknown mode {mode!r}")
+    if not np.isfinite(a.tensor).all():  # which eigvals and schur refuse
+        raise NotUnitaryClosure("the tensor has non-finite entries: the closure is not unitary")
     la, ra, lla = _dominant_pair(pair.t_a / 16.0)
     lb, rb, llb = _dominant_pair(pair.t_b / 16.0)
     prod = la * lb

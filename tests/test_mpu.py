@@ -244,6 +244,12 @@ class TestClosureDefect:
         with pytest.raises(NotUnitaryClosure):
             pauli_power_mpu(MPUTensor(1, np.full((1, 1, 2, 2), np.nan)), 1, 1)
 
+    @pytest.mark.parametrize("mode", ["finite", "thermodynamic"])
+    def test_nan_bond_tensor_rejected(self, mode):
+        # at chi = 2 eigvals would meet the NaNs first, with a LinAlgError
+        with pytest.raises(NotUnitaryClosure):
+            pauli_power_mpu(MPUTensor(2, np.full((2, 2, 2, 2), np.nan)), 1, 1, mode=mode)
+
 
 class TestThermodynamic:
     def test_matches_finite_limit(self):
