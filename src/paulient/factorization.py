@@ -8,19 +8,20 @@ the rest.  Pipeline:
 1. evolve the generators as stacks (paulis._conjugated_chunks) and split
    each image into Hermitian-unitary factors X_g (x) Y_g: a rank-1 read-off
    of the realigned image where it is exact to round-off, the SVD
-   elsewhere;
+   elsewhere.  No later stage evolves a string: each reads these factors;
 2. the strings whose B factor is a scalar form a subgroup Htilde (size
    4^N_A), found as the F2 null space of the Y-factor commutation matrix
    (a scalar factor is exactly one that commutes with the whole family);
    symmetrically H from the X factors;
-3. pick symplectic bases of Htilde and H, and build V (W) as the unitary
-   mapping the corresponding one-sided factor families onto the standard
-   X_i / Z_i Pauli strings: simultaneous diagonalization of the commuting
-   half, then phase alignment of the anticommuting partners;
+3. pick symplectic bases of Htilde and H and build V (W) as the unitary
+   mapping their one-sided operators (products of generator factors) onto
+   X_i / Z_i: simultaneous diagonalization of the commuting half, then
+   phase alignment of the anticommuting partners;
 4. the Clifford is read off as a tableau inverse: V^dag f V = X and
    V^dag g V = Z for each symplectic pair (f, g) (likewise W on B), so the
    map X_q -> f_q, Z_q -> g_q with + signs, A pairs then B pairs, is the
-   tableau of C^-1;
+   tableau of C^-1, into which V and W are folded when both families are
+   signed Pauli strings;
 5. a least-squares global phase aligns the reconstruction to U^dag.
 """
 
@@ -99,14 +100,8 @@ def _rank_one_readoff(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     y = (x.conj()[:, None] @ r)[:, 0] / xx[:, None]
     e = x[:, :, None] * y[:, None, :]
     e -= r
-    return x, y, _sq_norms(e)
-
-
-def _sq_norms(stack: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each complex matrix of a C-contiguous
-    stack, with no stack-sized temporary."""
-    v = stack.reshape(len(stack), -1).view(np.float64)
-    return np.einsum("ki,ki->k", v, v)
+    e = e.reshape(len(e), -1).view(np.float64)  # squared norms with no stack-sized temporary
+    return x, y, np.einsum("ki,ki->k", e, e)
 
 
 def check_pauli_product_preserving(
@@ -286,25 +281,21 @@ def _intertwiner(commuting: np.ndarray, flipping: np.ndarray) -> np.ndarray:
     return v
 
 
-def _tableau_if_clifford(v: np.ndarray) -> CliffordTableau | None:
-    """Tableau of v when its conjugation maps every Pauli generator to a
-    signed Pauli string within tight tolerance; None otherwise."""
-    d = v.shape[0]
-    nv = d.bit_length() - 1
-    gens = _generators(nv)
-    images = []
-    for _, m in _conjugated_chunks(v, [g.index for g in gens], v.conj().T):
-        table = (pauli_trace_table(m) / d).reshape(len(m), d * d)
-        mags = np.abs(table)
-        k = mags.argmax(axis=-1)
-        top = np.take_along_axis(table, k[:, None], axis=-1)[:, 0]
-        peak = np.abs(top)
-        if ((peak < 1.0 - 1e-7) | (mags.sum(axis=-1) - peak > 1e-6)
-                | (np.abs(top.imag) > 1e-7)).any():
-            return None
-        images += [(PauliString.from_index(nv, int(i)), 1 if t.real > 0 else -1)
-                   for i, t in zip(k, top)]
-        del m, table, mags
+def _tableau_if_clifford(family: np.ndarray) -> CliffordTableau | None:
+    """Tableau of the unitary V with V X_q V^dag = family[q] and
+    V Z_q V^dag = family[nv + q], as _intertwiner builds it, when every
+    member is a signed Pauli string within tight tolerance; None otherwise."""
+    d, nv = family.shape[-1], len(family) // 2
+    table = (pauli_trace_table(family) / d).reshape(len(family), d * d)
+    mags = np.abs(table)
+    k = mags.argmax(axis=-1)
+    top = np.take_along_axis(table, k[:, None], axis=-1)[:, 0]
+    peak = np.abs(top)
+    if ((peak < 1.0 - 1e-7) | (mags.sum(axis=-1) - peak > 1e-6)
+            | (np.abs(top.imag) > 1e-7)).any():
+        return None
+    images = [(PauliString.from_index(nv, int(i)), 1 if t.real > 0 else -1)
+              for i, t in zip(k, top)]
     try:
         return clifford_from_generator_images(images)
     except InvalidGeneratorImages:
@@ -321,33 +312,34 @@ def _tableau_block_diag(ca: CliffordTableau, cb: CliffordTableau) -> CliffordTab
     return clifford_from_generator_images(a[:na] + b[:nb] + a[na:] + b[nb:])
 
 
-def _one_sided_factors(
-    strings: list[PauliString], u: np.ndarray, udag: np.ndarray, bp: Bipartition, side: str,
-    tol: float,
-) -> np.ndarray:
-    """For strings in the one-sided subgroups the evolved operator is
-    (op x 1) or (1 x op); return the stack of op, one per string, and
-    verify the claimed structure."""
-    da, db = bp.d_a, bp.d_b
-    ops = np.empty((len(strings),) + ((da, da) if side == "A" else (db, db)), dtype=complex)
-    for start, m in _conjugated_chunks(udag, [p.index for p in strings], u):
-        m4 = m.reshape(-1, da, db, da, db)
-        if side == "A":
-            op = np.einsum("kabcb->kac", m4) / db
-            rebuilt = op[:, :, None, :, None] * np.eye(db)[:, None, :]  # op (x) 1
-        else:
-            op = np.einsum("kabac->kbc", m4) / da
-            rebuilt = np.eye(da)[:, None, :, None] * op[:, None, :, None, :]  # 1 (x) op
-        rebuilt -= m4
-        off = np.sqrt(_sq_norms(rebuilt)) / np.sqrt(bp.d)
+def _one_sided_factors(strings: list[PauliString], n_a: int, mats: np.ndarray, ys: np.ndarray,
+                       tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of op for one-sided strings, whose images are (op x 1) for
+    the leading 2 n_a strings and (1 x op) for the rest, after verifying
+    that structure.  U^dag P(s) U = i^(x.z) prod_j (X_j x Y_j) over the
+    generators j of s, in order (mats, ys hold their factors), so on A
+    op = i^(x.z) c prod_j X_j with prod_j Y_j = c 1; on B the roles swap."""
+    idx = np.array([p.index for p in strings])
+    has = (idx[:, None] >> np.arange(len(mats) - 1, -1, -1)) & 1 == 1  # generator j in s
+    phase = np.array([1, 1j, -1, -1j])[np.bitwise_count((idx >> (len(mats) // 2)) & idx) % 4]
+    prods = []
+    for factors in (mats, ys):
+        acc = eye = np.eye(factors.shape[-1])
+        for j, m in enumerate(factors):
+            acc = acc @ np.where(has[:, j, None, None], m, eye)
+        prods.append(acc)
+    ops = []
+    for side, part, kept, scalar in (("A", slice(0, 2 * n_a), *prods),
+                                     ("B", slice(2 * n_a, None), *prods[::-1])):
+        s, ds = scalar[part], scalar.shape[-1]
+        c = np.trace(s, axis1=-2, axis2=-1) / ds
+        off = np.linalg.norm(s - c[:, None, None] * np.eye(ds), axis=(-2, -1)) / np.sqrt(ds)
         bad = np.flatnonzero(off > max(1e-7, tol * 100))
         if bad.size:
-            raise FactorizationDegeneracy(
-                f"string {strings[start + bad[0]]} was classified one-sided ({side}) but is not"
-            )
-        ops[start:start + len(m)] = op
-        del m, m4, rebuilt
-    return ops
+            raise FactorizationDegeneracy(f"string {strings[part][bad[0]]} was classified "
+                                          f"one-sided ({side}) but is not")
+        ops.append((phase[part] * c)[:, None, None] * kept[part])
+    return ops[0], ops[1]
 
 
 def factorize(
@@ -364,10 +356,11 @@ def factorize(
     # construction, so they go to the factor split without their own checks.
     gens = _generators(n)
     mats = np.empty((2 * n, bp.d_a, bp.d_a), dtype=complex)  # each image's A factor
+    ys = np.empty((2 * n, bp.d_b, bp.d_b), dtype=complex)  # and its B factor
     for start, images in _conjugated_chunks(udag, [g.index for g in gens], u):
         r = realign(images, bp)
         del images  # each chunk is let go before the next one is built
-        x, _, failure = _hermitian_unitary_factors(r, bp, tol)
+        x, y, failure = _hermitian_unitary_factors(r, bp, tol)
         del r
         if failure is not None:
             k, exc = failure
@@ -376,6 +369,7 @@ def factorize(
                     f"generator {gens[start + k]} does not evolve to a product: {exc}")
             raise exc
         mats[start:start + len(x)] = x
+        ys[start:start + len(y)] = y
 
     # Row i of ca has generator j's index set when the A factors of
     # generators i and j commute.  The images keep the generators' pattern
@@ -416,10 +410,8 @@ def factorize(
                for f, g in _symplectic_pairs(h, n)]
 
     # each side's flipping family (the f of each pair), then its commuting one (g)
-    a_ops = _one_sided_factors([f for f, _ in pairs_a] + [g for _, g in pairs_a],
-                               u, udag, bp, "A", tol)
-    b_ops = _one_sided_factors([f for f, _ in pairs_b] + [g for _, g in pairs_b],
-                               u, udag, bp, "B", tol)
+    strings = [pair[k] for pairs in (pairs_a, pairs_b) for k in (0, 1) for pair in pairs]
+    a_ops, b_ops = _one_sided_factors(strings, bp.n_a, mats, ys, tol)
     v = _intertwiner(a_ops[bp.n_a:], a_ops[:bp.n_a])
     w = _intertwiner(b_ops[bp.n_b:], b_ops[:bp.n_b])
 
@@ -435,8 +427,8 @@ def factorize(
     # If the local factors are themselves Clifford (up to phase), fold them
     # into the tableau so that near-Clifford inputs come back with V, W
     # proportional to the identity.
-    cv = _tableau_if_clifford(v)
-    cw = None if cv is None else _tableau_if_clifford(w)
+    cv = _tableau_if_clifford(a_ops)
+    cw = None if cv is None else _tableau_if_clifford(b_ops)
     if cv is not None and cw is not None:
         if cv != CliffordTableau.identity(bp.n_a) or cw != CliffordTableau.identity(bp.n_b):
             tableau = _tableau_block_diag(cv, cw).compose(tableau)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary, SizeLimitExceeded
-from .operators import Bipartition, is_unitary
+from .operators import Bipartition, _renyi_bits, is_unitary
 from .paulis import (
     PauliString,
     _operator_pauli_probs,
@@ -47,14 +47,6 @@ def _state_pauli_probs(psi: np.ndarray) -> np.ndarray:
     """Xi_P = <P>^2 / d over all phase-0 strings; sums to 1."""
     table = pauli_expectation_table(psi)
     return (table.real.ravel() ** 2) / psi.shape[0]
-
-
-def _renyi_bits(xi: np.ndarray, alpha: float) -> float:
-    """(1/(1-alpha)) log2 sum Xi^alpha, with alpha = 1 the Shannon limit."""
-    if abs(alpha - 1.0) < 1e-12:
-        nz = xi[xi > 1e-300]
-        return float(-np.sum(nz * np.log2(nz)))
-    return float(np.log2(np.sum(xi**alpha)) / (1.0 - alpha))
 
 
 def stabilizer_renyi_entropy(psi: np.ndarray, alpha: float = 2.0) -> float:

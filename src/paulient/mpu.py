@@ -134,39 +134,50 @@ def _bond_basis(chi: int) -> np.ndarray:
     return v.reshape(chi * chi, lo.size)
 
 
-def transfer_matrix_pair(a: MPUTensor) -> TransferMatrixPair:
-    """E_A and E_B of the module docstring, real in the Hermitian bond
-    basis, from N'_sigma and M'_sigma; raises SizeLimitExceeded above
-    TRANSFER_CHI_LIMIT before allocating them."""
+def _transfer_factors(a: MPUTensor) -> tuple[np.ndarray, np.ndarray]:
+    """The real M'_sigma (4 x chi^2 x chi^2) and N'_sigma (4 x chi^4 x chi^4)
+    of the module docstring, sigma in the order I, X, Z, Y."""
     chi, t = a.chi, a.tensor
-    if chi > TRANSFER_CHI_LIMIT:
-        raise SizeLimitExceeded(f"bond dimension {chi} exceeds the dense "
-                                f"transfer-matrix limit {TRANSFER_CHI_LIMIT}")
     v = _bond_basis(chi)
     # one copy, sigma on its out-leg, in-legs i (of A) and j (of conj A) open,
     # in the Hermitian basis on (l, m) and on (r, n)
     f = np.einsum("skp,lrpi,mnkj->slmrnij", _PAULI_STACK, t, t.conj())
     f = np.einsum("xa,sxyij,yb->sabij", v.conj(), f.reshape(4, chi**2, chi**2, 2, 2), v)
-    # copies 1, 2 as [sigma, a1, a2, b1, b2]: N'_sigma, M'_sigma^x2, real up to
-    # round-off
-    pairs = np.stack([np.einsum("sacij,sbdji->sabcd", f, f),
-                      np.einsum("sacii,sbdjj->sabcd", f, f)]).real.reshape(2, 4, -1)
+    # both real up to round-off; N'_sigma as [sigma, a1, a2, b1, b2]
+    return (np.einsum("sabii->sab", f).real,
+            np.einsum("sacij,sbdji->sabcd", f, f).real.reshape(4, chi**4, chi**4))
+
+
+def _transfer(a: MPUTensor) -> tuple[TransferMatrixPair, tuple[np.ndarray, np.ndarray]]:
+    """The pair and its factors, refused above TRANSFER_CHI_LIMIT before either is built."""
+    chi = a.chi
+    if chi > TRANSFER_CHI_LIMIT:
+        raise SizeLimitExceeded(f"bond dimension {chi} exceeds the dense "
+                                f"transfer-matrix limit {TRANSFER_CHI_LIMIT}")
+    m, n = _transfer_factors(a)
+    # copies 1, 2 as [sigma, a1, a2, b1, b2]: N'_sigma and M'_sigma^x2
+    pairs = np.stack([n.reshape(4, -1), np.einsum("sac,sbd->sabcd", m, m).reshape(4, -1)])
     # sum over sigma of pair (x) pair, then the rows of copies 1, 2 beside those of 3, 4
     e = (pairs.transpose(0, 2, 1) @ pairs).reshape((2,) + (chi**2,) * 8)
     e = e.transpose(0, 1, 2, 5, 6, 3, 4, 7, 8).reshape(2, chi**8, chi**8)
-    return TransferMatrixPair(t_a=e[0], t_b=e[1])
+    return TransferMatrixPair(t_a=e[0], t_b=e[1]), (m, n)
+
+
+def transfer_matrix_pair(a: MPUTensor) -> TransferMatrixPair:
+    """E_A and E_B of the module docstring, real in the Hermitian bond basis."""
+    return _transfer(a)[0]
 
 
 def closure_defect(a: MPUTensor, n_sites: int) -> float:
-    """||U^dag U - I||_F^2 / d of the n_sites closure, as m2 - 2 m1 + 1 with
-    m1 = Tr(U^dag U) / d and m2 = Tr((U^dag U)^2) / d read off per-site
-    transfer matrices of two copies (chi^2 x chi^2) and four (chi^4 x chi^4)."""
-    t, tc, chi = a.tensor, a.tensor.conj(), a.chi
-    e1 = np.einsum("lrst,mnst->lmrn", t, tc).reshape(chi**2, chi**2) / 2.0
-    # copies A[s, u], conj A[s, t], A[v, t], conj A[v, u]: Tr(U^dag U U^dag U)
-    e2 = np.einsum("aesu,bfst,cgvt,dhvu->abcdefgh", t, tc, t, tc).reshape(chi**4, chi**4) / 2.0
-    m1 = np.trace(np.linalg.matrix_power(e1, n_sites))
-    m2 = np.trace(np.linalg.matrix_power(e2, n_sites))
+    """||U^dag U - I||_F^2 / d of the n_sites closure."""
+    return _closure_defect(*_transfer_factors(a), n_sites)
+
+
+def _closure_defect(m: np.ndarray, n: np.ndarray, n_sites: int) -> float:
+    """m2 - 2 m1 + 1, with m1 = Tr(U^dag U) / d = Tr((M'_I / 2)^N) and
+    m2 = Tr((U^dag U)^2) / d = Tr((N'_I / 2)^N), from the sigma = I factors."""
+    m1 = np.trace(np.linalg.matrix_power(m[0] / 2.0, n_sites))
+    m2 = np.trace(np.linalg.matrix_power(n[0] / 2.0, n_sites))
     return abs(m2 - 2.0 * m1 + 1.0)
 
 
@@ -232,11 +243,11 @@ def pauli_power_mpu(
     E_lin <= 1 - chi^-4, which caps P_E at 15/16 for chi <=
     TRANSFER_CHI_LIMIT = 2.
     """
-    pair = transfer_matrix_pair(a)
+    pair, factors = _transfer(a)
     if mode == "finite":
         if n_a < 1 or n_b < 1:
             raise ValueError("finite mode needs n_a, n_b >= 1")
-        defect = closure_defect(a, n_a + n_b)
+        defect = _closure_defect(*factors, n_a + n_b)
         if not defect <= CLOSURE_DEFECT_TOL:  # NaN fails too
             raise NotUnitaryClosure(
                 f"closure at {n_a + n_b} sites is not unitary: ||U^dag U - I||_F^2 / d "

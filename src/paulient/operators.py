@@ -242,6 +242,14 @@ class _HermitianPurity:
         return total / self._d**2
 
 
+def _renyi_bits(xi: np.ndarray, alpha: float) -> float:
+    """(1/(1-alpha)) log2 sum Xi^alpha, with alpha = 1 the Shannon limit."""
+    if abs(alpha - 1.0) < 1e-12:
+        nz = xi[xi > 1e-300]
+        return float(-np.sum(nz * np.log2(nz)))
+    return float(np.log2(np.sum(xi**alpha)) / (1.0 - alpha))
+
+
 def operator_entanglement(
     op: np.ndarray,
     bp: Bipartition,
@@ -265,11 +273,7 @@ def operator_entanglement(
     if measure == "renyi":
         if alpha is None:
             raise ValueError("renyi measure needs alpha")
-        lam = _schmidt_spectrum(op, bp, layout)
-        lam = lam[lam > 1e-300]
-        if abs(alpha - 1.0) < 1e-12:
-            return float(-np.sum(lam * np.log2(lam)))
-        return float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha))
+        return _renyi_bits(_schmidt_spectrum(op, bp, layout), alpha)
     raise ValueError(f"unknown measure {measure!r}")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from paulient import factorization
 from paulient.errors import NotProduct, NotProductPreserving
 from paulient.factorization import (
     RANK_TOL,
@@ -299,6 +300,47 @@ class TestFactorize:
             u, v0, w0, c0 = make_product_preserving(bp, rng)
             fac = factorize(u, bp)
             assert verify_factorization(u, fac) <= 1e-8
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_round_trip_with_clifford_local_factors(self, n, rng):
+        # U^dag = (V x W) C with both sides Clifford, then with one side Haar
+        for haar_side in (None, "A", "B"):
+            na = int(rng.integers(1, n))
+            bp = Bipartition(na, n - na)
+            v, w = (clifford_to_dense(random_clifford(m, rng)) for m in (na, n - na))
+            if haar_side == "A":
+                v = haar_random_unitary(bp.d_a, rng)
+            elif haar_side == "B":
+                w = haar_random_unitary(bp.d_b, rng)
+            u = (np.kron(v, w) @ clifford_to_dense(random_clifford(n, rng))).conj().T
+            fac = factorize(u, bp)
+            assert verify_factorization(u, fac) <= 1e-8, (n, haar_side)
+            if haar_side is None:
+                for m in (fac.v, fac.w):
+                    assert np.linalg.norm(m - m[0, 0] * np.eye(len(m))) < 1e-7, n
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_factorize_evolves_only_the_generators(self, n, monkeypatch):
+        # every later stage reads the generator images' factors
+        evolved = []
+        real = factorization._conjugated_chunks
+
+        def spy(a, indices, b):
+            evolved.append(len(indices))
+            return real(a, indices, b)
+
+        monkeypatch.setattr(factorization, "_conjugated_chunks", spy)
+        rng = np.random.default_rng(n)
+        for na in sorted({1, n // 2}):
+            bp = Bipartition(na, n - na)
+            # U^dag = (V x W) C with Clifford V, W, which the Clifford test folds into C
+            v, w = (clifford_to_dense(random_clifford(m, rng)) for m in (na, n - na))
+            clifford_local = (np.kron(v, w) @ clifford_to_dense(random_clifford(n, rng))).conj().T
+            for u in (make_product_preserving(bp, rng)[0], clifford_local):
+                del evolved[:]
+                fac = factorize(u, bp)
+                assert sum(evolved) == 2 * n
+                assert verify_factorization(u, fac) <= 1e-8
 
     @pytest.mark.parametrize("n,na,rows,signs", [
         (3, 1, [16, 5, 40, 2, 8, 4], [0] * 6),

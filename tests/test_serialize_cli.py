@@ -1,11 +1,9 @@
-import importlib.util
 import inspect
 import itertools
 import json
 import re
 import runpy
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,21 +677,3 @@ def test_config_values_reach_the_handler(tmp_path, monkeypatch, capsys):
                 captured = capsys.readouterr()
                 assert captured.out == "" and captured.err.startswith("config error:")
                 assert repr(key) in captured.err and seen == []
-
-
-def test_n11_script_forwards_only_cli_options(monkeypatch):
-    # the script hands its argv to cli.main, so a flag the CLI has dropped
-    # would only fail at the end of a long N = 11 run
-    forwarded = []
-    monkeypatch.setattr(cli, "main", lambda argv: forwarded.append(argv) or 0)
-    monkeypatch.setattr(sys, "argv", ["run_n11_sampled.py", "--seed", "7"])
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_n11_sampled.py"
-    spec = importlib.util.spec_from_file_location("run_n11_sampled", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # binds the patched cli.main
-    assert module.main() == 0
-    (argv,) = forwarded
-    args, unknown = cli._build_parser().parse_known_args(argv)
-    assert unknown == []
-    cfg = cli._merge_config(args.command, args)
-    assert (args.command, cfg["n"], cfg["mode"], cfg["seed"]) == ("spinchain-run", 11, "sampled", 7)
