@@ -32,8 +32,26 @@ spectra are the same in any basis, so every power and Schur decomposition
 below runs in real arithmetic.  The pair is laid out copy-pair-major:
 row (k_1..k_4), k_c the basis index of copy c's (l_c, m_c), so
 V^x4 E (V^x4)^dag is E in the bond basis with rows (l_1 m_1 .. l_4 m_4).
-Both modes keep these chi^8 x chi^8 matrices dense, so bond dimensions
-above TRANSFER_CHI_LIMIT = 2 are refused.
+
+Copy-swap blocks.  Swapping copies 1 and 2, and separately 3 and 4,
+commutes with both matrices: with each M'_sigma (x) M'_sigma plainly, and
+with each N'_sigma because relabelling its two copies maps the crossed
+in-legs j_1 = i_2, j_2 = i_1 to themselves.  So with O the orthogonal
+change of a copy pair to its D(D+1)/2 symmetric and D(D-1)/2 antisymmetric
+states (D = chi^2), every copy-pair factor X_sigma is block-diagonal,
+O X_sigma O^T = X^s_sigma (+) X^a_sigma, and in the basis O (x) O of
+copies (1 2)(3 4) so is E = sum_sigma X_sigma (x) X_sigma, with the blocks
+sum X^s (x) X^s, X^s (x) X^a, X^a (x) X^s and X^a (x) X^a: 100, 60, 60
+and 36 wide at chi = 2 (2025, 1620, 1620 and 1296 at chi = 3).  The pair
+swap (13)(24) conjugates the two middle blocks into each other, so one is
+built and counted twice.  The terms that mix symmetric and antisymmetric
+states vanish by symmetry and are dropped, not thresholded.  Finite mode
+sums mult_k Tr((A_k / 16)^n_a (B_k / 16)^n_b) over the blocks; the
+thermodynamic mode checks the gap over the eigenvalues of every block,
+counted with multiplicity, and takes the dominant eigenvectors in the
+block that holds the leading eigenvalue.  Neither builds a chi^8 x chi^8
+array; transfer_matrix_pair assembles the dense pair from the same blocks.
+Bond dimensions above TRANSFER_CHI_LIMIT = 2 are refused.
 """
 
 from __future__ import annotations
@@ -48,6 +66,8 @@ from .operators import UNITARITY_TOL, _hermitian_bases, is_unitary
 from .paulis import DENSE_LIMIT, SINGLE_QUBIT_PAULIS, _SectorLayout
 
 GAP_TOL = 1e-8
+# on the leading eigenvalues that thermodynamic mode needs to be 1
+LEADING_TOL = 1e-8
 # on ||U^dag U - I||_F^2 / d of a closure; the reference tensors below, bare
 # and with Haar site gates, reach at most 4.6e-15 at N = 1-40
 CLOSURE_DEFECT_TOL = 1e-10
@@ -117,7 +137,8 @@ def lambda_closure(n_sites: int) -> np.ndarray:
     return arr.reshape(dim, dim)
 
 
-# E_A, E_B are chi^8 x chi^8 float64: 0.5 MiB each at chi = 2, 0.34 GB at 3, 34 GB at 4
+# E_A, E_B are chi^8 x chi^8; their copy-swap blocks (module docstring) are
+# 100, 60 (twice) and 36 wide at chi = 2, 2025, 1620 and 1296 at chi = 3
 TRANSFER_CHI_LIMIT = 2
 
 
@@ -134,6 +155,21 @@ def _bond_basis(chi: int) -> np.ndarray:
     return v.reshape(chi * chi, lo.size)
 
 
+def _swap_basis(dim: int) -> tuple[np.ndarray, int]:
+    """The orthogonal O of the module docstring on two copies of a
+    dim-dimensional space, rows (a, b) of the copies, and its count of
+    symmetric rows: e_a e_a and (e_a e_b + e_b e_a)/sqrt2, then
+    (e_a e_b - e_b e_a)/sqrt2, for a < b."""
+    lo, hi = np.triu_indices(dim, 1)
+    n_sym = dim + lo.size
+    k, diag = np.arange(lo.size), np.arange(dim)
+    o = np.zeros((dim * dim, dim, dim))
+    o[diag, diag, diag] = 1.0
+    o[dim + k, lo, hi] = o[dim + k, hi, lo] = o[n_sym + k, lo, hi] = np.sqrt(0.5)
+    o[n_sym + k, hi, lo] = -np.sqrt(0.5)
+    return o.reshape(dim * dim, dim * dim), n_sym
+
+
 def _transfer_factors(a: MPUTensor) -> tuple[np.ndarray, np.ndarray]:
     """The real M'_sigma (4 x chi^2 x chi^2) and N'_sigma (4 x chi^4 x chi^4)
     of the module docstring, sigma in the order I, X, Z, Y."""
@@ -148,24 +184,47 @@ def _transfer_factors(a: MPUTensor) -> tuple[np.ndarray, np.ndarray]:
             np.einsum("sacij,sbdji->sabcd", f, f).real.reshape(4, chi**4, chi**4))
 
 
-def _transfer(a: MPUTensor) -> tuple[TransferMatrixPair, tuple[np.ndarray, np.ndarray]]:
-    """The pair and its factors, refused above TRANSFER_CHI_LIMIT before either is built."""
+def _kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_sigma x_sigma (x) y_sigma of stacks [..., sigma, row, column]."""
+    k = np.einsum("...sac,...sbd->...abcd", x, y)
+    return k.reshape(k.shape[:-4] + (x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1]))
+
+
+def _transfer(a: MPUTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """M'_sigma, N'_sigma, and the symmetric and antisymmetric blocks of the
+    copy-pair factors, [0] N'_sigma of E_A and [1] M'_sigma (x) M'_sigma of
+    E_B, each as O X O^T.  Refused above TRANSFER_CHI_LIMIT before any of
+    them is built."""
     chi = a.chi
     if chi > TRANSFER_CHI_LIMIT:
         raise SizeLimitExceeded(f"bond dimension {chi} exceeds the dense "
                                 f"transfer-matrix limit {TRANSFER_CHI_LIMIT}")
     m, n = _transfer_factors(a)
-    # copies 1, 2 as [sigma, a1, a2, b1, b2]: N'_sigma and M'_sigma^x2
-    pairs = np.stack([n.reshape(4, -1), np.einsum("sac,sbd->sabcd", m, m).reshape(4, -1)])
-    # sum over sigma of pair (x) pair, then the rows of copies 1, 2 beside those of 3, 4
-    e = (pairs.transpose(0, 2, 1) @ pairs).reshape((2,) + (chi**2,) * 8)
-    e = e.transpose(0, 1, 2, 5, 6, 3, 4, 7, 8).reshape(2, chi**8, chi**8)
-    return TransferMatrixPair(t_a=e[0], t_b=e[1]), (m, n)
+    o, n_sym = _swap_basis(chi**2)
+    pairs = o @ np.stack([n, np.einsum("sac,sbd->sabcd", m, m).reshape(n.shape)]) @ o.T
+    # the swap-mixing blocks vanish by symmetry and are dropped
+    return m, n, pairs[..., :n_sym, :n_sym], pairs[..., n_sym:, n_sym:]
+
+
+def _transfer_blocks(sym: np.ndarray, anti: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """The copy-swap blocks [0] of E_A and [1] of E_B with their
+    multiplicities: symmetric in both pairs, symmetric in one (twice: the
+    pair swap (13)(24) conjugates the two), antisymmetric in both."""
+    return [(_kron_sum(sym, sym), 1), (_kron_sum(sym, anti), 2), (_kron_sum(anti, anti), 1)]
 
 
 def transfer_matrix_pair(a: MPUTensor) -> TransferMatrixPair:
-    """E_A and E_B of the module docstring, real in the Hermitian bond basis."""
-    return _transfer(a)[0]
+    """E_A and E_B of the module docstring, real in the Hermitian bond basis,
+    assembled from the symmetric and antisymmetric blocks of the copy-pair
+    factors."""
+    _, _, sym, anti = _transfer(a)
+    o, n_sym = _swap_basis(a.chi**2)
+    block_diagonal = np.zeros(sym.shape[:2] + o.shape)
+    block_diagonal[..., :n_sym, :n_sym] = sym
+    block_diagonal[..., n_sym:, n_sym:] = anti
+    factors = o.T @ block_diagonal @ o
+    e = _kron_sum(factors, factors)
+    return TransferMatrixPair(t_a=e[0], t_b=e[1])
 
 
 def closure_defect(a: MPUTensor, n_sites: int) -> float:
@@ -181,9 +240,39 @@ def _closure_defect(m: np.ndarray, n: np.ndarray, n_sites: int) -> float:
     return abs(m2 - 2.0 * m1 + 1.0)
 
 
-def _dominant_pair(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _check_unitary_limit(m: np.ndarray, n: np.ndarray) -> None:
+    """Raise NotUnitaryClosure unless the closure defect m2 - 2 m1 + 1 tends
+    to 0 with N: unless M'_I / 2 and N'_I / 2 each have the simple leading
+    eigenvalue 1 (within LEADING_TOL) and no other of magnitude
+    1 - GAP_TOL or more."""
+    for name, factor in (("M'_I / 2", m[0]), ("N'_I / 2", n[0])):
+        ev = np.linalg.eigvals(factor / 2.0)
+        ev = ev[np.argsort(-np.abs(ev))]
+        if not abs(ev[0] - 1.0) <= LEADING_TOL:  # NaN fails too
+            raise NotUnitaryClosure(f"leading eigenvalue {ev[0]:.6g} of {name} is not 1: "
+                                    "long closures are not unitary")
+        if ev.size > 1 and not abs(ev[1]) < 1.0 - GAP_TOL:
+            raise NotUnitaryClosure(f"{name} has a second eigenvalue of magnitude "
+                                    f"{abs(ev[1]):.6g}: long closures are not unitary")
+
+
+def _gap_threshold(mags: np.ndarray) -> float:
+    """Half-way between the two largest magnitudes; rejects a (near-)tie."""
+    mags = np.sort(mags)[::-1]
+    if mags.size == 1:
+        return 0.5 * mags[0]
+    if mags[0] - mags[1] <= GAP_TOL * max(1.0, mags[0]):
+        raise DegenerateLeadingEigenvalue(
+            f"leading magnitudes {mags[0]:.6g} and {mags[1]:.6g} are not separated"
+        )
+    return 0.5 * (mags[0] + mags[1])
+
+
+def _dominant_pair(m: np.ndarray,
+                   thresh: float | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Dominant eigenvalue of a real matrix with right and left
-    eigenvectors; rejects a (near-)degenerate leading magnitude.
+    eigenvectors; rejects a (near-)degenerate leading magnitude.  A caller
+    that has checked the gap over a larger spectrum passes its threshold.
 
     A strictly dominant eigenvalue of a real matrix is real: a complex one
     comes with its conjugate, of the same magnitude, which the gap check
@@ -195,12 +284,8 @@ def _dominant_pair(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     if m.shape[0] == 1:
         one = np.ones(1)
         return float(m[0, 0]), one, one
-    mags = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
-    if mags[0] - mags[1] <= GAP_TOL * max(1.0, mags[0]):
-        raise DegenerateLeadingEigenvalue(
-            f"leading magnitudes {mags[0]:.6g} and {mags[1]:.6g} are not separated"
-        )
-    thresh = 0.5 * (mags[0] + mags[1])
+    if thresh is None:
+        thresh = _gap_threshold(np.abs(np.linalg.eigvals(m)))
 
     def above(re, im):
         return np.hypot(re, im) > thresh
@@ -221,6 +306,19 @@ def _dominant_pair(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return lead, r, l
 
 
+def _dominant_block(
+    blocks: list[tuple[np.ndarray, int]],
+) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """The block holding the dominant eigenvalue of a block-diagonal real
+    matrix, with _dominant_pair of that block.  The gap is checked over the
+    eigenvalues of every block, each counted with its multiplicity, so a
+    leading eigenvalue in a repeated block is degenerate."""
+    mags = [np.abs(np.linalg.eigvals(b)) for b, _ in blocks]
+    lead = int(np.argmax([g.max(initial=0.0) for g in mags]))
+    thresh = _gap_threshold(np.concatenate([np.repeat(g, k) for g, (_, k) in zip(mags, blocks)]))
+    return (lead, *_dominant_pair(blocks[lead][0], thresh))
+
+
 def pauli_power_mpu(
     a: MPUTensor,
     n_a: int,
@@ -233,9 +331,11 @@ def pauli_power_mpu(
     mode="finite" evaluates 1 - 16^-N Tr(E_A^n_a E_B^n_b) exactly, after
     closure_defect at N = n_a + n_b has shown the closure unitary;
     mode="thermodynamic" takes n_a, n_b -> infinity using the dominant
-    eigenpairs (n_a, n_b arguments are ignored there), whose eigenvalue
-    product is 1 for a unitary closure.  A tensor whose closure is not
-    unitary raises NotUnitaryClosure.
+    eigenpairs (n_a, n_b arguments are ignored there), after checking that
+    long closures are unitary: the closure defect m2 - 2 m1 + 1 tends to 0
+    only if M'_I / 2 and N'_I / 2 each have the simple leading eigenvalue 1,
+    and the dominant eigenvalue product of E_A / 16 and E_B / 16 is then 1.
+    A tensor whose closure is not unitary raises NotUnitaryClosure.
 
     A product below 1 is refused as well, not read as a limit P_E = 1: no
     unitary closure reaches 1.  U^dag P U has bond chi^2, so across the
@@ -243,26 +343,31 @@ def pauli_power_mpu(
     E_lin <= 1 - chi^-4, which caps P_E at 15/16 for chi <=
     TRANSFER_CHI_LIMIT = 2.
     """
-    pair, factors = _transfer(a)
+    m, n, sym, anti = _transfer(a)
     if mode == "finite":
         if n_a < 1 or n_b < 1:
             raise ValueError("finite mode needs n_a, n_b >= 1")
-        defect = _closure_defect(*factors, n_a + n_b)
+        defect = _closure_defect(m, n, n_a + n_b)
         if not defect <= CLOSURE_DEFECT_TOL:  # NaN fails too
             raise NotUnitaryClosure(
                 f"closure at {n_a + n_b} sites is not unitary: ||U^dag U - I||_F^2 / d "
                 f"= {defect:.4g} exceeds {CLOSURE_DEFECT_TOL}")
-        ea = np.linalg.matrix_power(pair.t_a / 16.0, n_a)
-        eb = np.linalg.matrix_power(pair.t_b / 16.0, n_b)
-        return float(1.0 - np.sum(ea * eb.T))  # Tr(ea @ eb), without the product
+        # Tr(ea @ eb) of each block, without the product
+        return float(1.0 - sum(k * np.sum(np.linalg.matrix_power(b[0] / 16.0, n_a)
+                                          * np.linalg.matrix_power(b[1] / 16.0, n_b).T)
+                               for b, k in _transfer_blocks(sym, anti)))
     if mode != "thermodynamic":
         raise ValueError(f"unknown mode {mode!r}")
     if not np.isfinite(a.tensor).all():  # which eigvals and schur refuse
         raise NotUnitaryClosure("the tensor has non-finite entries: the closure is not unitary")
-    la, ra, lla = _dominant_pair(pair.t_a / 16.0)
-    lb, rb, llb = _dominant_pair(pair.t_b / 16.0)
+    _check_unitary_limit(m, n)
+    blocks = _transfer_blocks(sym, anti)
+    # past the gate the limit is unitary, so its overlap is at least 1/16 and
+    # both dominant eigenvectors lie in the same block
+    (_, la, ra, lla), (_, lb, rb, llb) = (
+        _dominant_block([(b[x] / 16.0, k) for b, k in blocks]) for x in (0, 1))
     prod = la * lb
-    if not abs(prod - 1.0) <= 1e-8:  # NaN fails too
+    if not abs(prod - 1.0) <= LEADING_TOL:  # NaN fails too
         raise NotUnitaryClosure(
             f"dominant eigenvalue product {prod:.6g} is not 1: the closure is not unitary"
         )

@@ -13,10 +13,15 @@ Tableau format:
 MPU tensor format:
     line 1:  <chi>
     then chi*chi*2*2 complex entries as "re im" pairs, row-major over
-    (left, right, out, in), any line breaking.
+    (left, right, out, in), on lines of equal length (save_mpu writes one).
+
+Both float formats are parsed by np.loadtxt, so a line of a different
+length from the others is an error.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -37,34 +42,44 @@ def save_matrix(path: str, m: np.ndarray) -> None:
         fh.write(matrix_to_text(m))
 
 
-def _header_ints(tokens: list[str], header: str, where: str) -> list[int]:
-    """The integers of a `header` line, whose tokens open `tokens`; anything
-    else there raises ValueError naming the header and where it was read."""
-    fields = tokens[:len(header.split())]
+def _header_ints(fields: list[str], header: str, where: str) -> list[int]:
+    """The integers of a `header` line split into `fields`; a field that is
+    not an integer, or a count other than the header's, raises ValueError
+    naming the header and where it was read."""
     try:
-        return [int(t) for t in fields]
+        values = [int(t) for t in fields]
     except ValueError:
+        values = None
+    if values is None or len(values) != len(header.split()):
         raise ValueError(f"{where}: the '{header}' header takes integers, got "
-                         f"{' '.join(fields)!r}") from None
+                         f"{' '.join(fields)!r}")
+    return values
 
 
-def _read_tokens(path: str, header: str) -> list[str]:
-    """The whitespace-separated tokens of a file that opens with `header`;
-    a file too short to hold the header raises ValueError."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < len(header.split()):
-        raise ValueError(f"{path} is missing its '{header}' header line")
-    return tokens
+def _read_floats(path: str, header: str) -> tuple[list[int], np.ndarray]:
+    """The integers of a file's `header` line and the floats of the lines
+    after it, in order, parsed by numpy's C reader (np.loadtxt).  A file too
+    short to hold the header, a malformed header, a token that is not a
+    number or lines of unequal length raise ValueError naming the file."""
+    with open(path, "rb") as fh:
+        fields = fh.readline().decode(errors="replace").split()
+        if len(fields) < len(header.split()):
+            raise ValueError(f"{path} is missing its '{header}' header line")
+        values = _header_ints(fields, header, path)
+        try:
+            with warnings.catch_warnings():  # an empty body is a count error below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}, after the header line: {exc}") from None
+    return values, data.ravel()
 
 
 def load_matrix(path: str) -> np.ndarray:
-    tokens = _read_tokens(path, "<rows> <cols>")
-    rows, cols = _header_ints(tokens, "<rows> <cols>", path)
-    data = np.asarray([float(t) for t in tokens[2:]])
+    (rows, cols), data = _read_floats(path, "<rows> <cols>")
     if data.size != 2 * rows * cols:
         raise ValueError(f"expected {2 * rows * cols} floats in {path}, got {data.size}")
-    return (data[0::2] + 1j * data[1::2]).reshape(rows, cols)
+    return data.view(complex).reshape(rows, cols)
 
 
 def tableau_to_text(c: CliffordTableau) -> str:
@@ -110,13 +125,10 @@ def save_mpu(path: str, a: MPUTensor) -> None:
 
 
 def load_mpu(path: str) -> MPUTensor:
-    tokens = _read_tokens(path, "<chi>")
-    (chi,) = _header_ints(tokens, "<chi>", path)
+    (chi,), data = _read_floats(path, "<chi>")
     if chi < 1:
         raise ValueError(f"bond dimension in {path} must be at least 1, got {chi}")
-    data = np.asarray([float(t) for t in tokens[1:]])
     expected = 2 * chi * chi * 4
     if data.size != expected:
         raise ValueError(f"expected {expected} floats in {path}, got {data.size}")
-    tensor = (data[0::2] + 1j * data[1::2]).reshape(chi, chi, 2, 2)
-    return MPUTensor(chi=chi, tensor=tensor)
+    return MPUTensor(chi=chi, tensor=data.view(complex).reshape(chi, chi, 2, 2))

@@ -24,7 +24,12 @@ from paulient.mpu import (
     mpu_zz_chain,
     pauli_power_mpu,
     transfer_matrix_pair,
+    _check_unitary_limit,
     _dominant_pair,
+    _swap_basis,
+    _transfer,
+    _transfer_blocks,
+    _transfer_factors,
 )
 from paulient.operators import Bipartition, haar_random_unitary
 
@@ -144,20 +149,47 @@ def _hermitian_basis_columns(chi):
     return np.stack([h.reshape(-1) for h in basis], axis=1)
 
 
+def _contracted_pair(tensor):
+    """E_A and E_B from the per-site contraction, in the Hermitian bond basis."""
+    t, tc = tensor.tensor, tensor.tensor.conj()
+    lam8 = lambda_site_operator().reshape((2,) * 8)
+    chi, chi8 = tensor.chi, tensor.chi**8
+    # V^x4 takes copy-pair-major rows (l_1 m_1 .. l_4 m_4) to the basis
+    w = reduce(np.kron, [_hermitian_basis_columns(chi)] * 4)
+    pair_major = [0, 4, 1, 5, 2, 6, 3, 7]
+    pair = []
+    for spec in (_CONTRACTION_A, _CONTRACTION_B):
+        e = np.einsum(spec, t, t, t, t, tc, tc, tc, tc, lam8, optimize="greedy")
+        e = e.reshape((chi,) * 16).transpose(pair_major + [8 + k for k in pair_major])
+        pair.append(w.conj().T @ e.reshape(chi8, chi8) @ w)
+    return pair
+
+
+def _gaussian_tensor(chi, seed):
+    rng = np.random.default_rng(seed)
+    shape = (chi, chi, 2, 2)
+    return MPUTensor(chi, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+# seeded non-unitary tensors: the copy-swap structure holds for any tensor
+RANDOM_TENSORS = [pytest.param(_gaussian_tensor(chi, seed), id=f"chi{chi}-seed{seed}")
+                  for chi in (1, 2) for seed in (5, 6)]
+
+
+def _dense_pair_from_factors(tensor):
+    """E_A / 16 and E_B / 16 as dense Kronecker sums of the factors,
+    sum N'_sigma (x) N'_sigma and sum (M'_sigma (x) M'_sigma)^x2: the
+    reference that the block sums must reproduce."""
+    m, n = _transfer_factors(tensor)
+    mm = np.einsum("sac,sbd->sabcd", m, m).reshape(n.shape)
+    return [sum(np.kron(x, x) for x in f) / 16.0 for f in (n, mm)]
+
+
 class TestTransferMatrices:
     @pytest.mark.parametrize("name,tensor", FACTOR_TENSORS)
     def test_factors_match_the_contraction(self, name, tensor):
-        t, tc = tensor.tensor, tensor.tensor.conj()
-        lam8 = lambda_site_operator().reshape((2,) * 8)
-        chi, chi8 = tensor.chi, tensor.chi**8
-        # V^x4 takes copy-pair-major rows (l_1 m_1 .. l_4 m_4) to the basis
-        w = reduce(np.kron, [_hermitian_basis_columns(chi)] * 4)
-        pair_major = [0, 4, 1, 5, 2, 6, 3, 7]
         pair = transfer_matrix_pair(tensor)
-        for spec, got in ((_CONTRACTION_A, pair.t_a), (_CONTRACTION_B, pair.t_b)):
-            want = np.einsum(spec, t, t, t, t, tc, tc, tc, tc, lam8, optimize="greedy")
-            want = want.reshape((chi,) * 16).transpose(pair_major + [8 + k for k in pair_major])
-            want = w.conj().T @ want.reshape(chi8, chi8) @ w
+        for want, got in zip(_contracted_pair(tensor), (pair.t_a, pair.t_b)):
             assert got.dtype == np.float64
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), name
@@ -193,16 +225,98 @@ class TestTransferMatrices:
 
     def test_finite_call_memory_stays_bounded(self):
         # tracemalloc peak of a finite 3|3 call at chi = 2, in chi^8 x chi^8
-        # float64 matrices: 6.003 measured (12.003 with the complex pair)
-        tensor = mpu_zz_chain(0.3, HADAMARD)
-        pauli_power_mpu(tensor, 3, 3)
-        tracemalloc.start()
-        try:
-            pauli_power_mpu(tensor, 3, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6.1 * tensor.chi**16 * 8
+        # float64 matrices: 1.14 measured (6.04 with the dense pair)
+        assert _call_peak(mpu_zz_chain(0.3, HADAMARD), "finite") <= 1.2 * 2**16 * 8
+
+    def test_thermodynamic_call_memory_stays_bounded(self):
+        # as above: 2.07 measured (11.2 with the dense pair)
+        assert _call_peak(mpu_zz_chain(0.3, HADAMARD), "thermodynamic") <= 2.2 * 2**16 * 8
+
+
+def _call_peak(tensor, mode):
+    """tracemalloc peak, in bytes, of a 3|3 call after a warm-up call."""
+    pauli_power_mpu(tensor, 3, 3, mode=mode)
+    tracemalloc.start()
+    try:
+        pauli_power_mpu(tensor, 3, 3, mode=mode)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCopySwapBlocks:
+    @pytest.mark.parametrize("dim", [1, 4, 9])
+    def test_swap_basis_splits_the_copy_swap(self, dim):
+        o, n_sym = _swap_basis(dim)
+        # the permutation matrix of (a, b) -> (b, a)
+        swap = np.eye(dim * dim).reshape(dim, dim, -1).transpose(1, 0, 2).reshape(dim * dim, -1)
+        assert n_sym == dim * (dim + 1) // 2
+        assert np.abs(o @ o.T - np.eye(dim * dim)).max() <= 1e-15
+        assert np.array_equal(o[:n_sym] @ swap, o[:n_sym])
+        assert np.array_equal(o[n_sym:] @ swap, -o[n_sym:])
+
+    @pytest.mark.parametrize("tensor", RANDOM_TENSORS)
+    def test_copy_pair_factors_have_no_cross_blocks(self, tensor):
+        m, n = _transfer_factors(tensor)
+        o, n_sym = _swap_basis(tensor.chi**2)
+        for f in (n, np.einsum("sac,sbd->sabcd", m, m).reshape(n.shape)):
+            r = o @ f @ o.T
+            cross = max(np.abs(r[:, :n_sym, n_sym:]).max(initial=0.0),
+                        np.abs(r[:, n_sym:, :n_sym]).max(initial=0.0))
+            assert cross <= 1e-14 * np.abs(r).max()
+
+    @pytest.mark.parametrize("tensor", RANDOM_TENSORS)
+    def test_contracted_pair_is_block_diagonal(self, tensor):
+        # in the basis O (x) O of copies (1 2)(3 4) the contracted E_A and E_B
+        # vanish outside the four blocks, and the pair swap (13)(24) takes the
+        # (symmetric, antisymmetric) block to the (antisymmetric, symmetric) one
+        dim = tensor.chi**2
+        o, n_sym = _swap_basis(dim)
+        q = np.kron(o, o)
+        sym = np.arange(dim * dim) < n_sym
+        kind = (2 * sym[:, None] + sym[None, :]).ravel()  # symmetric in pair (1 2), in (3 4)
+        inside = np.equal.outer(kind, kind)
+        blocks = _transfer_blocks(*_transfer(tensor)[2:])
+        assert [b.shape[-1] for b, _ in blocks] == [n_sym**2, n_sym * (dim * dim - n_sym),
+                                                    (dim * dim - n_sym) ** 2]
+        for e in _contracted_pair(tensor):
+            f = q @ e.real @ q.T
+            scale = np.abs(f).max()
+            assert np.abs(f[~inside]).max(initial=0.0) <= 1e-13 * scale
+            g = f.reshape((dim * dim,) * 4)
+            mixed = g[:n_sym, n_sym:, :n_sym, n_sym:]
+            assert np.abs(g[n_sym:, :n_sym, n_sym:, :n_sym] - mixed.transpose(1, 0, 3, 2)).max(
+                initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("tensor", RANDOM_TENSORS)
+    def test_block_traces_match_the_dense_pair(self, tensor):
+        pair = transfer_matrix_pair(tensor)
+        blocks = _transfer_blocks(*_transfer(tensor)[2:])
+        for pa in range(1, 5):
+            for pb in range(1, 5):
+                want = np.trace(np.linalg.matrix_power(pair.t_a, pa)
+                                @ np.linalg.matrix_power(pair.t_b, pb))
+                got = sum(k * np.trace(np.linalg.matrix_power(b[0], pa)
+                                       @ np.linalg.matrix_power(b[1], pb)) for b, k in blocks)
+                assert abs(got - want) <= 1e-12 * abs(want), (pa, pb)
+
+    @pytest.mark.parametrize("name,tensor", FACTOR_TENSORS)
+    def test_power_matches_the_dense_pair(self, name, tensor):
+        e_a, e_b = _dense_pair_from_factors(tensor)
+        powers_a, powers_b = [e_a], [e_b]
+        for _ in range(7):
+            powers_a.append(powers_a[-1] @ e_a)
+            powers_b.append(powers_b[-1] @ e_b)
+        for n_a in range(1, 9):
+            for n_b in range(1, 9):
+                want = 1.0 - np.sum(powers_a[n_a - 1] * powers_b[n_b - 1].T)
+                assert abs(pauli_power_mpu(tensor, n_a, n_b) - want) <= 1e-12, (name, n_a, n_b)
+        want = 1.0 - np.trace(np.linalg.matrix_power(e_a, 200) @ np.linalg.matrix_power(e_b, 200))
+        assert abs(pauli_power_mpu(tensor, 200, 200) - want) <= 1e-10, name
+        _, ra, la = _dominant_pair(e_a)
+        _, rb, lb = _dominant_pair(e_b)
+        want = 1.0 - (la @ rb) * (lb @ ra) / ((la @ ra) * (lb @ rb))
+        assert abs(pauli_power_mpu(tensor, 0, 0, mode="thermodynamic") - want) <= 1e-12, name
 
 
 def _non_unitary_tensor():
@@ -239,6 +353,28 @@ class TestClosureDefect:
         assert abs(closure_defect(tensor, 40) - 1.0) < 1e-12
         with pytest.raises(NotUnitaryClosure, match="is not 1"):
             pauli_power_mpu(tensor, 0, 0, mode="thermodynamic")
+
+    @pytest.mark.parametrize("chi", [1, 2])
+    def test_rescaled_non_unitary_tensors_rejected_in_thermodynamic_mode(self, chi):
+        # scaled so that the dominant eigenvalue product of E_A/16 and E_B/16
+        # is 1, which alone does not make the closure unitary
+        for seed in range(10):
+            tensor = _gaussian_tensor(chi, seed)
+            pair = transfer_matrix_pair(tensor)
+            lead = np.prod([np.abs(np.linalg.eigvals(e / 16.0)).max()
+                            for e in (pair.t_a, pair.t_b)])
+            tensor = MPUTensor(chi, tensor.tensor * lead ** (-1 / 16))
+            with pytest.raises(NotUnitaryClosure):
+                pauli_power_mpu(tensor, 0, 0, mode="thermodynamic")
+
+    @pytest.mark.parametrize("name,tensor", FACTOR_TENSORS)
+    def test_reference_tensors_pass_the_unitary_limit_gate(self, name, tensor):
+        # the sigma = I factor spectra are {1, 0, ...}
+        m, n = _transfer_factors(tensor)
+        for f in (m[0], n[0]):
+            mags = np.sort(np.abs(np.linalg.eigvals(f / 2.0)))[::-1]
+            assert abs(mags[0] - 1.0) <= 1e-15 and mags[1:].max(initial=0.0) <= 1e-15, name
+        _check_unitary_limit(m, n)
 
     def test_nan_tensor_rejected(self):
         with pytest.raises(NotUnitaryClosure):

@@ -54,6 +54,37 @@ class TestSerialize:
         with pytest.raises(ValueError):
             load_matrix(str(path))
 
+    def test_matrix_file_loads_to_equal_values(self, tmp_path, rng):
+        # magnitudes across the float range, a subnormal, a signed zero, infinities
+        shape = (6, 5)
+        m = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+             + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape))
+        m[0, 0], m[0, 1], m[1, 1] = complex(np.inf, -np.inf), complex(-0.0, 5e-324), 1e308
+        path = tmp_path / "m.txt"
+        save_matrix(str(path), m)
+        loaded = load_matrix(str(path))
+        assert loaded.shape == shape and np.array_equal(loaded, m)
+        assert np.signbit(loaded[0, 1].real)
+
+    @pytest.mark.parametrize("body", ["1 0 0 0\n", "1 0 0 0\n0 0 1 0\n0 0 0 0\n"],
+                             ids=["short", "long"])
+    def test_matrix_float_count_names_the_file(self, tmp_path, body):
+        path = tmp_path / "count.txt"
+        path.write_text("2 2\n" + body)
+        with pytest.raises(ValueError, match=r"expected 8 floats in .*count\.txt, got (4|12)"):
+            load_matrix(str(path))
+
+    @pytest.mark.parametrize("body", ["1 0 x 0\n0 0 1 0\n", "1 0 0 0\n0 0 1 #\n",
+                                      "1 0 0 0\n0 0\n1 0\n"], ids=["letter", "hash", "ragged"])
+    def test_malformed_float_lines_name_the_file(self, tmp_path, body):
+        path = tmp_path / "lines.txt"
+        path.write_text("2 2\n" + body)
+        with pytest.raises(ValueError, match=r"lines\.txt, after the header line"):
+            load_matrix(str(path))
+        path.write_text("1\n" + body)
+        with pytest.raises(ValueError, match=r"lines\.txt, after the header line"):
+            load_mpu(str(path))
+
     def test_matrix_text_is_the_saved_file(self, tmp_path, rng):
         m = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         path = tmp_path / "m.txt"
