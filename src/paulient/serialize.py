@@ -77,6 +77,8 @@ def _read_floats(path: str, header: str) -> tuple[list[int], np.ndarray]:
 
 def load_matrix(path: str) -> np.ndarray:
     (rows, cols), data = _read_floats(path, "<rows> <cols>")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"{path}: a matrix cannot have {rows} rows and {cols} columns")
     if data.size != 2 * rows * cols:
         raise ValueError(f"expected {2 * rows * cols} floats in {path}, got {data.size}")
     return data.view(complex).reshape(rows, cols)

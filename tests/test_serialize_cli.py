@@ -74,6 +74,14 @@ class TestSerialize:
         with pytest.raises(ValueError, match=r"expected 8 floats in .*count\.txt, got (4|12)"):
             load_matrix(str(path))
 
+    @pytest.mark.parametrize("header", ["-1 -2", "-1 2", "2 -1"])
+    def test_matrix_negative_dimensions_name_the_file(self, tmp_path, header):
+        # -1 -2 matches the four floats below in count
+        path = tmp_path / "neg.txt"
+        path.write_text(header + "\n1 0 0 0\n")
+        with pytest.raises(ValueError, match=r"neg\.txt: a matrix cannot have"):
+            load_matrix(str(path))
+
     @pytest.mark.parametrize("body", ["1 0 x 0\n0 0 1 0\n", "1 0 0 0\n0 0 1 #\n",
                                       "1 0 0 0\n0 0\n1 0\n"], ids=["letter", "hash", "ragged"])
     def test_malformed_float_lines_name_the_file(self, tmp_path, body):
