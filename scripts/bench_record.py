@@ -8,11 +8,15 @@ workload and seed with a ``--trace 0`` record on both sides.  Per workload the
 output holds the pair count, the seeds, the attempted and failed operations of
 each side and, per end-to-end metric of ``BENCHMARK.json``, the median and the
 linear-interpolated quartiles of each side, the runs themselves and the number
-of pairs in which the change is better.  Seeds with a ``--trace 1`` record on
+of pairs in which the change is better, and the parent's drift: the median
+of the parent's later half of runs minus that of its earlier half, in seed
+order (runs taken in seed order on a shared machine drift with its load,
+which widens the interquartile range).  Seeds with a ``--trace 1`` record on
 both sides become traced pairs with their per-layer metrics.  With ``--claim
 WORKLOAD:METRIC`` the file also says whether the change wins that metric in at
 least nine of ten pairs and the medians differ by more than the parent's
-interquartile range.
+interquartile range; the claim block repeats the parent's drift beside that
+range, so a reader can see when drift has widened it.
 
 Example:
 
@@ -67,6 +71,15 @@ def _summary(values: list[float]) -> dict:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
+def _drift(values: list[float]) -> float:
+    """Median of the later half of values minus that of the earlier half (a
+    middle value of an odd count in neither)."""
+    half = len(values) // 2
+    if not half:
+        return 0.0
+    return round(statistics.median(values[-half:]) - statistics.median(values[:half]), 4)
+
+
 def _better(change: float, parent: float, better: str) -> bool:
     return change < parent if better == "lower" else change > parent
 
@@ -94,6 +107,7 @@ def workload_section(name: str, parent: dict, change: dict, metrics: list[dict])
             "change": _summary(after),
             "change_better_pairs": sum(_better(a, b, metric["better"])
                                        for b, a in zip(before, after)),
+            "parent_drift": _drift(before),
             "parent_runs": [round(v, 4) for v in before],
             "change_runs": [round(v, 4) for v in after],
         }
@@ -125,6 +139,7 @@ def claim(workloads: dict, spec: str) -> dict:
     wins = m["change_better_pairs"]
     return {"workload": name, "metric": metric, "pairs": pairs, "change_better_pairs": wins,
             "median_difference": round(difference, 4), "parent_iqr": round(iqr, 4),
+            "parent_drift": m["parent_drift"],
             "holds": pairs >= 10 and wins >= 0.9 * pairs and difference > iqr}
 
 

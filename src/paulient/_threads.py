@@ -7,6 +7,14 @@ may run on.  Pooled work comes in through buffered_map: each task of a call
 borrows a buffer set of its own, and the sets of one call and its unsummed
 results share one memory budget, BUFFER_BUDGET, which caps the threads by
 the sizes (read off the buffers themselves) as well as by the cores.  The
+sets of the most recent call are kept and lent to the next call whose sets
+have the same shapes and dtypes (a spin-chain sweep asks for the same ones at
+every step), so that call writes into memory already mapped in place of
+faulting in fresh pages.  A call takes the kept sets out under the module
+lock and puts its own back when its map ends or is closed: a set is never
+lent to two running calls, and between calls the process holds at most one
+layout's sets, within BUFFER_BUDGET.  Nothing is kept by input value; a
+kept set is only scratch, which every task overwrites before reading.  The
 blocks' GEMMs are small (inner dimension 16 at N = 8) and run no faster on
 two BLAS threads than on one, and a sampled string gains more from a second
 string in parallel than from a second BLAS thread, while OpenBLAS threads
@@ -20,7 +28,8 @@ Where that cannot be done (another BLAS, or no /proc/self/maps to find the
 libraries), every call runs on its caller's thread.
 
 A process forked after the pool exists gets a fresh one on first use; the
-inherited executor's threads do not exist in the child.
+inherited executor's threads do not exist in the child, and the child drops
+the kept sets, which a thread of the parent may have been lending.
 """
 
 from __future__ import annotations
@@ -55,6 +64,8 @@ _blas_seen: set[str] = set()  # OpenBLAS paths already set (or tried)
 _blas_pinned = False  # whether any of them took the setting
 _modules_at_read = -1  # len(sys.modules) when /proc/self/maps was last read
 _limit: int | None = None  # set by set_thread_limit; None means every core
+_kept: list[tuple] = []  # the buffer sets of the most recent buffered_map call
+_kept_key: tuple = ()  # the (shape, dtype) of each array of a kept set
 
 
 def available_cores() -> int:
@@ -146,19 +157,48 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int) -> Itera
         wait(pending)
 
 
+def _take_kept(key: tuple) -> list[tuple]:
+    """The kept sets if they have the given key, else none; either way the
+    keep-list is emptied, so no other call can take them, and sets of another
+    layout are freed before the calling map makes its own."""
+    global _kept, _kept_key
+    with _lock:
+        sets, same = _kept, _kept_key == key
+        _kept, _kept_key = [], ()
+    return sets if same else []
+
+
+def _keep(key: tuple, sets: list[tuple]) -> None:
+    """Keep a finished call's sets for the next call, in place of any kept."""
+    global _kept, _kept_key
+    with _lock:
+        _kept, _kept_key = sets, key
+
+
+def _drop_kept_sets() -> None:
+    """Empty the keep-list, so the next buffered_map call makes its sets."""
+    _take_kept(())  # no buffer set has the empty key
+
+
 def buffered_map(fn: Callable[[T, tuple], R], items: Iterable[T], n_tasks: int,
                  new_set: Callable[[], tuple], result_bytes: int = 0) -> tuple[int, Iterator[R]]:
     """(threads, ordered_map of fn(item, buffers) over items).  new_set()
     returns one buffer set, a tuple of arrays, whose nbytes sizes every set;
     one set per thread and the threads + 2 results of result_bytes that
-    ordered_map may hold fit BUFFER_BUDGET.  Exactly `threads` sets are made,
-    and each call of fn borrows one that no running call holds."""
-    first = new_set()
+    ordered_map may hold fit BUFFER_BUDGET.  The call lends `threads` sets:
+    the kept ones where the last call's sets had the same shapes and dtypes,
+    new ones from new_set() for the rest; each call of fn borrows one that no
+    running call holds, and fn must write a buffer before it reads it."""
+    first = new_set()  # np.empty: no page is touched where a kept set serves
+    key = tuple((a.shape, a.dtype.str) for a in first)
     set_bytes = sum(a.nbytes for a in first)
     threads = threads_for(min(n_tasks, (BUFFER_BUDGET - 2 * result_bytes)
                               // (set_bytes + result_bytes)))
+    sets = (_take_kept(key) + [first])[:threads]
+    sets += [new_set() for _ in range(threads - len(sets))]
+    del first
     free: queue.SimpleQueue = queue.SimpleQueue()
-    for buffers in [first] + [new_set() for _ in range(threads - 1)]:
+    for buffers in sets:
         free.put(buffers)
 
     def borrowing(item: T) -> R:
@@ -168,13 +208,20 @@ def buffered_map(fn: Callable[[T, tuple], R], items: Iterable[T], n_tasks: int,
         finally:
             free.put(buffers)
 
-    return threads, ordered_map(borrowing, items, threads)
+    def lending() -> Iterator[R]:
+        try:
+            yield from ordered_map(borrowing, items, threads)
+        finally:  # ordered_map has waited for every running call of fn
+            _keep(key, sets)
+
+    return threads, lending()
 
 
 def _forget_pool_in_child() -> None:
     global _lock, _pool
     _lock = threading.Lock()
     _pool = None
+    _drop_kept_sets()
 
 
 os.register_at_fork(after_in_child=_forget_pool_in_child)

@@ -276,9 +276,11 @@ def _dominant_pair(m: np.ndarray,
 
     A strictly dominant eigenvalue of a real matrix is real: a complex one
     comes with its conjugate, of the same magnitude, which the gap check
-    rejects.  The vectors come from sorted real Schur decompositions: the
-    transfer matrices are strongly non-normal (nilpotent bulk), where plain
-    eigenvector solves are unreliable."""
+    rejects.  The vectors come from one sorted real Schur form m = Q T Q^T:
+    the transfer matrices are strongly non-normal (nilpotent bulk), where
+    plain eigenvector solves are unreliable.  The right vector is Q[:, 0];
+    the left one is Q y with y^T T = lead y^T, that is y = (1, w) with
+    (T[1:, 1:] - lead I)^T w = -T[0, 1:], which the gap makes nonsingular."""
     import scipy.linalg  # scipy loads on the first thermodynamic call
 
     if m.shape[0] == 1:
@@ -295,10 +297,9 @@ def _dominant_pair(m: np.ndarray,
         raise DegenerateLeadingEigenvalue(f"{sdim} eigenvalues above the gap")
     lead = float(t[0, 0])
     r = q[:, 0]
-    _, q2, sdim2 = scipy.linalg.schur(m.T, output="real", sort=above)
-    if sdim2 != 1:
-        raise DegenerateLeadingEigenvalue("left spectrum disagrees on the gap")
-    l = q2[:, 0]
+    w = np.linalg.solve((t[1:, 1:] - lead * np.eye(len(t) - 1)).T, -t[0, 1:])
+    l = q[:, 0] + q[:, 1:] @ w
+    l /= np.linalg.norm(l)
     if abs(l @ r) < 1e-10:
         raise DegenerateLeadingEigenvalue(
             "left/right eigenvector overlap vanishes (defective leading block)"

@@ -64,3 +64,33 @@ def test_seed_filter_and_failed_claim(tmp_path):
     bench = json.loads(out.read_text())
     assert bench["workloads"]["chain-sampled-n9"]["seeds"] == [900, 901, 902, 903, 904, 911]
     assert not bench["claim"]["holds"]  # six pairs are too few
+
+
+def test_parent_drift_in_seed_order(tmp_path):
+    # the parent's runs climb with the seed (load drift), the change's do not;
+    # the drift is reported beside the IQR, and the claim rule is unchanged
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for i, seed in enumerate(range(900, 911)):
+        _write(parent, 910 - i, 10.0 + i)  # written out of seed order
+        _write(change, seed, 9.0)
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
+                       "--claim", "chain-sampled-n9:wall_s"])
+    bench = json.loads(out.read_text())
+    wall = bench["workloads"]["chain-sampled-n9"]["metrics"]["wall_s"]
+    # seeds 900-910 hold 20.0 down to 10.0: later five 10-14, earlier five 16-20
+    assert wall["parent_runs"] == [20.0 - i for i in range(11)]
+    assert wall["parent_drift"] == -6.0
+    assert wall["change"]["q1"] == wall["change"]["q3"] and wall["parent_drift"] != 0.0
+    assert bench["workloads"]["chain-sampled-n9"]["metrics"]["setup_s"]["parent_drift"] == 0.0
+    claim = bench["claim"]
+    assert claim["parent_drift"] == -6.0 and claim["parent_iqr"] == 5.0
+    assert claim["change_better_pairs"] == 11 and claim["median_difference"] == 6.0
+    assert claim["holds"]  # 6.0 > 5.0: the drift reports, it does not decide
+    for i in range(11):  # every pair won by 0.5, which the drifting IQR hides
+        _write(change, 910 - i, 9.5 + i)
+    bench_record.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
+                       "--claim", "chain-sampled-n9:wall_s"])
+    claim = json.loads(out.read_text())["claim"]
+    assert claim["change_better_pairs"] == 11 and claim["median_difference"] == 0.5
+    assert not claim["holds"] and claim["parent_drift"] == -6.0

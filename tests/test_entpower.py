@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from paulient import _threads
 from paulient.entpower import (
     _pauli_g_table,
     _string_elin,
@@ -86,6 +87,20 @@ class TestExactMode:
             est = pauli_entangling_power(u, bp)
             assert abs(est.value - oracle_pauli_power(u, n_a, n_b)) < 1e-12
 
+    def test_reduce_matches_exactly_rounded_sum(self, rng):
+        # P_E from numpy's pairwise sum of g^2 against math.fsum of the same
+        # table, on XYZ U_t (two parity sectors) and Haar U, N = 2 to 8
+        for n in range(2, 9):
+            bp = Bipartition(n // 2, n - n // 2)
+            us = [haar_random_unitary(bp.d, rng)]
+            if n >= 3:
+                model = XYZModel(n_sites=n, j_z=0.3)
+                us.append(HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0))
+            for u in us:
+                g = _pauli_g_table(u, bp, _SectorLayout.find(u))
+                want = 1.0 - math.fsum((g**2).ravel().tolist()) / float(bp.d) ** 4
+                assert abs(pauli_entangling_power(u, bp).value - want) <= 2e-15, n
+
     def test_g_table_across_pair_blocks_matches_partial_trace(self):
         # At N = 7 the smaller block has 8 states: 36 pairs.  A Haar U (one
         # sector) takes them in blocks of 2^17 // 128^2 = 8, so the last block
@@ -154,6 +169,7 @@ class TestExactMode:
     def test_exact_peak_memory_at_eight_qubits(self, rng):
         # the pair-correlation array alone would be 136 MiB at 4|4
         u = haar_random_unitary(256, rng)
+        _threads._drop_kept_sets()  # a cold call makes its buffer sets
         tracemalloc.start()
         try:
             pauli_entangling_power(u, Bipartition(4, 4))
@@ -308,6 +324,7 @@ class TestSampledMode:
         model = XYZModel(n_sites=9, j_z=0.3)
         for u in (haar_random_unitary(512, np.random.default_rng(3)),
                   HamiltonianPropagator(build_hamiltonian(model)).unitary_at(2.0)):
+            _threads._drop_kept_sets()
             tracemalloc.start()
             try:
                 pauli_entangling_power(u, Bipartition(4, 5), mode="sampled",
@@ -474,6 +491,7 @@ class TestBounds:
         # strings may add two chunks (measured 9.54 d^2 = 6.02 + 1.76 chunks)
         bp = Bipartition(4, 4)
         u = haar_random_unitary(bp.d, rng)
+        _threads._drop_kept_sets()
         tracemalloc.start()
         try:
             local_pauli_magic_bound(u, bp)

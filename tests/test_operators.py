@@ -6,6 +6,7 @@ from paulient.operators import (
     Bipartition,
     _HermitianPurity,
     _sum_lambda_sq,
+    _unitarity_defect,
     haar_random_unitary,
     is_unitary,
     operator_entanglement,
@@ -74,6 +75,63 @@ class TestIsUnitary:
         for shape in [(4, 2), (4, 8), (2, 4), (4,), (2, 2, 2), (), (0, 0)]:
             assert not is_unitary(np.ones(shape)), shape
             assert not is_unitary(np.zeros(shape, dtype=complex)), shape
+
+
+def _two_sector(m: np.ndarray) -> np.ndarray:
+    """m with its entries between even and odd parity indices set to 0."""
+    layout = _SectorLayout.of(len(m), True)
+    return np.where(layout.sector[:, None] == layout.sector[None, :], m, 0)
+
+
+def _xyz_unitary(n_sites: int, t: float = 2.0) -> np.ndarray:
+    return HamiltonianPropagator(build_hamiltonian(XYZModel(n_sites=n_sites, j_z=0.3))).unitary_at(t)
+
+
+class TestRealArithmetic:
+    def test_unitarity_defect_matches_complex_formula(self):
+        # the real-arithmetic defect against ||U^dag U - I||_F / sqrt(d) in
+        # complex arithmetic: relative 1e-12 where the defect is well above
+        # round-off, absolute 1e-13 on unitaries (both at round-off)
+        rng = np.random.default_rng(31)
+        for d in (2, 8, 32, 128):
+            haar = haar_random_unitary(d, rng)
+            orth = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            ginibre = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            cases = [haar, orth, _two_sector(haar), _two_sector(orth), ginibre,
+                     rng.standard_normal((d, d)), _two_sector(ginibre)]
+            if d >= 8:
+                cases.append(_xyz_unitary(d.bit_length() - 1))
+            for m in cases + [c * (1 + delta) for c in cases[:4] for delta in (1e-3, 0.1)]:
+                layout = _SectorLayout.find(m)
+                want = np.linalg.norm(m.conj().T @ m - np.eye(d)) / np.sqrt(d)
+                got = _unitarity_defect(m, layout)
+                assert abs(got - want) <= (1e-13 if want < 1e-10 else 1e-12 * want), (d, want)
+        assert len(_SectorLayout.find(_xyz_unitary(5)).index) == 2
+
+    def test_non_finite_entries_are_not_unitary(self):
+        for m in (_xyz_unitary(4), haar_random_unitary(16, np.random.default_rng(32)),
+                  np.linalg.qr(np.random.default_rng(33).standard_normal((16, 16)))[0]):
+            for value in (np.nan, np.inf, -np.inf):
+                for i, j in ((0, 0), (0, 3), (5, 6)):  # (0, 3) joins the two sectors
+                    bad = m.copy()
+                    bad[i, j] = value
+                    with np.errstate(invalid="ignore"):  # inf * 0 in the products
+                        assert not is_unitary(bad), (value, i, j)
+
+    def test_sum_lambda_sq_matches_realignment_oracle(self):
+        rng = np.random.default_rng(34)
+        for n in range(2, 9):
+            ops = [haar_random_unitary(1 << n, rng),
+                   np.linalg.qr(rng.standard_normal((1 << n, 1 << n)))[0]]
+            if n >= 3:
+                ops.append(_xyz_unitary(n))
+            cuts = range(1, n) if n <= 6 else (n // 2, 1)
+            for op in ops:
+                layout = _SectorLayout.find(op)
+                for n_a in cuts:
+                    want = np.sum(oracle_schmidt_values(op, n_a, n - n_a) ** 2)
+                    got = _sum_lambda_sq(op, Bipartition(n_a, n - n_a), layout)
+                    assert abs(got - want) <= 1e-13, (n, n_a, len(layout.index))
 
 
 class TestHermitianPurity:

@@ -111,6 +111,7 @@ class TestThreadPool:
         # 78 MiB at 4|4; with it, one call stays where the one-thread kernel was
         thread_limit(16)
         u = haar_random_unitary(256, np.random.default_rng(508))
+        _threads._drop_kept_sets()  # a cold call makes its buffer sets
         tracemalloc.start()
         try:
             pauli_entangling_power(u, Bipartition(4, 4))
@@ -124,6 +125,7 @@ class TestThreadPool:
         # at 4|4 within the same budget; 19.3-20.6 MiB measured
         thread_limit(16)
         u = _xyz_unitary(8)
+        _threads._drop_kept_sets()
         tracemalloc.start()
         try:
             pauli_entangling_power(u, Bipartition(4, 4))
@@ -269,6 +271,7 @@ class TestThreadPool:
                 (100, 0, 1000, 1), (1, 0, 10_000, 1)]:
             monkeypatch.setattr(_threads, "BUFFER_BUDGET", budget)
             made[:] = []
+            _threads._drop_kept_sets()  # each call makes its sets
             threads, results = _threads.buffered_map(lambda i, b: i, range(3), n_tasks,
                                                      new_set, result_bytes)
             assert list(results) == [0, 1, 2]
@@ -285,6 +288,8 @@ class TestThreadPool:
         def new_set():
             made.append((np.empty(8),))
             return made[-1]
+
+        _threads._drop_kept_sets()
 
         def fn(i, buffers):
             assert any(buffers is s for s in made)
@@ -304,6 +309,79 @@ class TestThreadPool:
         finally:
             sys.setswitchinterval(interval)
         assert len(made) == threads and not any(clashes)
+
+    def test_buffered_map_keeps_the_last_layouts_sets(self, thread_limit):
+        # the next call with the same shapes and dtypes borrows the last
+        # call's sets and makes none beyond its probe; a call of another
+        # layout takes none of them, and only its own sets are kept after it
+        thread_limit(4)
+        made = []
+
+        def maker(size):
+            def new_set():
+                made.append((np.empty(size), np.empty(3, dtype=np.int64)))
+                return made[-1]
+            return new_set
+
+        def lent(size):
+            seen = []
+            threads, results = _threads.buffered_map(
+                lambda i, b: seen.append(b) or i, range(12), 12, maker(size))
+            assert list(results) == list(range(12))
+            return threads, seen
+
+        _threads._drop_kept_sets()
+        threads, seen = lent(8)
+        first = made[:]
+        assert len(first) == threads
+        made[:] = []
+        _, seen = lent(8)
+        assert len(made) == 1  # the probe, never lent
+        assert all(any(b is s for s in first) for b in seen)
+        made[:] = []
+        _, seen = lent(16)
+        assert not any(b is s for b in seen for s in first)
+        assert len(_threads._kept) == len(made) and all(
+            any(k is s for s in made) for k in _threads._kept)
+
+    def test_running_map_keeps_its_sets_from_other_calls(self, thread_limit):
+        # sets taken by a map that has not ended are never lent to a second
+        # call; they are kept again once the map is closed
+        thread_limit(2)
+        made = []
+
+        def new_set():
+            made.append((np.empty(8),))
+            return made[-1]
+
+        _threads._drop_kept_sets()
+        _, results = _threads.buffered_map(lambda i, b: b, range(4), 4, new_set)
+        list(results)
+        _, running = _threads.buffered_map(lambda i, b: b, range(4), 4, new_set)
+        held = next(running)
+        assert any(held is s for s in made[:-1])  # a kept set, not the probe
+        _, other = _threads.buffered_map(lambda i, b: b, range(4), 4, new_set)
+        assert not any(b is held for b in other)
+        running.close()
+        assert any(k is held for k in _threads._kept)
+
+    def test_warm_call_traces_less_than_a_cold_one(self, thread_limit):
+        # an exact N = 8 call on an XYZ U_t right after one of the same layout
+        # fills the kept sets in place of tracing new ones
+        thread_limit(2)
+        u, bp = _xyz_unitary(8), Bipartition(4, 4)
+        peaks = []
+        for cold in (True, False):
+            if cold:
+                _threads._drop_kept_sets()
+            tracemalloc.start()
+            try:
+                pauli_entangling_power(u, bp)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        set_bytes = sum(a.nbytes for a in _threads._kept[0])
+        assert peaks[0] - peaks[1] >= set_bytes
 
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
     def test_openblas_pinned_by_multi_block_calls_only(self):
